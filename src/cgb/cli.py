@@ -34,23 +34,33 @@ class RunManifest:
     seed: int = 0
     backend: str = "float"
 
-    def validate(self) -> None:
+    def validate(self):
+        """Check every field; returns the manifold spec it builds."""
         from .manifolds import get_manifold
 
+        if not isinstance(self.lambdas, list) or not all(map(_is_number, self.lambdas)):
+            raise ValueError(f"lambdas must be a list of numbers, got {self.lambdas!r}")
+        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas):
+            raise ValueError(f"lambda values must be finite and nonnegative, got {self.lambdas}")
+        if not isinstance(self.resolution, list) or not all(
+            isinstance(r, int) and not isinstance(r, bool) for r in self.resolution
+        ):
+            raise ValueError(f"resolution must be a list of integers, got {self.resolution!r}")
+        if any(r < 2 for r in self.resolution):
+            raise ValueError("resolution must be at least 2 per axis")
+        if not _is_number(self.tolerance) or not math.isfinite(self.tolerance) or self.tolerance <= 0:
+            raise ValueError(f"tolerance must be a positive finite number, got {self.tolerance!r}")
+        if self.backend not in ("float", "rational"):
+            raise ValueError(f"unknown backend {self.backend!r}")
         spec = get_manifold(self.manifold, **self.manifold_params)
         if self.morse not in (None, "none"):
             spec.potential(self.morse)
-        if any(lam < 0 for lam in self.lambdas):
-            raise ValueError("lambda values must be nonnegative")
         if len(self.resolution) not in (spec.dim, 0):
             raise ValueError(
                 f"resolution needs {spec.dim} per-axis counts for {self.manifold}, "
                 f"got {self.resolution}"
             )
-        if any(r < 2 for r in self.resolution):
-            raise ValueError("resolution must be at least 2 per axis")
-        if self.backend not in ("float", "rational"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        return spec
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -64,7 +74,12 @@ class RunManifest:
         return cls(**data)
 
 
-def load_manifest(args: argparse.Namespace) -> RunManifest:
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def load_manifest(args: argparse.Namespace):
+    """The run manifest with flag overrides applied, and the manifold it names."""
     data = {}
     if getattr(args, "manifest", None):
         with open(args.manifest) as fh:
@@ -90,8 +105,7 @@ def load_manifest(args: argparse.Namespace) -> RunManifest:
         manifest.backend = args.backend
     if getattr(args, "no_adaptive", False):
         manifest.adaptive = False
-    manifest.validate()
-    return manifest
+    return manifest, manifest.validate()
 
 
 def _fmt(value: float) -> str:
@@ -113,11 +127,9 @@ def _default_resolution(spec) -> list[int]:
 
 
 def cmd_pfaffian(args: argparse.Namespace) -> int:
-    from .manifolds import get_manifold
     from .sigma import partition_function
 
-    manifest = load_manifest(args)
-    spec = get_manifold(manifest.manifold, **manifest.manifold_params)
+    manifest, spec = load_manifest(args)
     resolution = manifest.resolution or _default_resolution(spec)
     result = partition_function(spec, None, 0.0, resolution)
     abs_error = abs(result.value - spec.euler_char)
@@ -135,11 +147,9 @@ def cmd_pfaffian(args: argparse.Namespace) -> int:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    from .manifolds import get_manifold
     from .morse import find_critical_points
 
-    manifest = load_manifest(args)
-    spec = get_manifold(manifest.manifold, **manifest.manifold_params)
+    manifest, spec = load_manifest(args)
     if manifest.morse is None:
         print("error: the index command needs a potential (--morse NAME)", file=sys.stderr)
         return 2
@@ -176,11 +186,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .manifolds import get_manifold
     from .sigma import lambda_sweep
 
-    manifest = load_manifest(args)
-    spec = get_manifold(manifest.manifold, **manifest.manifold_params)
+    manifest, spec = load_manifest(args)
     resolution = manifest.resolution or _default_resolution(spec)
     sweep = lambda_sweep(spec, manifest.morse, manifest.lambdas, resolution, manifest.adaptive)
     lines = [CSV_HEADER]

@@ -150,10 +150,6 @@ class SuperPolynomial:
     def is_odd(self) -> bool:
         return all(self.key_parity(k) == 1 for k in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {self.key_degree(k) for k in self.terms}
-        return len(degs) <= 1
-
     def degree_part(self, degree: int) -> "SuperPolynomial":
         return SuperPolynomial(
             self.delta, self.m, {k: c for k, c in self.terms.items() if self.key_degree(k) == degree}
@@ -326,7 +322,10 @@ def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
             if kind == "int":
                 coeff = Fraction(int(val))
                 if i + 2 < n and tokens[i + 1] == ("op", "/") and tokens[i + 2][0] == "int":
-                    coeff /= int(tokens[i + 2][1])
+                    denominator = int(tokens[i + 2][1])
+                    if denominator == 0:
+                        raise ParseError(f"zero denominator in {val}/{tokens[i + 2][1]}")
+                    coeff /= denominator
                     i += 2
                 term = term * coeff
             elif kind == "name":

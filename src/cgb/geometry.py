@@ -28,6 +28,7 @@ phi_1^{i+1}, generator 2i+1 is phi_2^{i+1}):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -216,20 +217,14 @@ def riemann_tensor(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray
     return np.einsum("...im,...mjkl->...ijkl", g, rup)
 
 
-def christoffel_from_jets(jets: MetricJets) -> tuple[np.ndarray, np.ndarray]:
+def christoffel(chart: ChartMetric, x) -> tuple[np.ndarray, np.ndarray]:
+    jets = chart.jets(x)
     return christoffel_tensors(jets.g, jets.dg)
 
 
-def christoffel(chart: ChartMetric, x) -> tuple[np.ndarray, np.ndarray]:
-    return christoffel_from_jets(chart.jets(x))
-
-
-def riemann_from_jets(jets: MetricJets) -> np.ndarray:
-    return riemann_tensor(jets.g, jets.dg, jets.d2g)
-
-
 def riemann(chart: ChartMetric, x) -> np.ndarray:
-    return riemann_from_jets(chart.jets(x))
+    jets = chart.jets(x)
+    return riemann_tensor(jets.g, jets.dg, jets.d2g)
 
 
 @dataclass(frozen=True)
@@ -260,8 +255,8 @@ class CurvatureFrame:
         except np.linalg.LinAlgError:
             raise ValueError(f"metric is not positive definite at {x}") from None
         det_g = float(np.linalg.det(g))
-        first, second = christoffel_from_jets(jets)
-        riem = riemann_from_jets(jets)
+        first, second = christoffel_tensors(g, jets.dg)
+        riem = riemann_tensor(g, jets.dg, jets.d2g)
         return cls(
             x=np.asarray(x, dtype=float),
             g=g,
@@ -322,10 +317,6 @@ def hessian_form(chart: ChartMetric, h: ScalarField, x) -> np.ndarray:
     return covariant_hessian(frame, np.asarray(h.grad(x), dtype=float), np.asarray(h.hess(x), dtype=float))
 
 
-def gradient_norm_sq_frame(frame: CurvatureFrame, grad: np.ndarray) -> float:
-    return float(grad @ frame.g_inv @ grad)
-
-
 def gradient_norm_sq(chart: ChartMetric, h: ScalarField, x) -> float:
     x = np.asarray(x, dtype=float)
     g_inv = np.linalg.inv(chart.metric_at(x))
@@ -351,17 +342,39 @@ def _monomial_mask_sign(indices: tuple[int, ...]) -> tuple[int, int]:
     return mask, (-1 if swaps & 1 else 1)
 
 
+@functools.lru_cache(maxsize=None)
+def biform_monomials(n: int) -> tuple[tuple, tuple]:
+    """Generator monomials of the biforms on 2n generators, with their signs.
+
+    Returns ``(pairs, quartics)``: ``pairs`` lists ``((i, j), mask, sign)``
+    for phi_1^i phi_2^j, and ``quartics`` lists ``((i, j, k, l), mask, sign)``
+    for phi_1^i phi_2^j phi_1^k phi_2^l with i != k and j != l (the other
+    quartics vanish).  ``mask`` is the generator bitmask of the product and
+    ``sign`` the sign of sorting it; several index tuples share one mask.
+    """
+    pairs = tuple(
+        ((i, j), *_monomial_mask_sign((2 * i, 2 * j + 1))) for i in range(n) for j in range(n)
+    )
+    quartics = tuple(
+        ((i, j, k, l), *_monomial_mask_sign((2 * i, 2 * j + 1, 2 * k, 2 * l + 1)))
+        for i in range(n)
+        for k in range(n)
+        if k != i
+        for j in range(n)
+        for l in range(n)
+        if l != j
+    )
+    return pairs, quartics
+
+
 def pair_biform(matrix: np.ndarray) -> GrassmannElement:
     """sum_ij M_ij phi_1^i phi_2^j as a Grassmann element on 2n generators."""
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
     terms: dict[int, float] = {}
-    for i in range(n):
-        for j in range(n):
-            c = m[i, j]
-            if c == 0.0:
-                continue
-            mask, sign = _monomial_mask_sign((2 * i, 2 * j + 1))
+    for index, mask, sign in biform_monomials(n)[0]:
+        c = m[index]
+        if c != 0.0:
             terms[mask] = terms.get(mask, 0.0) + sign * c
     return GrassmannElement(2 * n, terms)
 
@@ -375,27 +388,14 @@ def curvature_biform(frame: CurvatureFrame) -> GrassmannElement:
     (chi(S^2) = +2 golden test).
     """
     r = frame.riemann
-    n = frame.dim
     terms: dict[int, float] = {}
-    for i in range(n):
-        gi = 2 * i
-        for k in range(n):
-            if k == i:
-                continue
-            gk = 2 * k
-            for j in range(n):
-                gj = 2 * j + 1
-                for l in range(n):
-                    if l == j:
-                        continue
-                    c = r[i, j, k, l]
-                    if c == 0.0:
-                        continue
-                    mask, sign = _monomial_mask_sign((gi, gj, gk, 2 * l + 1))
-                    val = CURVATURE_BIFORM_SIGN * sign * c
-                    acc = terms.get(mask, 0.0) + val
-                    if acc == 0.0:
-                        terms.pop(mask, None)
-                    else:
-                        terms[mask] = acc
-    return GrassmannElement(2 * n, terms)
+    for index, mask, sign in biform_monomials(frame.dim)[1]:
+        c = r[index]
+        if c == 0.0:
+            continue
+        acc = terms.get(mask, 0.0) + CURVATURE_BIFORM_SIGN * sign * c
+        if acc == 0.0:
+            terms.pop(mask, None)
+        else:
+            terms[mask] = acc
+    return GrassmannElement(2 * frame.dim, terms)

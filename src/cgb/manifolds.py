@@ -150,7 +150,6 @@ class ManifoldSpec:
     charts: dict[str, Chart]
     euler_char: int
     morse_catalog: dict[str, MorseFunction]
-    volume_closed_form: float | None = None
     factors: tuple["ManifoldSpec", "ManifoldSpec"] | None = None
 
     @property
@@ -336,7 +335,6 @@ def sphere(radius: float = 1.0) -> ManifoldSpec:
         charts=charts,
         euler_char=2,
         morse_catalog={"height": height},
-        volume_closed_form=4 * math.pi * radius**2,
     )
 
 
@@ -367,7 +365,6 @@ def sphere_conformal(radius: float = 1.0, amplitude: float = 0.3) -> ManifoldSpe
         charts=charts,
         euler_char=2,
         morse_catalog=base.morse_catalog,
-        volume_closed_form=None,
     )
 
 
@@ -434,7 +431,6 @@ def torus(big_radius: float = 2.0, small_radius: float = 1.0) -> ManifoldSpec:
         },
         euler_char=0,
         morse_catalog={"height": height},
-        volume_closed_form=4 * math.pi**2 * R * r,
     )
 
 
@@ -486,7 +482,6 @@ def flat_torus() -> ManifoldSpec:
         },
         euler_char=0,
         morse_catalog={"coscos": coscos},
-        volume_closed_form=1.0,
     )
 
 
@@ -594,7 +589,6 @@ def product_of_spheres(radius1: float = 1.0, radius2: float = 1.0) -> ManifoldSp
         charts={"product": quad, "product_rotated": seed},
         euler_char=4,
         morse_catalog={"height_sum": height_sum},
-        volume_closed_form=(4 * math.pi * radius1**2) * (4 * math.pi * radius2**2),
         factors=(s1, s2),
     )
 
@@ -655,6 +649,5 @@ def with_scaled_metric(spec: ManifoldSpec, factor: float) -> ManifoldSpec:
         charts={k: scale_chart(c) for k, c in spec.charts.items()},
         euler_char=spec.euler_char,
         morse_catalog=spec.morse_catalog,
-        volume_closed_form=None,
         factors=spec.factors,
     )

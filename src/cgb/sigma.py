@@ -39,8 +39,9 @@ routes and both integral limits reproduce chi on the golden catalog.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +50,7 @@ from .geometry import (
     ChartMetric,
     CurvatureFrame,
     MetricJets,
+    biform_monomials,
     christoffel_tensors,
     covariant_hessian,
     curvature_biform,
@@ -56,7 +58,7 @@ from .geometry import (
     riemann_tensor,
     CURVATURE_BIFORM_SIGN,
 )
-from .grassmann import GrassmannElement, berezin, exp_even, multiply
+from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multiply
 from .manifolds import (
     ManifoldSpec,
     MorseFunction,
@@ -97,7 +99,6 @@ class PartitionResult:
     value: float
     resolution: tuple[int, ...]
     error_bound: float
-    per_chart: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -282,46 +283,61 @@ def partition_integrand(
 # -- batched grid evaluation ---------------------------------------------------
 
 
-def _mask_tables(n: int):
-    """Precomputed (indices, mask, sign) tables for the biform monomials."""
-    from .geometry import _monomial_mask_sign
+@functools.lru_cache(maxsize=None)
+def _top_covers(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Signed exact covers of the top monomial by disjoint biform supports.
 
-    pair = []
-    for i in range(n):
-        for j in range(n):
-            mask, sign = _monomial_mask_sign((2 * i, 2 * j + 1))
-            pair.append((i, j, mask, float(sign)))
-    quart = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if i == k or j == l:
-                        continue
-                    mask, sign = _monomial_mask_sign((2 * i, 2 * j + 1, 2 * k, 2 * l + 1))
-                    quart.append((i, j, k, l, mask, float(sign)))
-    return pair, quart
+    The exponent lam HessBiform - Biform/2 is a sum of commuting even
+    monomials c_m theta^m, so its exponential is prod_m (1 + c_m theta^m)
+    and its top coefficient is the sum, over the sets of masks that cover
+    the 2n generators exactly once, of the sorting sign times prod c_m.
+    Returns those (sign, masks) pairs: 3 for n = 2, 114 for n = 4.
+    """
+    pairs, quartics = biform_monomials(n)
+    supports = sorted({mask for _, mask, _ in pairs + quartics})
+    top = (1 << (2 * n)) - 1
+    covers = []
+
+    def extend(covered: int, sign: int, masks: tuple[int, ...]) -> None:
+        if covered == top:
+            covers.append((sign, masks))
+            return
+        lowest = ~covered & (covered + 1)
+        for mask in supports:
+            if mask & lowest and not mask & covered:
+                extend(covered | mask, sign * _merge_sign(covered, mask), masks + (mask,))
+
+    extend(0, 1, ())
+    return tuple(covers)
 
 
-_TABLE_CACHE: dict[int, tuple[list, list]] = {}
+def _berezin_top(riem: np.ndarray, hcov: np.ndarray | None, lam: float) -> np.ndarray:
+    """Top coefficient of exp(lam HessBiform - Biform/2) at every point of a batch.
 
-
-def _tables(n: int):
-    if n not in _TABLE_CACHE:
-        _TABLE_CACHE[n] = _mask_tables(n)
-    return _TABLE_CACHE[n]
+    Sums the signed products of per-point monomial coefficients over
+    ``_top_covers``; the pointwise Grassmann engine (``partition_integrand``)
+    is its test oracle.
+    """
+    n = riem.shape[-1]
+    pairs, quartics = biform_monomials(n)
+    half = CURVATURE_BIFORM_SIGN * -0.5
+    coef: dict[int, np.ndarray] = {}
+    for index, mask, sign in quartics:
+        coef[mask] = coef.get(mask, 0.0) + (half * sign) * riem[(...,) + index]
+    if hcov is not None:
+        for index, mask, sign in pairs:
+            coef[mask] = (lam * sign) * hcov[(...,) + index]
+    top = np.zeros(riem.shape[0])
+    for sign, masks in _top_covers(n):
+        if all(mask in coef for mask in masks):
+            top += sign * functools.reduce(np.multiply, (coef[mask] for mask in masks))
+    return top
 
 
 _CHUNK = 1 << 18
 
 
-def _integrand_chunk(
-    chart: ChartMetric,
-    points: np.ndarray,
-    lam: float,
-    h,  # ScalarField or None
-    force_engine: bool = False,
-) -> np.ndarray:
+def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
     """One chunk of integrand values: vectorized tensors, then Berezin tops."""
     n = chart.dim
     g = np.asarray(chart.metric(points), dtype=float)
@@ -336,9 +352,8 @@ def _integrand_chunk(
     else:
         riem = riemann_tensor(g, dg, d2g)
 
-    use_h = h is not None and lam != 0.0
     hcov = None
-    if use_h:
+    if h is not None and lam != 0.0:
         g_inv = np.linalg.inv(g)
         grad = np.asarray(h.grad(points), dtype=float)
         hess = np.asarray(h.hess(points), dtype=float)
@@ -351,68 +366,18 @@ def _integrand_chunk(
         aux = np.exp(-0.5 * lam**2 * grad_norm_sq) / np.sqrt(det)
     else:
         aux = 1.0 / np.sqrt(det)
-
-    if n == 2 and not force_engine:
-        return aux * _berezin_top_batch_2d(riem, hcov, lam)
-
-    pair_tab, quart_tab = _tables(n)
-    npts = points.shape[0]
-    out = np.empty(npts)
-    two_n = 2 * n
-    half = CURVATURE_BIFORM_SIGN * -0.5
-    aux_arr = np.broadcast_to(np.asarray(aux, dtype=float), (npts,))
-    for p in range(npts):
-        terms: dict[int, float] = {}
-        rp = riem[p]
-        for i, j, k, l, mask, sign in quart_tab:
-            c = rp[i, j, k, l]
-            if c != 0.0:
-                terms[mask] = terms.get(mask, 0.0) + half * sign * c
-        if use_h:
-            hp = hcov[p]
-            for i, j, mask, sign in pair_tab:
-                c = hp[i, j]
-                if c != 0.0:
-                    terms[mask] = terms.get(mask, 0.0) + lam * sign * c
-        element = GrassmannElement(two_n, terms)
-        top = exp_even(element).coefficient((1 << two_n) - 1)
-        out[p] = aux_arr[p] * top
-    return out
+    return aux * _berezin_top(riem, hcov, lam)
 
 
-def _berezin_top_batch_2d(riem: np.ndarray, hcov: np.ndarray | None, lam: float) -> np.ndarray:
-    """Top coefficient of exp(lam HessBiform - Biform/2) for n = 2, vectorized.
-
-    Degree counting makes the expansion exact: the top picks up the quartic
-    curvature term plus half the square of the quadratic Hessian term, and
-    the latter is the determinant identity.  Verified against the Grassmann
-    engine path in the test suite.
-    """
-    half = CURVATURE_BIFORM_SIGN * -0.5
-    _, quart_tab = _tables(2)
-    top = np.zeros(riem.shape[0])
-    for i, j, k, l, _mask, sign in quart_tab:
-        top = top + (half * sign) * riem[..., i, j, k, l]
-    if hcov is not None and lam != 0.0:
-        top = top + lam**2 * np.linalg.det(hcov)
-    return top
-
-
-def _integrand_on_points(
-    chart: ChartMetric,
-    points: np.ndarray,
-    lam: float,
-    h,
-    force_engine: bool = False,
-) -> np.ndarray:
+def _integrand_on_points(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
     npts = points.shape[0]
     chunk = max(4096, _CHUNK // chart.dim**2)  # bound the d2g scratch tensors
     if npts <= chunk:
-        return _integrand_chunk(chart, points, lam, h, force_engine)
+        return _integrand_chunk(chart, points, lam, h)
     out = np.empty(npts)
     for start in range(0, npts, chunk):
         stop = min(start + chunk, npts)
-        out[start:stop] = _integrand_chunk(chart, points[start:stop], lam, h, force_engine)
+        out[start:stop] = _integrand_chunk(chart, points[start:stop], lam, h)
     return out
 
 
@@ -510,7 +475,6 @@ def partition_function(
         value=value,
         resolution=resolution,
         error_bound=norm * cap_bound,
-        per_chart={chart.name: value},
     )
 
 
@@ -541,7 +505,6 @@ def _partition_factorized(
         value=value,
         resolution=resolution,
         error_bound=bound,
-        per_chart={spec.quad_chart.name: value},
     )
 
 

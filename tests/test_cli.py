@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cgb import manifolds
 from cgb.cli import CSV_HEADER, RunManifest, main
 
 
@@ -38,6 +39,29 @@ class TestManifest:
             RunManifest(resolution=[1, 4]).validate()
         with pytest.raises(KeyError):
             RunManifest(manifold="moebius").validate()
+
+
+# malformed flags, manifests and expressions: each must end in exit code 2
+# with a one-line message that names the bad field; {manifest} is replaced
+# by the path of a manifest file holding the given fields
+MALFORMED = {
+    "lambda-inf": (["sweep", "--manifold", "s2", "--morse", "height", "--lambda", "inf"], None, "lambda"),
+    "lambda-nan": (["sweep", "--manifold", "s2", "--morse", "height", "--lambda", "nan"], None, "lambda"),
+    "tolerance-nan": (["pfaffian", "--manifold", "s2", "--tolerance", "nan"], None, "tolerance"),
+    "lambdas-string": (["sweep", "--manifest", "{manifest}"], {"morse": "height", "lambdas": "1,2"}, "lambdas"),
+    "efts-zero-denominator": (["efts", "delta", "1/0"], None, "denominator"),
+}
+
+
+@pytest.mark.parametrize("argv, manifest, field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_usage_error(capsys, tmp_path, argv, manifest, field):
+    path = tmp_path / "m.json"
+    if manifest is not None:
+        path.write_text(json.dumps(manifest))
+    code, stdout, err = run(capsys, *(arg.replace("{manifest}", str(path)) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+    assert "Traceback" not in err and stdout == ""
 
 
 class TestPfaffianCommand:
@@ -75,6 +99,18 @@ class TestPfaffianCommand:
         code, _, err = run(capsys, "pfaffian", "--manifold", "klein")
         assert code == 2
         assert "unknown manifold" in err
+
+    def test_builds_manifold_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_sphere(**params):
+            calls.append(params)
+            return manifolds.sphere(**params)
+
+        monkeypatch.setitem(manifolds._BUILDERS, "s2", counting_sphere)
+        code, _, _ = run(capsys, "pfaffian", "--manifold", "s2", "--resolution", "8,16", "--tolerance", "1")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_tolerance_failure_exit_code(self, capsys):
         code, stdout, _ = run(
