@@ -38,8 +38,14 @@ class RunManifest:
         """Check every field; returns the manifold spec it builds."""
         from .manifolds import get_manifold
 
-        if not isinstance(self.lambdas, list) or not all(map(_is_number, self.lambdas)):
-            raise ValueError(f"lambdas must be a list of numbers, got {self.lambdas!r}")
+        for name, kind in (("manifold", str), ("manifold_params", dict), ("adaptive", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        for name in ("morse", "out"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+        if not isinstance(self.lambdas, list) or not self.lambdas or not all(map(_is_number, self.lambdas)):
+            raise ValueError(f"lambdas must be a nonempty list of numbers, got {self.lambdas!r}")
         if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas):
             raise ValueError(f"lambda values must be finite and nonnegative, got {self.lambdas}")
         if not isinstance(self.resolution, list) or not all(
@@ -67,6 +73,8 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunManifest":
+        if not isinstance(data, dict):
+            raise ValueError(f"a manifest must be a JSON object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

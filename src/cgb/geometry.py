@@ -173,27 +173,24 @@ class ChartMetric:
 # -- tensors from jets -------------------------------------------------------
 
 
-def christoffel_tensors(g: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First- and second-kind Christoffel symbols; accepts leading batch axes."""
+def christoffel_tensors(g_inv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First- and second-kind Christoffel symbols from g^-1 and dg; accepts leading batch axes."""
     # Gamma_ijk = (d_i g_kj + d_j g_ki - d_k g_ij) / 2, stored [..., i, j, k]
     first = 0.5 * (
         np.einsum("...ikj->...ijk", dg)
         + np.einsum("...jki->...ijk", dg)
         - np.einsum("...kij->...ijk", dg)
     )
-    g_inv = np.linalg.inv(g)
     second = np.einsum("...kl,...ijl->...kij", g_inv, first)
     return first, second
 
 
-def riemann_tensor(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray:
+def riemann_tensor(g, g_inv, dg, d2g, gamma_first, gamma_second) -> np.ndarray:
     """Lowered curvature tensor R_ijkl; accepts leading batch axes.
 
     Sign convention: R_ijij > 0 on positively curved surfaces; the round
     unit sphere has R_{theta phi theta phi} = sin^2 theta.
     """
-    g_inv = np.linalg.inv(g)
-    gamma_first, gamma_second = christoffel_tensors(g, dg)
     # lowered-index first kind with form slot leading: G1[p, l, j] = Gamma_ljp
     g1 = np.einsum("...ljp->...plj", gamma_first)
     # d_k Gamma_{p, lj} from second derivatives of g
@@ -217,14 +214,21 @@ def riemann_tensor(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> np.ndarray
     return np.einsum("...im,...mjkl->...ijkl", g, rup)
 
 
+def curvature(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(g^-1, Gamma first kind, Gamma second kind, R_ijkl), inverting g once."""
+    g_inv = np.linalg.inv(g)
+    first, second = christoffel_tensors(g_inv, dg)
+    return g_inv, first, second, riemann_tensor(g, g_inv, dg, d2g, first, second)
+
+
 def christoffel(chart: ChartMetric, x) -> tuple[np.ndarray, np.ndarray]:
     jets = chart.jets(x)
-    return christoffel_tensors(jets.g, jets.dg)
+    return christoffel_tensors(np.linalg.inv(jets.g), jets.dg)
 
 
 def riemann(chart: ChartMetric, x) -> np.ndarray:
     jets = chart.jets(x)
-    return riemann_tensor(jets.g, jets.dg, jets.d2g)
+    return curvature(jets.g, jets.dg, jets.d2g)[3]
 
 
 @dataclass(frozen=True)
@@ -255,12 +259,11 @@ class CurvatureFrame:
         except np.linalg.LinAlgError:
             raise ValueError(f"metric is not positive definite at {x}") from None
         det_g = float(np.linalg.det(g))
-        first, second = christoffel_tensors(g, jets.dg)
-        riem = riemann_tensor(g, jets.dg, jets.d2g)
+        g_inv, first, second, riem = curvature(g, jets.dg, jets.d2g)
         return cls(
             x=np.asarray(x, dtype=float),
             g=g,
-            g_inv=np.linalg.inv(g),
+            g_inv=g_inv,
             det_g=det_g,
             gamma_first=first,
             gamma_second=second,

@@ -1,14 +1,19 @@
 """Catalog of closed Riemannian manifolds given by explicit charts.
 
-Each manifold is a set of coordinate charts with metric jets generated
-symbolically from an embedding (or metric expression) and lambdified into
-vectorized numpy evaluators, plus
+Each chart's embedding into Euclidean space is written once, as a
+``TrigEmbedding``: every ambient component is a sum of coef * prod_k f_k(x_k)
+with f_k in {1, sin, cos}.  The same object serves as ``Chart.embed`` and,
+through closed-form derivatives of orders 1-3 and the product rule
+(``pullback_jets``), yields the metric jets g, dg and d2g as vectorized
+numpy arrays; a conformal factor of the same form multiplies them
+(``scaled_jets``).  The flat torus keeps the exact jets (I, 0, 0).  Besides
+its charts, each manifold has
 
 * a designated quadrature chart covering the manifold up to polar caps of
   parameter measure ``excised_measure`` (folded into error bounds),
 * an overlapping rotated chart whose interior contains the polar critical
   points of the height functions, used only for seeding Newton iterations,
-* a catalog of potential functions with analytic gradient and Hessian
+* a catalog of potential functions with hand-written gradient and Hessian
   closures per chart, and
 * the known Euler characteristic as ground truth.
 
@@ -20,13 +25,15 @@ not depend on evaluation chunking.
 
 from __future__ import annotations
 
+import functools
+import inspect
+import itertools
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+import numbers
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import sympy as sp
 
 from .geometry import ChartMetric, ScalarField
 
@@ -45,66 +52,126 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(acc[0])
 
 
-class _TensorEvaluator:
-    """Vectorized evaluator for a fixed-shape tensor of sympy expressions."""
+# Factor codes of a TrigEmbedding term: 1, sin or cos of freq * x.
+ONE, SIN, COS = 0, 1, 2
 
-    def __init__(self, coords: Sequence[sp.Symbol], exprs: np.ndarray):
-        self.shape = exprs.shape
-        flat = [sp.lambdify(coords, e, modules="numpy") for e in exprs.ravel()]
-        self._flat = flat
-        self._n = len(coords)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+class TrigEmbedding:
+    """A map x -> R^m whose components are sums of trigonometric products.
+
+    ``components[a]`` lists the terms ``(coef, (f_0, ..., f_{n-1}))`` of
+    component a, each meaning coef * prod_k f_k(freq_k x_k).  Derivatives
+    follow the cycle sin -> cos -> -sin -> -cos on the same sin and cos
+    arrays, so every sign is exact.
+    """
+
+    def __init__(self, components, freq: Sequence[float] | None = None):
+        self.components = components
+        self.dim = len(components[0][0][1])
+        self.freq = tuple(freq) if freq is not None else (1.0,) * self.dim
+
+    def _term(self, trig, coef: float, factors, counts):
+        """coef * prod_k d^{counts_k} f_k at the points; 0.0 if a constant is differentiated."""
+        arrays = []
+        for k, (f, d) in enumerate(zip(factors, counts)):
+            if f == ONE:
+                if d:
+                    return 0.0
+                continue
+            phase = (f - SIN + d) % 4  # sin, cos, -sin, -cos
+            coef *= (-1.0 if phase > 1 else 1.0) * self.freq[k] ** d
+            arrays.append(trig[k][phase % 2])
+        return functools.reduce(np.multiply, arrays, coef)
+
+    def derivatives(self, x, order: int) -> list[np.ndarray]:
+        """[X, dX, ..., d^order X], points last: d^d X has shape (n,) * d + (m,) + batch."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = x[None, :] if single else x
-        cols = [pts[:, k] for k in range(self._n)]
-        batch = pts.shape[0]
-        vals = [np.broadcast_to(np.asarray(f(*cols), dtype=float), (batch,)) for f in self._flat]
-        out = np.stack(vals, axis=-1).reshape(batch, *self.shape)
-        return out[0] if single else out
+        n = self.dim
+        trig = []
+        for k, w in enumerate(self.freq):
+            t = x[..., k] if w == 1.0 else w * x[..., k]
+            trig.append((np.sin(t), np.cos(t)))
+        out = []
+        for d in range(order + 1):
+            arr = np.empty((n,) * d + (len(self.components),) + x.shape[:-1])
+            for idx in itertools.product(range(n), repeat=d):
+                counts = [idx.count(k) for k in range(n)]
+                for a, comp in enumerate(self.components):
+                    arr[idx + (a,)] = sum(self._term(trig, c, fs, counts) for c, fs in comp)
+            out.append(arr)
+        return out
+
+    def __call__(self, x) -> np.ndarray:
+        return np.moveaxis(self.derivatives(x, 0)[0], 0, -1)
 
 
-def chart_from_metric_exprs(
-    name: str,
-    coords: Sequence[sp.Symbol],
-    g_exprs: sp.Matrix,
-    domain: Sequence[Sequence[float]],
-) -> ChartMetric:
-    """Build a chart with analytic metric jets from a symbolic metric."""
-    n = len(coords)
-    g = np.array([[sp.expand_trig(sp.simplify(g_exprs[i, j])) for j in range(n)] for i in range(n)], dtype=object)
-    dg = np.array(
-        [[[sp.diff(g[i, j], coords[k]) for j in range(n)] for i in range(n)] for k in range(n)],
-        dtype=object,
-    )
-    d2g = np.array(
-        [
-            [[[sp.diff(dg[l, i, j], coords[k]) for j in range(n)] for i in range(n)] for l in range(n)]
-            for k in range(n)
-        ],
-        dtype=object,
-    )
-    return ChartMetric(
-        dim=n,
-        domain=domain,
-        metric=_TensorEvaluator(coords, g),
-        d_metric=_TensorEvaluator(coords, dg),
-        d2_metric=_TensorEvaluator(coords, d2g),
-        name=name,
-    )
+def _dot(a: np.ndarray, b: np.ndarray, ra: int, rb: int) -> np.ndarray:
+    """Contract the ambient axis: a[A, m, ...] b[B, m, ...] -> [A, B, ...] for ra, rb index axes."""
+    a = a.reshape(a.shape[:ra] + (1,) * rb + a.shape[ra:])
+    return (a * b.reshape((1,) * ra + b.shape)).sum(axis=ra + rb)
 
 
-def chart_from_embedding(
-    name: str,
-    coords: Sequence[sp.Symbol],
-    embedding: Sequence[sp.Expr],
-    domain: Sequence[Sequence[float]],
-) -> ChartMetric:
-    """Chart whose metric is the pullback of the Euclidean ambient metric."""
-    jac = sp.Matrix([[sp.diff(comp, c) for c in coords] for comp in embedding])
-    g = sp.Matrix(jac.T * jac)
-    return chart_from_metric_exprs(name, coords, g, domain)
+def pullback_jets(dx: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """[g, dg, d2g][:len(dx)] of the pulled-back Euclidean metric, from [dX, d2X, d3X].
+
+    Index axes come first and points last, as in ``TrigEmbedding.derivatives``.
+    g_ij = X_i.X_j, d_k g_ij = X_ki.X_j + X_i.X_kj and
+    d_kl g_ij = X_kli.X_j + X_i.X_klj + X_ki.X_lj + X_li.X_kj.  Each sum
+    pairs a term with its i <-> j transpose, so the jets are exactly symmetric.
+    """
+    x1 = dx[0]
+    jets = [_dot(x1, x1, 1, 1)]
+    if len(dx) > 1:
+        a = _dot(dx[1], x1, 2, 1)
+        jets.append(a + np.swapaxes(a, 1, 2))
+    if len(dx) > 2:
+        b = _dot(dx[2], x1, 3, 1)
+        c = np.swapaxes(_dot(dx[1], dx[1], 2, 2), 1, 2)  # X_ki.X_lj at [k, l, i, j]
+        jets.append((b + np.swapaxes(b, 2, 3)) + (c + np.swapaxes(c, 2, 3)))
+    return jets
+
+
+def scaled_jets(phi: Sequence[np.ndarray], jets: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Jets of phi * g from [phi, dphi, d2phi] and [g, dg, d2g] (equal lengths, points last)."""
+    g = jets[0]
+    out = [phi[0] * g]
+    if len(jets) > 1:
+        out.append(phi[1][:, None, None] * g + phi[0] * jets[1])
+    if len(jets) > 2:
+        cross = phi[1][:, None, None, None] * jets[1]
+        out.append((phi[2][:, :, None, None] * g + (cross + np.swapaxes(cross, 0, 1))) + phi[0] * jets[2])
+    return out
+
+
+def _jet_chart(name: str, dim: int, domain, jet: Callable[[np.ndarray, int], np.ndarray]) -> ChartMetric:
+    """ChartMetric whose metric, d_metric and d2_metric are jet(x, 0), jet(x, 1) and jet(x, 2)."""
+    return ChartMetric(dim, domain, *(functools.partial(jet, order=k) for k in range(3)), name=name)
+
+
+def embedded_chart(name: str, embedding: TrigEmbedding, domain, factor=None) -> ChartMetric:
+    """Chart with the pulled-back metric, times the scalar ``factor`` (a one-component TrigEmbedding) if given."""
+
+    def jet(x, order: int) -> np.ndarray:
+        jets = pullback_jets(embedding.derivatives(x, order + 1)[1:])
+        if factor is not None:
+            phi = [np.take(d, 0, axis=k) for k, d in enumerate(factor.derivatives(x, order))]
+            jets = scaled_jets(phi, jets)
+        rank = order + 2  # move the points first
+        return np.ascontiguousarray(np.moveaxis(jets[order], range(rank), range(-rank, 0)))
+
+    return _jet_chart(name, embedding.dim, domain, jet)
+
+
+def flat_chart(name: str, dim: int, domain) -> ChartMetric:
+    """Euclidean coordinates with the exact jets (I, 0, 0)."""
+
+    def jet(x, order: int) -> np.ndarray:
+        out = np.zeros(np.shape(x)[:-1] + (dim,) * (order + 2))
+        if order == 0:
+            out[..., range(dim), range(dim)] = 1.0
+        return out
+
+    return _jet_chart(name, dim, domain, jet)
 
 
 @dataclass(frozen=True)
@@ -197,11 +264,6 @@ class QuadratureGrid:
     def size(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def error_bound(self) -> float:
-        """A-priori bound for unit-sup integrands: the excised measure."""
-        return self.excised_measure
-
 
 def gauss_legendre_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(n)
@@ -237,44 +299,21 @@ def integrate_values(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, f
 # -- catalog builders ---------------------------------------------------------
 
 
-def _sphere_like_charts(a: float, b: float, c: float, prefix: str = "") -> dict[str, Chart]:
-    """Polar and rotated charts for the ellipsoid x^2/a^2 + y^2/b^2 + z^2/c^2 = 1."""
-    th, ph = sp.symbols("th ph", real=True)
-    tiny = 1e-7
-    full = [[tiny, math.pi - tiny], [0.0, 2 * math.pi]]
-    polar = chart_from_embedding(
-        prefix + "polar",
-        (th, ph),
-        (a * sp.sin(th) * sp.cos(ph), b * sp.sin(th) * sp.sin(ph), c * sp.cos(th)),
-        full,
-    )
-    rotated = chart_from_embedding(
-        prefix + "rotated",
-        (th, ph),
-        (a * sp.cos(th), b * sp.sin(th) * sp.cos(ph), c * sp.sin(th) * sp.sin(ph)),
-        full,
-    )
-
-    def embed_polar(x):
-        x = np.asarray(x, dtype=float)
-        sth, cth = np.sin(x[..., 0]), np.cos(x[..., 0])
-        return np.stack([a * sth * np.cos(x[..., 1]), b * sth * np.sin(x[..., 1]), c * cth], axis=-1)
-
-    def embed_rotated(x):
-        x = np.asarray(x, dtype=float)
-        sth, cth = np.sin(x[..., 0]), np.cos(x[..., 0])
-        return np.stack([a * cth, b * sth * np.cos(x[..., 1]), c * sth * np.sin(x[..., 1])], axis=-1)
-
-    quad_dom = np.array([[POLAR_CAP, math.pi - POLAR_CAP], [0.0, 2 * math.pi]])
+def _sphere_like_charts(a: float, b: float, c: float, factor=None) -> dict[str, Chart]:
+    """Polar and rotated charts of x^2/a^2 + y^2/b^2 + z^2/c^2 = 1; ``factor`` scales the polar metric."""
+    full = [[1e-7, math.pi - 1e-7], [0.0, 2 * math.pi]]
+    polar = TrigEmbedding([[(a, (SIN, COS))], [(b, (SIN, SIN))], [(c, (COS, ONE))]])
+    rotated = TrigEmbedding([[(a, (COS, ONE))], [(b, (SIN, COS))], [(c, (SIN, SIN))]])
     return {
-        prefix + "polar": Chart(
-            metric=polar,
-            embed=embed_polar,
-            quad_domain=quad_dom,
+        "polar": Chart(
+            metric=embedded_chart("polar", polar, full, factor),
+            embed=polar,
+            quad_domain=np.array([[POLAR_CAP, math.pi - POLAR_CAP], [0.0, 2 * math.pi]]),
             periods=(None, 2 * math.pi),
             excised_measure=2 * POLAR_CAP * 2 * math.pi,
         ),
-        prefix + "rotated": Chart(metric=rotated, embed=embed_rotated, periods=(None, 2 * math.pi)),
+        # the rotated chart only seeds Newton (metric-independent): never scaled
+        "rotated": Chart(embedded_chart("rotated", rotated, full), rotated, periods=(None, 2 * math.pi)),
     }
 
 
@@ -320,22 +359,34 @@ def _height_fields_sphere_like(c: float) -> dict[str, ScalarField]:
     }
 
 
-def sphere(radius: float = 1.0) -> ManifoldSpec:
-    charts = _sphere_like_charts(radius, radius, radius)
-    fields = _height_fields_sphere_like(radius)
+def _require_above(low: float, **values) -> None:
+    """Builder parameters must be finite real numbers above ``low``."""
+    for name, value in values.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not real or not math.isfinite(value) or value <= low:
+            raise ValueError(f"{name} must be a finite number above {low:g}, got {value!r}")
+
+
+def _sphere_spec(name: str, radius: float, factor: TrigEmbedding | None = None) -> ManifoldSpec:
+    _require_above(0, radius=radius)
 
     def dist_to_poles(points):
         th = np.asarray(points, dtype=float)[..., 0]
         return radius * np.minimum(th, math.pi - th)
 
+    fields = _height_fields_sphere_like(radius)
     height = MorseFunction(fields=fields, critical_distance={"polar": dist_to_poles})
     return ManifoldSpec(
-        name="s2",
+        name=name,
         dim=2,
-        charts=charts,
+        charts=_sphere_like_charts(radius, radius, radius, factor),
         euler_char=2,
         morse_catalog={"height": height},
     )
+
+
+def sphere(radius: float = 1.0) -> ManifoldSpec:
+    return _sphere_spec("s2", radius)
 
 
 def sphere_conformal(radius: float = 1.0, amplitude: float = 0.3) -> ManifoldSpec:
@@ -343,32 +394,13 @@ def sphere_conformal(radius: float = 1.0, amplitude: float = 0.3) -> ManifoldSpe
 
     Same topology, deformed geometry; the partition function must not move.
     """
-    th, ph = sp.symbols("th ph", real=True)
-    factor = 1 + amplitude * sp.sin(th)
-    g = factor * sp.Matrix([[radius**2, 0], [0, radius**2 * sp.sin(th) ** 2]])
-    tiny = 1e-7
-    polar = chart_from_metric_exprs("polar", (th, ph), g, [[tiny, math.pi - tiny], [0, 2 * math.pi]])
-    base = sphere(radius)
-    base_polar = base.charts["polar"]
-    charts = dict(base.charts)
-    charts["polar"] = Chart(
-        metric=polar,
-        embed=base_polar.embed,
-        quad_domain=base_polar.quad_domain,
-        periods=base_polar.periods,
-        excised_measure=base_polar.excised_measure,
-    )
-    # rotated chart only seeds Newton (metric-independent), keep the round one
-    return ManifoldSpec(
-        name="s2_perturbed",
-        dim=2,
-        charts=charts,
-        euler_char=2,
-        morse_catalog=base.morse_catalog,
-    )
+    _require_above(-1, amplitude=amplitude)
+    factor = TrigEmbedding([[(1.0, (ONE, ONE)), (amplitude, (SIN, ONE))]])
+    return _sphere_spec("s2_perturbed", radius, factor)
 
 
 def ellipsoid(a: float = 1.0, b: float = 1.2, c: float = 0.8) -> ManifoldSpec:
+    _require_above(0, a=a, b=b, c=c)
     charts = _sphere_like_charts(a, b, c)
     fields = _height_fields_sphere_like(c)
     return ManifoldSpec(
@@ -381,21 +413,14 @@ def ellipsoid(a: float = 1.0, b: float = 1.2, c: float = 0.8) -> ManifoldSpec:
 
 
 def torus(big_radius: float = 2.0, small_radius: float = 1.0) -> ManifoldSpec:
-    if not big_radius > small_radius > 0:
+    _require_above(0, big_radius=big_radius, small_radius=small_radius)
+    if not big_radius > small_radius:
         raise ValueError("torus of revolution needs R > r > 0")
-    u, v = sp.symbols("u v", real=True)
     R, r = big_radius, small_radius
-    chart = chart_from_embedding(
-        "torus",
-        (u, v),
-        ((R + r * sp.cos(v)) * sp.cos(u), (R + r * sp.cos(v)) * sp.sin(u), r * sp.sin(v)),
-        [[0.0, 2 * math.pi], [0.0, 2 * math.pi]],
+    # ((R + r cos v) cos u, (R + r cos v) sin u, r sin v)
+    embed = TrigEmbedding(
+        [[(R, (COS, ONE)), (r, (COS, COS))], [(R, (SIN, ONE)), (r, (SIN, COS))], [(r, (ONE, SIN))]]
     )
-
-    def embed(x):
-        x = np.asarray(x, dtype=float)
-        ring = R + r * np.cos(x[..., 1])
-        return np.stack([ring * np.cos(x[..., 0]), ring * np.sin(x[..., 0]), r * np.sin(x[..., 1])], axis=-1)
 
     # standing torus: the height is the first ambient coordinate
     def val(x):
@@ -423,7 +448,7 @@ def torus(big_radius: float = 2.0, small_radius: float = 1.0) -> ManifoldSpec:
         dim=2,
         charts={
             "torus": Chart(
-                metric=chart,
+                metric=embedded_chart("torus", embed, [[0.0, two_pi], [0.0, two_pi]]),
                 embed=embed,
                 quad_domain=np.array([[0.0, two_pi], [0.0, two_pi]]),
                 periods=(two_pi, two_pi),
@@ -435,23 +460,13 @@ def torus(big_radius: float = 2.0, small_radius: float = 1.0) -> ManifoldSpec:
 
 
 def flat_torus() -> ManifoldSpec:
-    u, v = sp.symbols("u v", real=True)
-    chart = chart_from_metric_exprs("flat", (u, v), sp.eye(2), [[0.0, 1.0], [0.0, 1.0]])
-
-    def embed(x):
-        x = np.asarray(x, dtype=float)
-        tau = 2 * math.pi
-        return np.stack(
-            [
-                np.cos(tau * x[..., 0]),
-                np.sin(tau * x[..., 0]),
-                np.cos(tau * x[..., 1]),
-                np.sin(tau * x[..., 1]),
-            ],
-            axis=-1,
-        ) / tau
-
     tau = 2 * math.pi
+    # Clifford embedding (cos tau u, sin tau u, cos tau v, sin tau v) / tau; it is
+    # isometric, but the metric keeps the exact flat jets rather than its pullback
+    c = 1.0 / tau
+    embed = TrigEmbedding(
+        [[(c, (COS, ONE))], [(c, (SIN, ONE))], [(c, (ONE, COS))], [(c, (ONE, SIN))]], freq=(tau, tau)
+    )
 
     def val(x):
         x = np.asarray(x, dtype=float)
@@ -474,7 +489,7 @@ def flat_torus() -> ManifoldSpec:
         dim=2,
         charts={
             "flat": Chart(
-                metric=chart,
+                metric=flat_chart("flat", 2, [[0.0, 1.0], [0.0, 1.0]]),
                 embed=embed,
                 quad_domain=np.array([[0.0, 1.0], [0.0, 1.0]]),
                 periods=(1.0, 1.0),
@@ -485,68 +500,36 @@ def flat_torus() -> ManifoldSpec:
     )
 
 
-def _product_scalar_field(f1: ScalarField, f2: ScalarField, n1: int, n2: int) -> ScalarField:
+def _blocks(x, n1: int, f1, f2, rank: int) -> np.ndarray:
+    """Tensor with ``rank`` axes of length n whose diagonal blocks are f1(x[:n1]) and f2(x[n1:])."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(x.shape[:-1] + (x.shape[-1],) * rank)
+    out[(...,) + (slice(None, n1),) * rank] = f1(x[..., :n1])
+    out[(...,) + (slice(n1, None),) * rank] = f2(x[..., n1:])
+    return out
+
+
+def _product_scalar_field(f1: ScalarField, f2: ScalarField, n1: int) -> ScalarField:
     def val(x):
         x = np.asarray(x, dtype=float)
         return f1.value(x[..., :n1]) + f2.value(x[..., n1:])
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        return np.concatenate(
-            [np.asarray(f1.grad(x[..., :n1]), dtype=float), np.asarray(f2.grad(x[..., n1:]), dtype=float)],
-            axis=-1,
-        )
+        return np.concatenate([f1.grad(x[..., :n1]), f2.grad(x[..., n1:])], axis=-1)
 
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        h1 = np.asarray(f1.hess(x[..., :n1]), dtype=float)
-        h2 = np.asarray(f2.hess(x[..., n1:]), dtype=float)
-        shape = x.shape[:-1]
-        out = np.zeros(shape + (n1 + n2, n1 + n2))
-        out[..., :n1, :n1] = h1
-        out[..., n1:, n1:] = h2
-        return out
-
-    return ScalarField(val, grad, hess)
+    return ScalarField(val, grad, lambda x: _blocks(x, n1, f1.hess, f2.hess, 2))
 
 
 def _product_chart(name: str, c1: Chart, c2: Chart, quad: bool) -> Chart:
-    n1, n2 = c1.dim, c2.dim
-    n = n1 + n2
+    n1 = c1.dim
     m1, m2 = c1.metric, c2.metric
-
-    def metric(x):
-        x = np.asarray(x, dtype=float)
-        g1 = m1.metric(x[..., :n1])
-        g2 = m2.metric(x[..., n1:])
-        shape = x.shape[:-1]
-        out = np.zeros(shape + (n, n))
-        out[..., :n1, :n1] = g1
-        out[..., n1:, n1:] = g2
-        return out
-
-    def d_metric(x):
-        x = np.asarray(x, dtype=float)
-        d1 = m1.d_metric(x[..., :n1])
-        d2 = m2.d_metric(x[..., n1:])
-        shape = x.shape[:-1]
-        out = np.zeros(shape + (n, n, n))
-        out[..., :n1, :n1, :n1] = d1
-        out[..., n1:, n1:, n1:] = d2
-        return out
-
-    def d2_metric(x):
-        x = np.asarray(x, dtype=float)
-        d1 = m1.d2_metric(x[..., :n1])
-        d2 = m2.d2_metric(x[..., n1:])
-        shape = x.shape[:-1]
-        out = np.zeros(shape + (n, n, n, n))
-        out[..., :n1, :n1, :n1, :n1] = d1
-        out[..., n1:, n1:, n1:, n1:] = d2
-        return out
-
-    domain = np.vstack([m1.domain, m2.domain])
-    chart = ChartMetric(n, domain, metric, d_metric, d2_metric, name=name)
+    # the factor evaluators are looked up per call, so wrapping them takes effect
+    jets = [
+        lambda x, attr=attr, rank=rank: _blocks(x, n1, getattr(m1, attr), getattr(m2, attr), rank)
+        for attr, rank in (("metric", 2), ("d_metric", 3), ("d2_metric", 4))
+    ]
+    chart = ChartMetric(n1 + c2.dim, np.vstack([m1.domain, m2.domain]), *jets, name=name)
 
     def embed(x):
         x = np.asarray(x, dtype=float)
@@ -572,14 +555,15 @@ def _product_chart(name: str, c1: Chart, c2: Chart, quad: bool) -> Chart:
 
 
 def product_of_spheres(radius1: float = 1.0, radius2: float = 1.0) -> ManifoldSpec:
+    _require_above(0, radius1=radius1, radius2=radius2)
     s1, s2 = sphere(radius1), sphere(radius2)
     quad = _product_chart("product", s1.charts["polar"], s2.charts["polar"], quad=True)
     seed = _product_chart("product_rotated", s1.charts["rotated"], s2.charts["rotated"], quad=False)
     h1, h2 = s1.morse_catalog["height"], s2.morse_catalog["height"]
     height_sum = MorseFunction(
         fields={
-            "product": _product_scalar_field(h1.on_chart("polar"), h2.on_chart("polar"), 2, 2),
-            "product_rotated": _product_scalar_field(h1.on_chart("rotated"), h2.on_chart("rotated"), 2, 2),
+            "product": _product_scalar_field(h1.on_chart("polar"), h2.on_chart("polar"), 2),
+            "product_rotated": _product_scalar_field(h1.on_chart("rotated"), h2.on_chart("rotated"), 2),
         },
         factor_names=("height", "height"),
     )
@@ -608,10 +592,15 @@ def get_manifold(name: str, **params) -> ManifoldSpec:
         builder = _BUILDERS[name]
     except KeyError:
         raise KeyError(f"unknown manifold {name!r}; available: {sorted(_BUILDERS)}") from None
+    accepted = inspect.signature(builder).parameters
+    if not any(p.kind is p.VAR_KEYWORD for p in accepted.values()):
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown} for {name!r}; accepted: {list(accepted)}")
     return builder(**params)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _default(name: str) -> ManifoldSpec:
     return _BUILDERS[name]()
 
@@ -626,22 +615,12 @@ def with_scaled_metric(spec: ManifoldSpec, factor: float) -> ManifoldSpec:
 
     def scale_chart(chart: Chart) -> Chart:
         m = chart.metric
-        scaled = ChartMetric(
-            m.dim,
-            m.domain,
-            lambda x, m=m: factor * np.asarray(m.metric(x), dtype=float),
-            None if m.d_metric is None else (lambda x, m=m: factor * np.asarray(m.d_metric(x), dtype=float)),
-            None if m.d2_metric is None else (lambda x, m=m: factor * np.asarray(m.d2_metric(x), dtype=float)),
-            fd_step=m.fd_step,
-            name=m.name,
-        )
-        return Chart(
-            metric=scaled,
-            embed=chart.embed,
-            quad_domain=chart.quad_domain,
-            periods=chart.periods,
-            excised_measure=chart.excised_measure,
-        )
+        jets = [
+            None if getattr(m, a) is None else (lambda x, a=a: factor * np.asarray(getattr(m, a)(x), dtype=float))
+            for a in ("metric", "d_metric", "d2_metric")
+        ]
+        scaled = ChartMetric(m.dim, m.domain, *jets, fd_step=m.fd_step, name=m.name)
+        return replace(chart, metric=scaled)
 
     return ManifoldSpec(
         name=spec.name + "_scaled",

@@ -115,6 +115,8 @@ def find_critical_points(
     spec: ManifoldSpec, h_name: str, seed_density: int = 8
 ) -> list[CriticalPoint]:
     """All zeros of grad h, deduplicated across charts, with Hessian data."""
+    if not isinstance(seed_density, int) or seed_density < 1:
+        raise ValueError(f"seed density must be a positive integer, got {seed_density!r}")
     potential = spec.potential(h_name)
     if potential is None:
         raise KeyError(f"manifold {spec.name} needs a named potential, got {h_name!r}")

@@ -156,7 +156,7 @@ def action_coordinate(
     g, dg, d2g = jets.g, jets.dg, jets.d2g
     n = g.shape[0]
     N = 2 * n
-    _, gamma2 = christoffel_tensors(g, dg)
+    _, gamma2 = christoffel_tensors(np.linalg.inv(g), dg)
     F = np.asarray(cf.F, dtype=float)
     phi1 = [GrassmannElement.generator(N, 2 * i) for i in range(n)]
     phi2 = [GrassmannElement.generator(N, 2 * i + 1) for i in range(n)]
@@ -346,22 +346,19 @@ def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> n
     det = np.linalg.det(g)
     if np.any(det <= 0):
         raise ValueError("metric not positive definite on the grid")
+    g_inv = np.linalg.inv(g)
     flat = not (dg.any() or d2g.any())
     if flat:
         riem = np.zeros(points.shape[:1] + (n,) * 4)
     else:
-        riem = riemann_tensor(g, dg, d2g)
+        gamma1, gamma2 = christoffel_tensors(g_inv, dg)
+        riem = riemann_tensor(g, g_inv, dg, d2g, gamma1, gamma2)
 
     hcov = None
     if h is not None and lam != 0.0:
-        g_inv = np.linalg.inv(g)
         grad = np.asarray(h.grad(points), dtype=float)
         hess = np.asarray(h.hess(points), dtype=float)
-        if flat:
-            hcov = hess
-        else:
-            _, gamma2 = christoffel_tensors(g, dg)
-            hcov = hess - np.einsum("...kij,...k->...ij", gamma2, grad)
+        hcov = hess if flat else hess - np.einsum("...kij,...k->...ij", gamma2, grad)
         grad_norm_sq = np.einsum("...i,...ij,...j->...", grad, g_inv, grad)
         aux = np.exp(-0.5 * lam**2 * grad_norm_sq) / np.sqrt(det)
     else:
@@ -411,6 +408,11 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None, probe: int = 17)
     return float(np.sqrt(np.max(mu_sq)))
 
 
+def _bump_counts(spec: ManifoldSpec, lam: float, stiffness: float, per_width: int) -> list[float]:
+    """Per-axis point counts that put ``per_width`` points across each bump width 1/(lam * stiffness)."""
+    return [per_width * abs(lam) * length * stiffness for length in spec.axis_lengths()]
+
+
 def check_resolution(
     spec: ManifoldSpec, lam: float, resolution: Sequence[int], stiffness: float
 ) -> None:
@@ -418,12 +420,12 @@ def check_resolution(
     if lam <= 0 or stiffness <= 0:
         return
     lengths = spec.axis_lengths()
-    for count, length in zip(resolution, lengths):
-        if count < 4 * lam * length * stiffness:
-            needed = int(math.ceil(8 * lam * length * stiffness))
+    for axis, (count, floor) in enumerate(zip(resolution, _bump_counts(spec, lam, stiffness, 4))):
+        if count < floor:
+            needed = adaptive_resolution(spec, lam, resolution, stiffness)[axis]
             raise ResolutionError(
                 f"resolution {tuple(resolution)} under-resolves the localization bump of "
-                f"chart width {1.0 / (lam * stiffness):.3g} on an axis of length {length:.3g} "
+                f"chart width {1.0 / (lam * stiffness):.3g} on an axis of length {lengths[axis]:.3g} "
                 f"(fewer than 4 points per width); use at least {needed} points on that axis"
             )
 
@@ -434,10 +436,8 @@ def adaptive_resolution(
     """Per-axis counts >= max(base, 8 * lambda * axis length * stiffness)."""
     if stiffness is None:
         stiffness = 1.0
-    lengths = spec.axis_lengths()
     return tuple(
-        max(int(b), int(math.ceil(8 * abs(lam) * length * stiffness)))
-        for b, length in zip(base, lengths)
+        max(int(b), int(math.ceil(count))) for b, count in zip(base, _bump_counts(spec, lam, stiffness, 8))
     )
 
 

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgb import manifolds
 from cgb.cli import CSV_HEADER, RunManifest, main
@@ -50,6 +52,21 @@ MALFORMED = {
     "tolerance-nan": (["pfaffian", "--manifold", "s2", "--tolerance", "nan"], None, "tolerance"),
     "lambdas-string": (["sweep", "--manifest", "{manifest}"], {"morse": "height", "lambdas": "1,2"}, "lambdas"),
     "efts-zero-denominator": (["efts", "delta", "1/0"], None, "denominator"),
+    "params-unknown": (["pfaffian", "--manifold", "s2", "--manifold-params", '{"foo": 1}'], None, "foo"),
+    "params-list": (["pfaffian", "--manifold", "s2", "--manifold-params", "[1]"], None, "manifold_params"),
+    "params-string-radius": (
+        ["pfaffian", "--manifold", "s2", "--manifold-params", '{"radius": "2"}'], None, "radius"
+    ),
+    "params-negative-radius": (
+        ["pfaffian", "--manifold", "s2", "--manifold-params", '{"radius": -1}'], None, "radius"
+    ),
+    "amplitude-below-minus-one": (
+        ["pfaffian", "--manifold", "s2_perturbed", "--manifold-params", '{"amplitude": -1}'], None, "amplitude"
+    ),
+    "manifest-not-object": (["pfaffian", "--manifest", "{manifest}"], 5, "manifest"),
+    "seed-density-zero": (
+        ["index", "--manifold", "s2", "--morse", "height", "--seed-density", "0"], None, "seed density"
+    ),
 }
 
 
@@ -245,3 +262,69 @@ class TestEftsCommand:
     def test_parse_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "efts", "delta", "x1 @@ 2", "--delta", "2")
         assert code == 2
+
+
+# -- fuzzing the error contract --------------------------------------------------
+
+# values of the wrong type or out of range, for any manifest field or parameter
+JUNK = st.sampled_from([None, True, "x", "", [], {}, float("nan"), float("inf"), -1, 0, 1e300])
+UNIT_FLOATS = st.floats(min_value=0.0, max_value=1.0)  # couplings that keep adaptive grids small
+PARAM_KEYS = st.sampled_from(["radius", "amplitude", "a", "c", "big_radius", "small_radius", "radius1", "foo"])
+PARAMS = st.one_of(
+    st.dictionaries(PARAM_KEYS, st.one_of(st.floats(min_value=-2.0, max_value=3.0), JUNK), max_size=2), JUNK
+)
+MANIFEST = st.fixed_dictionaries(
+    {},
+    optional={
+        "manifold": st.one_of(st.sampled_from(sorted(manifolds._BUILDERS) + ["klein"]), JUNK),
+        "manifold_params": PARAMS,
+        "morse": st.one_of(st.sampled_from(["height", "coscos", "height_sum", "none", "nope"]), JUNK),
+        "lambdas": st.one_of(st.lists(st.one_of(UNIT_FLOATS, JUNK), max_size=3), JUNK),
+        "resolution": st.one_of(st.lists(st.one_of(st.integers(-1, 12), JUNK), max_size=4), JUNK),
+        "tolerance": st.one_of(st.floats(min_value=-1.0, max_value=1.0), JUNK),
+        "adaptive": st.one_of(st.booleans(), JUNK),
+        "backend": st.one_of(st.sampled_from(["float", "rational"]), JUNK),
+        "typo": st.integers(),
+    },
+)
+LAMBDA_ITEMS = st.one_of(UNIT_FLOATS.map(repr), st.sampled_from(["-1", "nan", "inf", "x", ""]))
+FLAGS = st.fixed_dictionaries(
+    {},
+    optional={
+        "--manifold-params": PARAMS.map(json.dumps) | st.sampled_from(["{", "nope"]),
+        "--lambda": st.lists(LAMBDA_ITEMS, min_size=1, max_size=3).map(",".join),
+        "--tolerance": st.floats(min_value=-1.0, max_value=1.0).map(repr) | st.sampled_from(["nan", "inf", "x"]),
+        "--seed-density": st.integers(-2, 4).map(str) | st.sampled_from(["x", "1.5"]),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["pfaffian", "sweep", "index"]),
+    manifest=st.one_of(MANIFEST, JUNK),  # None: no manifest file
+    flags=FLAGS,
+)
+def test_fuzzed_input_keeps_error_contract(command, manifest, flags):
+    """Any manifest and flag values end in exit 0, 1 or 2, never in a traceback."""
+    import contextlib
+    import io
+    import tempfile
+
+    if command != "index":
+        flags.pop("--seed-density", None)
+    argv = [command] + [arg for flag, value in flags.items() for arg in (flag, value)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if manifest is not None:
+            path = f"{tmp}/m.json"
+            with open(path, "w") as fh:
+                json.dump(manifest, fh)
+            argv += ["--manifest", path]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the flag itself
+                code = exc.code
+    assert code in (0, 1, 2), (argv, manifest, code)
+    assert "Traceback" not in stderr.getvalue()

@@ -148,3 +148,131 @@ class TestPairwiseSum:
 
     def test_empty(self):
         assert pairwise_sum(np.array([])) == 0.0
+
+
+# -- closed-form jets against the sympy oracle ----------------------------------
+
+
+def _oracle_metrics(name, params):
+    """Chart name -> (coords, symbolic metric, symbolic embedding or None), written independently."""
+    import sympy as sp
+
+    sin, cos = sp.sin, sp.cos
+    th, ph, u, v = sp.symbols("th ph u v", real=True)
+
+    def pullback(coords, embedding):
+        jac = sp.Matrix([[sp.diff(comp, c) for c in coords] for comp in embedding])
+        return coords, jac.T * jac, embedding
+
+    def sphere_like(a, b, c):
+        return {
+            "polar": pullback((th, ph), (a * sin(th) * cos(ph), b * sin(th) * sin(ph), c * cos(th))),
+            "rotated": pullback((th, ph), (a * cos(th), b * sin(th) * cos(ph), c * sin(th) * sin(ph))),
+        }
+
+    if name == "s2":
+        r = params.get("radius", 1.0)
+        return sphere_like(r, r, r)
+    if name == "ellipsoid":
+        return sphere_like(1.0, 1.2, 0.8)
+    if name == "torus":
+        R, r = 2.0, 1.0
+        embedding = ((R + r * cos(v)) * cos(u), (R + r * cos(v)) * sin(u), r * sin(v))
+        return {"torus": pullback((u, v), embedding)}
+    if name == "flat_t2":
+        return {"flat": ((u, v), sp.eye(2), None)}
+    if name == "s2_perturbed":
+        factor = 1 + 0.3 * sin(th)
+        charts = sphere_like(1.0, 1.0, 1.0)
+        charts["polar"] = ((th, ph), factor * sp.Matrix([[1, 0], [0, sin(th) ** 2]]), charts["polar"][2])
+        return charts
+    assert name == "s2xs2"
+    t1, p1, t2, p2 = sp.symbols("t1 p1 t2 p2", real=True)
+
+    def two_spheres(chart):
+        one = sphere_like(1.0, 1.0, 1.0)[chart][2]
+        first = tuple(e.subs({th: t1, ph: p1}, simultaneous=True) for e in one)
+        second = tuple(e.subs({th: t2, ph: p2}, simultaneous=True) for e in one)
+        return pullback((t1, p1, t2, p2), first + second)
+
+    return {"product": two_spheres("polar"), "product_rotated": two_spheres("rotated")}
+
+
+JET_CASES = {
+    "s2": ("s2", {}),
+    "s2-radius0.8": ("s2", {"radius": 0.8}),
+    "s2-radius1.25": ("s2", {"radius": 1.25}),
+    "ellipsoid": ("ellipsoid", {}),
+    "torus": ("torus", {}),
+    "flat_t2": ("flat_t2", {}),
+    "s2xs2": ("s2xs2", {}),
+    "s2_perturbed": ("s2_perturbed", {}),
+}
+
+
+def assert_jets_match(metric, coords, g, pts):
+    """g, dg and d2g of ``metric`` against the sympy-derived jets of ``g``, batched and pointwise."""
+    from sympy_oracle import chart_from_metric_exprs
+
+    ref = chart_from_metric_exprs(metric.name, coords, g, metric.domain)
+    for attr in ("metric", "d_metric", "d2_metric"):
+        got, want = getattr(metric, attr)(pts), getattr(ref, attr)(pts)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (metric.name, attr)
+        assert np.array_equal(getattr(metric, attr)(pts[0]), got[0]), (metric.name, attr)
+
+
+def interior_points(metric, rng, count=64):
+    lo, hi = metric.domain[:, 0], metric.domain[:, 1]
+    return rng.uniform(lo + 1e-3, hi - 1e-3, size=(count, metric.dim))
+
+
+@pytest.mark.parametrize("name, params", JET_CASES.values(), ids=JET_CASES.keys())
+def test_jets_match_sympy_oracle(name, params):
+    import sympy as sp
+
+    spec = get_manifold(name, **params)
+    oracle = _oracle_metrics(name, params)
+    assert set(oracle) == set(spec.charts)
+    rng = np.random.default_rng(41)
+    for chart_name, (coords, g, embedding) in oracle.items():
+        chart = spec.charts[chart_name]
+        pts = interior_points(chart.metric, rng)
+        assert_jets_match(chart.metric, coords, g, pts)
+        if embedding is not None:
+            want = np.stack([sp.lambdify(coords, e)(*pts.T) * np.ones(len(pts)) for e in embedding], -1)
+            assert np.allclose(chart.embed(pts), want, rtol=0, atol=1e-14), chart_name
+
+
+def test_conformal_jets_match_sympy_oracle():
+    # a factor that depends on both coordinates reaches every term of scaled_jets,
+    # which the catalog's 1 + A sin(theta) on the round sphere does not
+    import sympy as sp
+
+    from cgb.manifolds import COS, ONE, SIN, TrigEmbedding, embedded_chart
+
+    th, ph = sp.symbols("th ph", real=True)
+    embedding = TrigEmbedding([[(1.0, (SIN, COS))], [(1.2, (SIN, SIN))], [(0.8, (COS, ONE))]])
+    factor = TrigEmbedding([[(1.0, (ONE, ONE)), (0.3, (SIN, COS)), (0.2, (COS, SIN))]])
+    domain = [[0.1, 3.0], [0.0, 6.0]]
+    metric = embedded_chart("conformal", embedding, domain, factor)
+    x, y, z = sp.sin(th) * sp.cos(ph), 1.2 * sp.sin(th) * sp.sin(ph), 0.8 * sp.cos(th)
+    jac = sp.Matrix([[sp.diff(e, c) for c in (th, ph)] for e in (x, y, z)])
+    g = (1 + 0.3 * sp.sin(th) * sp.cos(ph) + 0.2 * sp.cos(th) * sp.sin(ph)) * (jac.T * jac)
+    assert_jets_match(metric, (th, ph), g, interior_points(metric, np.random.default_rng(43)))
+
+
+def test_no_sympy_at_run_time():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import cgb.cli, cgb.sigma, cgb.morse\n"
+        "from cgb.manifolds import _BUILDERS\n"
+        "for build in _BUILDERS.values():\n"
+        "    build()\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
