@@ -1,9 +1,9 @@
 """Batch command-line surface: ``cgb pfaffian|index|sweep|selftest|efts``.
 
 Runs are described by a declarative JSON manifest; command-line flags
-override manifest fields.  Outputs are deterministic: identical manifest
-and seed produce byte-identical CSV/JSON.  Exit codes: 0 pass, 1 tolerance
-or check failure, 2 usage/configuration error.
+override manifest fields.  Outputs are deterministic: an identical
+manifest and flags produce byte-identical CSV/JSON.  Exit codes: 0 pass,
+1 tolerance or check failure, 2 usage/configuration error.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ class RunManifest:
     adaptive: bool = True
     tolerance: float = 1e-2
     out: str | None = None
-    seed: int = 0
-    backend: str = "float"
 
     def validate(self):
         """Check every field; returns the manifold spec it builds."""
@@ -56,8 +54,6 @@ class RunManifest:
             raise ValueError("resolution must be at least 2 per axis")
         if not _is_number(self.tolerance) or not math.isfinite(self.tolerance) or self.tolerance <= 0:
             raise ValueError(f"tolerance must be a positive finite number, got {self.tolerance!r}")
-        if self.backend not in ("float", "rational"):
-            raise ValueError(f"unknown backend {self.backend!r}")
         spec = get_manifold(self.manifold, **self.manifold_params)
         if self.morse not in (None, "none"):
             spec.potential(self.morse)
@@ -107,10 +103,6 @@ def load_manifest(args: argparse.Namespace):
         manifest.tolerance = args.tolerance
     if getattr(args, "out", None):
         manifest.out = args.out
-    if getattr(args, "seed", None) is not None:
-        manifest.seed = args.seed
-    if getattr(args, "backend", None):
-        manifest.backend = args.backend
     if getattr(args, "no_adaptive", False):
         manifest.adaptive = False
     return manifest, manifest.validate()
@@ -406,8 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resolution", help="comma-separated per-axis grid counts")
         p.add_argument("--tolerance", type=float, help="acceptance tolerance")
         p.add_argument("--out", help="output path stem (writes .json / .csv)")
-        p.add_argument("--seed", type=int, help="seed for randomized checks")
-        p.add_argument("--backend", choices=("float", "rational"))
         p.add_argument("--no-adaptive", action="store_true", help="disable adaptive grids")
 
     p_pf = sub.add_parser("pfaffian", help="integrate the curvature Pfaffian density")

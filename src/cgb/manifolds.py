@@ -13,8 +13,9 @@ its charts, each manifold has
   parameter measure ``excised_measure`` (folded into error bounds),
 * an overlapping rotated chart whose interior contains the polar critical
   points of the height functions, used only for seeding Newton iterations,
-* a catalog of potential functions with hand-written gradient and Hessian
-  closures per chart, and
+* a catalog of potential functions, each a one-component ``TrigEmbedding``
+  per chart (most are ambient coordinates of the chart's embedding), whose
+  value, gradient and Hessian come from the same derivatives, and
 * the known Euler characteristic as ground truth.
 
 Quadrature weights are bare Lebesgue weights on chart coordinates
@@ -69,40 +70,90 @@ class TrigEmbedding:
         self.components = components
         self.dim = len(components[0][0][1])
         self.freq = tuple(freq) if freq is not None else (1.0,) * self.dim
+        self._plans: dict[int, list] = {}
 
-    def _term(self, trig, coef: float, factors, counts):
-        """coef * prod_k d^{counts_k} f_k at the points; 0.0 if a constant is differentiated."""
-        arrays = []
+    def _term(self, coef: float, factors, counts):
+        """coef * prod_k d^{counts_k} f_k as (coef', ((k, 0 for sin | 1 for cos), ...)); None if it vanishes."""
+        trig = []
         for k, (f, d) in enumerate(zip(factors, counts)):
             if f == ONE:
                 if d:
-                    return 0.0
+                    return None
                 continue
             phase = (f - SIN + d) % 4  # sin, cos, -sin, -cos
             coef *= (-1.0 if phase > 1 else 1.0) * self.freq[k] ** d
-            arrays.append(trig[k][phase % 2])
-        return functools.reduce(np.multiply, arrays, coef)
+            trig.append((k, phase % 2))
+        return coef, tuple(trig)
 
-    def derivatives(self, x, order: int) -> list[np.ndarray]:
-        """[X, dX, ..., d^order X], points last: d^d X has shape (n,) * d + (m,) + batch."""
-        x = np.asarray(x, dtype=float)
-        n = self.dim
-        trig = []
-        for k, w in enumerate(self.freq):
-            t = x[..., k] if w == 1.0 else w * x[..., k]
-            trig.append((np.sin(t), np.cos(t)))
-        out = []
-        for d in range(order + 1):
-            arr = np.empty((n,) * d + (len(self.components),) + x.shape[:-1])
-            for idx in itertools.product(range(n), repeat=d):
-                counts = [idx.count(k) for k in range(n)]
+    def _plan(self, d: int) -> list:
+        """The nonzero entries of d^d X, each as (index, its terms); built once per order."""
+        if d not in self._plans:
+            plan = []
+            for idx in itertools.product(range(self.dim), repeat=d):
+                counts = [idx.count(k) for k in range(self.dim)]
                 for a, comp in enumerate(self.components):
-                    arr[idx + (a,)] = sum(self._term(trig, c, fs, counts) for c, fs in comp)
+                    terms = [t for t in (self._term(c, fs, counts) for c, fs in comp) if t is not None]
+                    if terms:
+                        plan.append((idx + (a,), terms))
+            self._plans[d] = plan
+        return self._plans[d]
+
+    def derivatives(self, x, orders: Sequence[int]) -> list[np.ndarray]:
+        """[d^d X for d in orders], points last: d^d X has shape (n,) * d + (m,) + batch.
+
+        sin and cos of a coordinate are taken only when some term needs them.
+        """
+        x = np.asarray(x, dtype=float)
+        cache = {}
+
+        def trig(k: int, kind: int) -> np.ndarray:
+            if (k, kind) not in cache:
+                t = x[..., k] if self.freq[k] == 1.0 else self.freq[k] * x[..., k]
+                cache[k, kind] = np.cos(t) if kind else np.sin(t)
+            return cache[k, kind]
+
+        out = []
+        for d in orders:
+            arr = np.zeros((self.dim,) * d + (len(self.components),) + x.shape[:-1])
+            for index, terms in self._plan(d):
+                products = [functools.reduce(np.multiply, [trig(*f) for f in fs], c) for c, fs in terms]
+                arr[index] = functools.reduce(np.add, products)
             out.append(arr)
         return out
 
     def __call__(self, x) -> np.ndarray:
-        return np.moveaxis(self.derivatives(x, 0)[0], 0, -1)
+        return _points_first(self.derivatives(x, [0])[0], 1)
+
+
+def _points_first(arr: np.ndarray, rank: int) -> np.ndarray:
+    """Move the ``rank`` leading index axes of ``arr`` behind its point axes, contiguously."""
+    out = arr.transpose(tuple(range(rank, arr.ndim)) + tuple(range(rank)))
+    return out if out.flags.c_contiguous else np.ascontiguousarray(out)  # keeps a 0-d value 0-d
+
+
+def _product_embedding(e1: TrigEmbedding, e2: TrigEmbedding) -> TrigEmbedding:
+    """x -> (X1(x[:n1]), X2(x[n1:])): each factor's terms, constant in the other's coordinates."""
+    pad1, pad2 = (ONE,) * e2.dim, (ONE,) * e1.dim
+    components = [[(c, fs + pad1) for c, fs in comp] for comp in e1.components]
+    components += [[(c, pad2 + fs) for c, fs in comp] for comp in e2.components]
+    return TrigEmbedding(components, e1.freq + e2.freq)
+
+
+def trig_field(potential: TrigEmbedding) -> ScalarField:
+    """Value, gradient and Hessian (points first) of a one-component TrigEmbedding."""
+
+    def jet(x, order: int) -> np.ndarray:
+        return _points_first(np.take(potential.derivatives(x, [order])[0], 0, axis=order), order)
+
+    return ScalarField(*(functools.partial(jet, order=k) for k in range(3)))
+
+
+def _ambient_sum(charts: dict[str, "Chart"], axes: Sequence[int]) -> dict[str, ScalarField]:
+    """Per chart, the sum of the ambient coordinates ``axes`` of its embedding, as a ScalarField."""
+    return {
+        name: trig_field(TrigEmbedding([[t for a in axes for t in chart.embed.components[a]]], chart.embed.freq))
+        for name, chart in charts.items()
+    }
 
 
 def _dot(a: np.ndarray, b: np.ndarray, ra: int, rb: int) -> np.ndarray:
@@ -152,12 +203,11 @@ def embedded_chart(name: str, embedding: TrigEmbedding, domain, factor=None) -> 
     """Chart with the pulled-back metric, times the scalar ``factor`` (a one-component TrigEmbedding) if given."""
 
     def jet(x, order: int) -> np.ndarray:
-        jets = pullback_jets(embedding.derivatives(x, order + 1)[1:])
+        jets = pullback_jets(embedding.derivatives(x, range(1, order + 2)))
         if factor is not None:
-            phi = [np.take(d, 0, axis=k) for k, d in enumerate(factor.derivatives(x, order))]
+            phi = [np.take(d, 0, axis=k) for k, d in enumerate(factor.derivatives(x, range(order + 1)))]
             jets = scaled_jets(phi, jets)
-        rank = order + 2  # move the points first
-        return np.ascontiguousarray(np.moveaxis(jets[order], range(rank), range(-rank, 0)))
+        return _points_first(jets[order], order + 2)
 
     return _jet_chart(name, embedding.dim, domain, jet)
 
@@ -317,48 +367,6 @@ def _sphere_like_charts(a: float, b: float, c: float, factor=None) -> dict[str, 
     }
 
 
-def _height_fields_sphere_like(c: float) -> dict[str, ScalarField]:
-    """z-coordinate height on the polar/rotated charts of an ellipsoid."""
-
-    def val_p(x):
-        return c * np.cos(np.asarray(x, dtype=float)[..., 0])
-
-    def grad_p(x):
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x[..., 0])
-        return np.stack([-c * np.sin(x[..., 0]), z], axis=-1)
-
-    def hess_p(x):
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x[..., 0])
-        row0 = np.stack([-c * np.cos(x[..., 0]), z], axis=-1)
-        row1 = np.stack([z, z], axis=-1)
-        return np.stack([row0, row1], axis=-2)
-
-    def val_r(x):
-        x = np.asarray(x, dtype=float)
-        return c * np.sin(x[..., 0]) * np.sin(x[..., 1])
-
-    def grad_r(x):
-        x = np.asarray(x, dtype=float)
-        sth, cth = np.sin(x[..., 0]), np.cos(x[..., 0])
-        sph, cph = np.sin(x[..., 1]), np.cos(x[..., 1])
-        return np.stack([c * cth * sph, c * sth * cph], axis=-1)
-
-    def hess_r(x):
-        x = np.asarray(x, dtype=float)
-        sth, cth = np.sin(x[..., 0]), np.cos(x[..., 0])
-        sph, cph = np.sin(x[..., 1]), np.cos(x[..., 1])
-        row0 = np.stack([-c * sth * sph, c * cth * cph], axis=-1)
-        row1 = np.stack([c * cth * cph, -c * sth * sph], axis=-1)
-        return np.stack([row0, row1], axis=-2)
-
-    return {
-        "polar": ScalarField(val_p, grad_p, hess_p),
-        "rotated": ScalarField(val_r, grad_r, hess_r),
-    }
-
-
 def _require_above(low: float, **values) -> None:
     """Builder parameters must be finite real numbers above ``low``."""
     for name, value in values.items():
@@ -374,12 +382,12 @@ def _sphere_spec(name: str, radius: float, factor: TrigEmbedding | None = None) 
         th = np.asarray(points, dtype=float)[..., 0]
         return radius * np.minimum(th, math.pi - th)
 
-    fields = _height_fields_sphere_like(radius)
-    height = MorseFunction(fields=fields, critical_distance={"polar": dist_to_poles})
+    charts = _sphere_like_charts(radius, radius, radius, factor)
+    height = MorseFunction(fields=_ambient_sum(charts, (2,)), critical_distance={"polar": dist_to_poles})
     return ManifoldSpec(
         name=name,
         dim=2,
-        charts=_sphere_like_charts(radius, radius, radius, factor),
+        charts=charts,
         euler_char=2,
         morse_catalog={"height": height},
     )
@@ -402,13 +410,13 @@ def sphere_conformal(radius: float = 1.0, amplitude: float = 0.3) -> ManifoldSpe
 def ellipsoid(a: float = 1.0, b: float = 1.2, c: float = 0.8) -> ManifoldSpec:
     _require_above(0, a=a, b=b, c=c)
     charts = _sphere_like_charts(a, b, c)
-    fields = _height_fields_sphere_like(c)
+    height = MorseFunction(fields=_ambient_sum(charts, (2,)))
     return ManifoldSpec(
         name="ellipsoid",
         dim=2,
         charts=charts,
         euler_char=2,
-        morse_catalog={"height": MorseFunction(fields=fields)},
+        morse_catalog={"height": height},
     )
 
 
@@ -422,38 +430,21 @@ def torus(big_radius: float = 2.0, small_radius: float = 1.0) -> ManifoldSpec:
         [[(R, (COS, ONE)), (r, (COS, COS))], [(R, (SIN, ONE)), (r, (SIN, COS))], [(r, (ONE, SIN))]]
     )
 
-    # standing torus: the height is the first ambient coordinate
-    def val(x):
-        x = np.asarray(x, dtype=float)
-        return (R + r * np.cos(x[..., 1])) * np.cos(x[..., 0])
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        su, cu = np.sin(x[..., 0]), np.cos(x[..., 0])
-        sv, cv = np.sin(x[..., 1]), np.cos(x[..., 1])
-        return np.stack([-(R + r * cv) * su, -r * sv * cu], axis=-1)
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        su, cu = np.sin(x[..., 0]), np.cos(x[..., 0])
-        sv, cv = np.sin(x[..., 1]), np.cos(x[..., 1])
-        row0 = np.stack([-(R + r * cv) * cu, r * sv * su], axis=-1)
-        row1 = np.stack([r * sv * su, -r * cv * cu], axis=-1)
-        return np.stack([row0, row1], axis=-2)
-
-    height = MorseFunction(fields={"torus": ScalarField(val, grad, hess)})
     two_pi = 2 * math.pi
+    charts = {
+        "torus": Chart(
+            metric=embedded_chart("torus", embed, [[0.0, two_pi], [0.0, two_pi]]),
+            embed=embed,
+            quad_domain=np.array([[0.0, two_pi], [0.0, two_pi]]),
+            periods=(two_pi, two_pi),
+        )
+    }
+    # standing torus: the height is the first ambient coordinate
+    height = MorseFunction(fields=_ambient_sum(charts, (0,)))
     return ManifoldSpec(
         name="torus",
         dim=2,
-        charts={
-            "torus": Chart(
-                metric=embedded_chart("torus", embed, [[0.0, two_pi], [0.0, two_pi]]),
-                embed=embed,
-                quad_domain=np.array([[0.0, two_pi], [0.0, two_pi]]),
-                periods=(two_pi, two_pi),
-            )
-        },
+        charts=charts,
         euler_char=0,
         morse_catalog={"height": height},
     )
@@ -468,22 +459,8 @@ def flat_torus() -> ManifoldSpec:
         [[(c, (COS, ONE))], [(c, (SIN, ONE))], [(c, (ONE, COS))], [(c, (ONE, SIN))]], freq=(tau, tau)
     )
 
-    def val(x):
-        x = np.asarray(x, dtype=float)
-        return np.cos(tau * x[..., 0]) + np.cos(tau * x[..., 1])
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.stack([-tau * np.sin(tau * x[..., 0]), -tau * np.sin(tau * x[..., 1])], axis=-1)
-
-    def hess(x):
-        x = np.asarray(x, dtype=float)
-        z = np.zeros_like(x[..., 0])
-        row0 = np.stack([-tau**2 * np.cos(tau * x[..., 0]), z], axis=-1)
-        row1 = np.stack([z, -tau**2 * np.cos(tau * x[..., 1])], axis=-1)
-        return np.stack([row0, row1], axis=-2)
-
-    coscos = MorseFunction(fields={"flat": ScalarField(val, grad, hess)})
+    coscos = TrigEmbedding([[(1.0, (COS, ONE)), (1.0, (ONE, COS))]], freq=(tau, tau))
+    coscos = MorseFunction(fields={"flat": trig_field(coscos)})
     return ManifoldSpec(
         name="flat_t2",
         dim=2,
@@ -509,18 +486,6 @@ def _blocks(x, n1: int, f1, f2, rank: int) -> np.ndarray:
     return out
 
 
-def _product_scalar_field(f1: ScalarField, f2: ScalarField, n1: int) -> ScalarField:
-    def val(x):
-        x = np.asarray(x, dtype=float)
-        return f1.value(x[..., :n1]) + f2.value(x[..., n1:])
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate([f1.grad(x[..., :n1]), f2.grad(x[..., n1:])], axis=-1)
-
-    return ScalarField(val, grad, lambda x: _blocks(x, n1, f1.hess, f2.hess, 2))
-
-
 def _product_chart(name: str, c1: Chart, c2: Chart, quad: bool) -> Chart:
     n1 = c1.dim
     m1, m2 = c1.metric, c2.metric
@@ -530,14 +495,6 @@ def _product_chart(name: str, c1: Chart, c2: Chart, quad: bool) -> Chart:
         for attr, rank in (("metric", 2), ("d_metric", 3), ("d2_metric", 4))
     ]
     chart = ChartMetric(n1 + c2.dim, np.vstack([m1.domain, m2.domain]), *jets, name=name)
-
-    def embed(x):
-        x = np.asarray(x, dtype=float)
-        return np.concatenate(
-            [np.asarray(c1.embed(x[..., :n1]), dtype=float), np.asarray(c2.embed(x[..., n1:]), dtype=float)],
-            axis=-1,
-        )
-
     quad_domain = None
     excised = 0.0
     if quad:
@@ -547,7 +504,7 @@ def _product_chart(name: str, c1: Chart, c2: Chart, quad: bool) -> Chart:
         excised = c1.excised_measure * area2 + area1 * c2.excised_measure
     return Chart(
         metric=chart,
-        embed=embed,
+        embed=_product_embedding(c1.embed, c2.embed),
         quad_domain=quad_domain,
         periods=c1.periods + c2.periods,
         excised_measure=excised,
@@ -559,18 +516,13 @@ def product_of_spheres(radius1: float = 1.0, radius2: float = 1.0) -> ManifoldSp
     s1, s2 = sphere(radius1), sphere(radius2)
     quad = _product_chart("product", s1.charts["polar"], s2.charts["polar"], quad=True)
     seed = _product_chart("product_rotated", s1.charts["rotated"], s2.charts["rotated"], quad=False)
-    h1, h2 = s1.morse_catalog["height"], s2.morse_catalog["height"]
-    height_sum = MorseFunction(
-        fields={
-            "product": _product_scalar_field(h1.on_chart("polar"), h2.on_chart("polar"), 2),
-            "product_rotated": _product_scalar_field(h1.on_chart("rotated"), h2.on_chart("rotated"), 2),
-        },
-        factor_names=("height", "height"),
-    )
+    charts = {"product": quad, "product_rotated": seed}
+    # the sum of the factors' heights, ambient coordinates 2 and 5
+    height_sum = MorseFunction(fields=_ambient_sum(charts, (2, 5)), factor_names=("height", "height"))
     return ManifoldSpec(
         name="s2xs2",
         dim=4,
-        charts={"product": quad, "product_rotated": seed},
+        charts=charts,
         euler_char=4,
         morse_catalog={"height_sum": height_sum},
         factors=(s1, s2),

@@ -87,9 +87,11 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
                 break
             rows = idx[pending]
             cand, valid = _wrap_batch(chart, x[rows] + t[pending, None] * steps[pending])
-            cg = np.asarray(h.grad(cand), dtype=float)
-            cn = np.linalg.norm(cg, axis=-1)
-            good = valid & (cn < gnorm[rows])
+            cg = np.zeros_like(cand)
+            if valid.any():  # off-chart rows are rejected without evaluating h there
+                cg[valid] = np.asarray(h.grad(cand[valid]), dtype=float)
+            cn = np.where(valid, np.linalg.norm(cg, axis=-1), np.inf)
+            good = cn < gnorm[rows]
             took = rows[good]
             x[took] = cand[good]
             grad[took] = cg[good]

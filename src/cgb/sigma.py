@@ -449,12 +449,26 @@ def partition_function(
     use_product_structure: bool = True,
 ) -> PartitionResult:
     """(2 pi)^(-n/2) times the quadrature sum of the partition integrand."""
+    return _partition(spec, h_name, lam, resolution, use_product_structure, None)
+
+
+def _partition(
+    spec: ManifoldSpec,
+    h_name: str | None,
+    lam: float,
+    resolution: Sequence[int],
+    use_product_structure: bool,
+    stiffness: float | None,
+) -> PartitionResult:
+    """``partition_function``, given the potential's stiffness or None to compute it when it is needed."""
     if spec.dim % 2 != 0:
         raise ValueError(f"partition function needs even dimension, got {spec.dim}")
     resolution = tuple(int(r) for r in resolution)
     potential = spec.potential(h_name)
     if lam > 0 and potential is not None:
-        check_resolution(spec, lam, resolution, potential_stiffness(spec, h_name))
+        if stiffness is None:
+            stiffness = potential_stiffness(spec, h_name)
+        check_resolution(spec, lam, resolution, stiffness)
 
     if (
         use_product_structure
@@ -524,7 +538,7 @@ def lambda_sweep(
             if adaptive
             else tuple(base_resolution)
         )
-        results.append(partition_function(spec, h_name, lam, res))
+        results.append(_partition(spec, h_name, lam, res, True, stiffness))
     return SweepResult(tuple(results))
 
 

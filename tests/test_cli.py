@@ -64,6 +64,7 @@ MALFORMED = {
         ["pfaffian", "--manifold", "s2_perturbed", "--manifold-params", '{"amplitude": -1}'], None, "amplitude"
     ),
     "manifest-not-object": (["pfaffian", "--manifest", "{manifest}"], 5, "manifest"),
+    "manifest-seed": (["pfaffian", "--manifest", "{manifest}"], {"seed": 0}, "seed"),
     "seed-density-zero": (
         ["index", "--manifold", "s2", "--morse", "height", "--seed-density", "0"], None, "seed density"
     ),

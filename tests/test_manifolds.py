@@ -198,6 +198,29 @@ def _oracle_metrics(name, params):
     return {"product": two_spheres("polar"), "product_rotated": two_spheres("rotated")}
 
 
+def _oracle_potentials(name, params):
+    """Potential name -> chart name -> (coords, symbolic potential), written independently."""
+    import sympy as sp
+
+    sin, cos = sp.sin, sp.cos
+    th, ph, u, v = sp.symbols("th ph u v", real=True)
+    if name in ("s2", "s2_perturbed", "ellipsoid"):
+        c = 0.8 if name == "ellipsoid" else params.get("radius", 1.0)  # the z semi-axis
+        return {"height": {"polar": ((th, ph), c * cos(th)), "rotated": ((th, ph), c * sin(th) * sin(ph))}}
+    if name == "torus":
+        return {"height": {"torus": ((u, v), (2 + cos(v)) * cos(u))}}
+    if name == "flat_t2":
+        return {"coscos": {"flat": ((u, v), cos(2 * sp.pi * u) + cos(2 * sp.pi * v))}}
+    assert name == "s2xs2"
+    t1, p1, t2, p2 = coords = sp.symbols("t1 p1 t2 p2", real=True)
+    return {
+        "height_sum": {
+            "product": (coords, cos(t1) + cos(t2)),
+            "product_rotated": (coords, sin(t1) * sin(p1) + sin(t2) * sin(p2)),
+        }
+    }
+
+
 JET_CASES = {
     "s2": ("s2", {}),
     "s2-radius0.8": ("s2", {"radius": 0.8}),
@@ -242,6 +265,30 @@ def test_jets_match_sympy_oracle(name, params):
         if embedding is not None:
             want = np.stack([sp.lambdify(coords, e)(*pts.T) * np.ones(len(pts)) for e in embedding], -1)
             assert np.allclose(chart.embed(pts), want, rtol=0, atol=1e-14), chart_name
+
+
+@pytest.mark.parametrize("name, params", JET_CASES.values(), ids=JET_CASES.keys())
+def test_potentials_match_sympy_oracle(name, params):
+    import sympy as sp
+    from sympy_oracle import _TensorEvaluator
+
+    spec = get_manifold(name, **params)
+    oracle = _oracle_potentials(name, params)
+    assert set(oracle) == set(spec.morse_catalog)
+    rng = np.random.default_rng(47)
+    for h_name, charts in oracle.items():
+        fields = spec.morse_catalog[h_name].fields
+        assert set(charts) == set(fields)
+        for chart_name, (coords, h) in charts.items():
+            pts = interior_points(spec.charts[chart_name].metric, rng)
+            grad = [sp.diff(h, c) for c in coords]
+            hess = [[sp.diff(d, c) for c in coords] for d in grad]
+            for attr, expr in (("value", h), ("grad", grad), ("hess", hess)):
+                evaluate = getattr(fields[chart_name], attr)
+                got, want = evaluate(pts), _TensorEvaluator(coords, np.array(expr, dtype=object))(pts)
+                assert got.shape == want.shape, (chart_name, attr)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (chart_name, attr)
+                assert np.array_equal(evaluate(pts[0]), got[0]), (chart_name, attr)
 
 
 def test_conformal_jets_match_sympy_oracle():

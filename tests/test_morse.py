@@ -1,6 +1,7 @@
 """Critical points and Hopf indices across the catalog."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,27 @@ class TestCriticalPoints:
             block_product = np.linalg.det(h[:2, :2]) * np.linalg.det(h[2:, 2:])
             assert cp.det_hess == pytest.approx(block_product, rel=1e-9)
         assert [cp.sign for cp in points] == [1, 1, 1, 1]
+
+    def test_gradient_evaluated_inside_the_chart_only(self, s2):
+        # the line search rejects candidates off the chart, so it must not evaluate h there
+        seen = {}
+
+        def recording(chart_name, f):
+            def grad(x):
+                seen.setdefault(chart_name, []).append(np.array(x, dtype=float).reshape(-1, 2))
+                return f.grad(x)
+
+            return ScalarField(f.value, grad, f.hess)
+
+        height = s2.morse_catalog["height"]
+        fields = {name: recording(name, f) for name, f in height.fields.items()}
+        spec = replace(s2, morse_catalog={"height": replace(height, fields=fields)})
+        assert len(find_critical_points(spec, "height")) == 2
+        assert set(seen) == {"polar", "rotated"}
+        for chart_name, batches in seen.items():
+            pts = np.concatenate(batches)
+            dom = s2.charts[chart_name].metric.domain
+            assert np.all((pts >= dom[:, 0] - 1e-12) & (pts <= dom[:, 1] + 1e-12)), chart_name
 
     def test_seed_density_stability(self, full_catalog):
         for spec in full_catalog:

@@ -343,6 +343,18 @@ class TestSweep:
         sweep = lambda_sweep(ellipsoid, "height", [0.0, 3.0], (64, 128))
         assert sweep.max_deviation_from(2.0) < 1e-2
 
+    def test_stiffness_computed_once_per_sweep(self, s2, monkeypatch):
+        from cgb import sigma
+
+        calls = []
+        stiffness = sigma.potential_stiffness
+        monkeypatch.setattr(sigma, "potential_stiffness", lambda *args: calls.append(args) or stiffness(*args))
+        sweep = lambda_sweep(s2, "height", [0.0, 1.0, 2.0], (48, 96))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        for r in sweep.results:
+            assert r.value == partition_function(s2, "height", r.lam, r.resolution).value
+
     def test_perturbed_sphere_with_coupling(self, s2_perturbed):
         # both the metric and the potential deformed away from round: still flat
         sweep = lambda_sweep(s2_perturbed, "height", [0.0, 2.0], (96, 192))
