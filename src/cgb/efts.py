@@ -304,9 +304,7 @@ def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
                 sign = -sign
             i += 1
         if i >= n:
-            if sign != 1:
-                raise ParseError("dangling sign")
-            break
+            raise ParseError("dangling sign")
         term = SuperPolynomial.constant(delta, m, sign)
         expect_factor = True
         while i < n:
@@ -314,6 +312,8 @@ def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
             if kind == "op" and val in "+-":
                 break
             if kind == "op" and val == "*":
+                if expect_factor:
+                    raise ParseError("empty factor before '*'")
                 i += 1
                 expect_factor = True
                 continue
@@ -346,6 +346,8 @@ def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
                 raise ParseError(f"unexpected token {val!r}")
             i += 1
             expect_factor = False
+        if expect_factor:
+            raise ParseError("empty factor after '*'")
         result = result + term
     return result
 
@@ -356,6 +358,8 @@ def parse_vector_field(text: str, delta: int, m: int) -> "VectorField":
     chunks = re.findall(r"[+-]?[^+-]+", text)
     if not chunks:
         raise ParseError("empty vector field")
+    if "".join(chunks) != text:  # findall skipped a sign with no term after it
+        raise ParseError("dangling sign")
     for chunk in chunks:
         piece = chunk.strip()
         sign = 1
@@ -370,7 +374,11 @@ def parse_vector_field(text: str, delta: int, m: int) -> "VectorField":
         var = int(direction.group(1)) - 1
         if not 0 <= var < m:
             raise ParseError(f"variable d/dx{var + 1} out of range for m={m}")
-        prefix = piece[: direction.start()].strip().rstrip("*").strip()
+        prefix = piece[: direction.start()].strip()
+        if prefix.endswith("*"):
+            prefix = prefix[:-1].strip()
+            if not prefix:
+                raise ParseError(f"empty factor before '*' in {piece!r}")
         coeff = (
             SuperPolynomial.constant(delta, m, 1)
             if not prefix
@@ -548,6 +556,8 @@ def enumerate_monomials(
     delta: int, m: int, max_degree: int, max_weight: int
 ) -> list[MonomialKey]:
     """All monomial keys with polynomial degree and factor count in bounds."""
+    if max_degree < 0 or max_weight < 0:
+        raise ValueError(f"degree and weight caps must be non-negative, got {max_degree} and {max_weight}")
     gens: list[Gen] = [(j, mask) for j in range(m) for mask in range(1 << delta)]
     keys: list[MonomialKey] = []
 

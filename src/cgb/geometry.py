@@ -1,8 +1,8 @@
 """Pointwise Riemannian data on coordinate charts.
 
-A :class:`ChartMetric` bundles a metric evaluator g_ij(x) on an axis-aligned
-box with either analytic derivative evaluators or central finite
-differences.  From its jets we assemble, at a point,
+A :class:`ChartMetric` bundles batched closed-form evaluators of the metric
+g_ij(x) and its first and second derivatives on an axis-aligned box.  From
+these jets we assemble, at a point,
 
 * Christoffel symbols, first kind Gamma_ijk = (d_i g_kj + d_j g_ki
   - d_k g_ij)/2 (symmetric in i, j; k is the form slot) and second kind
@@ -42,7 +42,7 @@ CURVATURE_BIFORM_SIGN = -1.0
 
 
 class DomainError(ValueError):
-    """A point (or finite-difference stencil) left the chart domain."""
+    """A point has the wrong shape or lies outside the chart domain."""
 
 
 @dataclass(frozen=True)
@@ -50,27 +50,31 @@ class MetricJets:
     """Metric value and derivatives at one point.
 
     ``dg[k, i, j]`` is d_k g_ij and ``d2g[k, l, i, j]`` is d_k d_l g_ij.
-    ``one_sided`` flags that some finite-difference stencil had to shrink
-    to a one-sided form at the domain boundary.
     """
 
     g: np.ndarray
     dg: np.ndarray
     d2g: np.ndarray
-    one_sided: bool = False
+
+
+# Tolerance of the domain test, for points rounded onto a box face.
+DOMAIN_SLACK = 1e-12
 
 
 class ChartMetric:
-    """A coordinate chart with metric evaluator and derivative access."""
+    """A coordinate chart with batched evaluators of g, dg and d2g.
+
+    Each evaluator maps points of shape (..., dim) to the jet with the
+    index axes last, as laid out in :class:`MetricJets`.
+    """
 
     def __init__(
         self,
         dim: int,
         domain: Sequence[Sequence[float]],
         metric: Callable[[np.ndarray], np.ndarray],
-        d_metric: Callable[[np.ndarray], np.ndarray] | None = None,
-        d2_metric: Callable[[np.ndarray], np.ndarray] | None = None,
-        fd_step: float | None = None,
+        d_metric: Callable[[np.ndarray], np.ndarray],
+        d2_metric: Callable[[np.ndarray], np.ndarray],
         name: str = "chart",
     ):
         self.dim = dim
@@ -80,94 +84,22 @@ class ChartMetric:
         self.metric = metric
         self.d_metric = d_metric
         self.d2_metric = d2_metric
-        scale = float(np.max(self.domain[:, 1] - self.domain[:, 0]))
-        self.fd_step = fd_step if fd_step is not None else 1e-5 * scale
         self.name = name
 
-    def contains(self, x: np.ndarray, slack: float = 1e-12) -> bool:
+    def contains(self, x) -> np.ndarray:
+        """Mask over the leading axes of ``x``: which points lie in the domain box."""
         x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.domain[:, 0] - slack) and np.all(x <= self.domain[:, 1] + slack)
-        )
+        lo, hi = self.domain[:, 0] - DOMAIN_SLACK, self.domain[:, 1] + DOMAIN_SLACK
+        return np.all((x >= lo) & (x <= hi), axis=-1)
 
-    def _require_inside(self, x: np.ndarray) -> np.ndarray:
+    def jets(self, x) -> MetricJets:
+        """g, dg and d2g at one point of the domain."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise DomainError(f"point has shape {x.shape}, chart dimension is {self.dim}")
         if not self.contains(x):
             raise DomainError(f"point {x} outside chart domain {self.domain.tolist()}")
-        return x
-
-    def metric_at(self, x) -> np.ndarray:
-        x = self._require_inside(x)
-        g = np.asarray(self.metric(x), dtype=float)
-        return g
-
-    # -- derivatives --------------------------------------------------------
-
-    def jets(self, x) -> MetricJets:
-        x = self._require_inside(x)
-        g = self.metric_at(x)
-        if self.d_metric is not None and self.d2_metric is not None:
-            dg = np.asarray(self.d_metric(x), dtype=float)
-            d2g = np.asarray(self.d2_metric(x), dtype=float)
-            return MetricJets(g, dg, d2g, one_sided=False)
-        dg, flag1 = self._fd_first(x)
-        d2g, flag2 = self._fd_second(x)
-        return MetricJets(g, dg, d2g, one_sided=flag1 or flag2)
-
-    def _axis_mode(self, x: np.ndarray, k: int, h: float) -> int:
-        # +1: forward one-sided, -1: backward one-sided, 0: centered
-        lo, hi = self.domain[k]
-        if x[k] - h < lo:
-            return 1
-        if x[k] + h > hi:
-            return -1
-        return 0
-
-    def _fd_axis(self, f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
-        h = self.fd_step
-        mode = self._axis_mode(x, k, h)
-        e = np.zeros(self.dim)
-        e[k] = 1.0
-        if mode == 0:
-            return (f(x + h * e) - f(x - h * e)) / (2 * h), False
-        s = float(mode)
-        # second-order one-sided stencil pointing into the domain
-        val = (-3 * f(x) + 4 * f(x + s * h * e) - f(x + 2 * s * h * e)) / (2 * s * h)
-        return val, True
-
-    def _fd_first(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        if self.d_metric is not None:
-            return np.asarray(self.d_metric(x), dtype=float), False
-        n = self.dim
-        out = np.empty((n, n, n))
-        flagged = False
-        for k in range(n):
-            val, flag = self._fd_axis(self.metric_at, x, k)
-            out[k] = val
-            flagged = flagged or flag
-        return out, flagged
-
-    def _fd_second(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        # differentiate the (analytic or FD) first-derivative field once more
-        n = self.dim
-        out = np.empty((n, n, n, n))
-        flagged = False
-
-        def first(y: np.ndarray) -> np.ndarray:
-            nonlocal flagged
-            val, flag = self._fd_first(y)
-            flagged = flagged or flag
-            return val
-
-        for k in range(n):
-            val, flag = self._fd_axis(first, x, k)
-            out[k] = val
-            flagged = flagged or flag
-        # symmetrize the derivative pair; mixed stencils commute only to O(h^2)
-        out = 0.5 * (out + out.transpose(1, 0, 2, 3))
-        return out, flagged
+        return MetricJets(*(np.asarray(f(x), dtype=float) for f in (self.metric, self.d_metric, self.d2_metric)))
 
 
 # -- tensors from jets -------------------------------------------------------
@@ -214,23 +146,6 @@ def riemann_tensor(g, g_inv, dg, d2g, gamma_first, gamma_second) -> np.ndarray:
     return np.einsum("...im,...mjkl->...ijkl", g, rup)
 
 
-def curvature(g: np.ndarray, dg: np.ndarray, d2g: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(g^-1, Gamma first kind, Gamma second kind, R_ijkl), inverting g once."""
-    g_inv = np.linalg.inv(g)
-    first, second = christoffel_tensors(g_inv, dg)
-    return g_inv, first, second, riemann_tensor(g, g_inv, dg, d2g, first, second)
-
-
-def christoffel(chart: ChartMetric, x) -> tuple[np.ndarray, np.ndarray]:
-    jets = chart.jets(x)
-    return christoffel_tensors(np.linalg.inv(jets.g), jets.dg)
-
-
-def riemann(chart: ChartMetric, x) -> np.ndarray:
-    jets = chart.jets(x)
-    return curvature(jets.g, jets.dg, jets.d2g)[3]
-
-
 @dataclass(frozen=True)
 class CurvatureFrame:
     """Immutable pointwise package of metric, Christoffel, and curvature."""
@@ -242,7 +157,6 @@ class CurvatureFrame:
     gamma_first: np.ndarray
     gamma_second: np.ndarray
     riemann: np.ndarray
-    one_sided: bool = False
 
     @property
     def dim(self) -> int:
@@ -259,7 +173,8 @@ class CurvatureFrame:
         except np.linalg.LinAlgError:
             raise ValueError(f"metric is not positive definite at {x}") from None
         det_g = float(np.linalg.det(g))
-        g_inv, first, second, riem = curvature(g, jets.dg, jets.d2g)
+        g_inv = np.linalg.inv(g)
+        first, second = christoffel_tensors(g_inv, jets.dg)
         return cls(
             x=np.asarray(x, dtype=float),
             g=g,
@@ -267,8 +182,7 @@ class CurvatureFrame:
             det_g=det_g,
             gamma_first=first,
             gamma_second=second,
-            riemann=riem,
-            one_sided=jets.one_sided,
+            riemann=riemann_tensor(g, g_inv, jets.dg, jets.d2g, first, second),
         )
 
     @classmethod
@@ -312,19 +226,6 @@ class ScalarField:
 def covariant_hessian(frame: CurvatureFrame, grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
     """Hess(h)_ij = d_i d_j h - Gamma^k_ij d_k h at the frame point."""
     return hess - np.einsum("kij,k->ij", frame.gamma_second, grad)
-
-
-def hessian_form(chart: ChartMetric, h: ScalarField, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    frame = CurvatureFrame.from_chart(chart, x)
-    return covariant_hessian(frame, np.asarray(h.grad(x), dtype=float), np.asarray(h.hess(x), dtype=float))
-
-
-def gradient_norm_sq(chart: ChartMetric, h: ScalarField, x) -> float:
-    x = np.asarray(x, dtype=float)
-    g_inv = np.linalg.inv(chart.metric_at(x))
-    grad = np.asarray(h.grad(x), dtype=float)
-    return float(grad @ g_inv @ grad)
 
 
 # -- Grassmann biforms -------------------------------------------------------

@@ -31,7 +31,7 @@ import inspect
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -560,25 +560,3 @@ def _default(name: str) -> ManifoldSpec:
 def catalog() -> list[ManifoldSpec]:
     """Default-parameter instances of every catalog manifold."""
     return [_default(n) for n in ("s2", "ellipsoid", "torus", "flat_t2", "s2xs2")]
-
-
-def with_scaled_metric(spec: ManifoldSpec, factor: float) -> ManifoldSpec:
-    """Clone a manifold with every chart metric multiplied by a constant."""
-
-    def scale_chart(chart: Chart) -> Chart:
-        m = chart.metric
-        jets = [
-            None if getattr(m, a) is None else (lambda x, a=a: factor * np.asarray(getattr(m, a)(x), dtype=float))
-            for a in ("metric", "d_metric", "d2_metric")
-        ]
-        scaled = ChartMetric(m.dim, m.domain, *jets, fd_step=m.fd_step, name=m.name)
-        return replace(chart, metric=scaled)
-
-    return ManifoldSpec(
-        name=spec.name + "_scaled",
-        dim=spec.dim,
-        charts={k: scale_chart(c) for k, c in spec.charts.items()},
-        euler_char=spec.euler_char,
-        morse_catalog=spec.morse_catalog,
-        factors=spec.factors,
-    )

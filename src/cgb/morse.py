@@ -54,9 +54,7 @@ def _wrap_batch(chart: Chart, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k, period in enumerate(periods):
         if period is not None:
             out[:, k] = dom[k, 0] + np.mod(out[:, k] - dom[k, 0], period)
-    slack = 1e-12
-    valid = np.all(out >= dom[:, 0] - slack, axis=1) & np.all(out <= dom[:, 1] + slack, axis=1)
-    return out, valid
+    return out, chart.metric.contains(out)
 
 
 def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:

@@ -475,7 +475,7 @@ def _partition(
         and spec.factors is not None
         and (potential is None or potential.factor_names is not None)
     ):
-        return _partition_factorized(spec, potential, lam, resolution)
+        return _partition_factorized(spec, potential, lam, resolution, stiffness)
 
     grid = quadrature_grid(spec, resolution)
     chart = spec.quad_chart
@@ -497,12 +497,15 @@ def _partition_factorized(
     potential: MorseFunction | None,
     lam: float,
     resolution: tuple[int, ...],
+    stiffness: float | None,
 ) -> PartitionResult:
     """Blockwise evaluation on a product: the integrand factorizes exactly.
 
     With block metric, block curvature, and h = h_1 + h_2, the Berezin top
     coefficient, det g, and the gradient Gaussian all split between the
     factors, so the full tensor-grid sum equals the product of factor sums.
+    ``stiffness`` is the product's, the max of the factors': the product's
+    resolution check over the same axes already implies each factor's.
     """
     f1, f2 = spec.factors
     n1 = f1.dim
@@ -510,8 +513,8 @@ def _partition_factorized(
     h1 = h2 = None
     if potential is not None:
         h1, h2 = potential.factor_names
-    z1 = partition_function(f1, h1, lam, r1)
-    z2 = partition_function(f2, h2, lam, r2)
+    z1 = _partition(f1, h1, lam, r1, True, stiffness)
+    z2 = _partition(f2, h2, lam, r2, True, stiffness)
     value = z1.value * z2.value
     bound = abs(z1.value) * z2.error_bound + abs(z2.value) * z1.error_bound + z1.error_bound * z2.error_bound
     return PartitionResult(

@@ -52,6 +52,11 @@ MALFORMED = {
     "tolerance-nan": (["pfaffian", "--manifold", "s2", "--tolerance", "nan"], None, "tolerance"),
     "lambdas-string": (["sweep", "--manifest", "{manifest}"], {"morse": "height", "lambdas": "1,2"}, "lambdas"),
     "efts-zero-denominator": (["efts", "delta", "1/0"], None, "denominator"),
+    "efts-trailing-plus": (["efts", "delta", "x1 +"], None, "dangling sign"),
+    "efts-field-trailing-minus": (["efts", "cartan", "x1*d/dx1 -"], None, "dangling sign"),
+    "efts-field-empty-factor": (["efts", "cartan", "*d/dx1"], None, "empty factor"),
+    "efts-field-double-star": (["efts", "cartan", "x1**d/dx1"], None, "empty factor"),
+    "efts-negative-degree-cap": (["efts", "cartan", "d/dx1", "--degree-cap", "-1"], None, "degree"),
     "params-unknown": (["pfaffian", "--manifold", "s2", "--manifold-params", '{"foo": 1}'], None, "foo"),
     "params-list": (["pfaffian", "--manifold", "s2", "--manifold-params", "[1]"], None, "manifold_params"),
     "params-string-radius": (

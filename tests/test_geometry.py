@@ -10,15 +10,15 @@ from cgb.geometry import (
     CurvatureFrame,
     DomainError,
     ScalarField,
-    christoffel,
     covariant_hessian,
     curvature_biform,
-    gradient_norm_sq,
-    hessian_form,
     pair_biform,
-    riemann,
 )
 from cgb.grassmann import GrassmannElement, berezin, exp_even
+
+
+def frame_at(chart, x):
+    return CurvatureFrame.from_chart(chart, np.asarray(x, dtype=float))
 
 
 def euclidean_chart(n=2, box=2.0):
@@ -32,7 +32,7 @@ def euclidean_chart(n=2, box=2.0):
     )
 
 
-def sphere_chart(analytic=True, fd_step=None):
+def sphere_chart():
     def metric(x):
         th = np.asarray(x, dtype=float)[..., 0]
         g = np.zeros(np.shape(th) + (2, 2))
@@ -52,34 +52,36 @@ def sphere_chart(analytic=True, fd_step=None):
         out[..., 0, 0, 1, 1] = 2 * np.cos(2 * th)
         return out
 
-    if analytic:
-        return ChartMetric(2, [[1e-6, math.pi - 1e-6], [0, 2 * math.pi]], metric, d_metric, d2_metric)
-    return ChartMetric(2, [[1e-6, math.pi - 1e-6], [0, 2 * math.pi]], metric, fd_step=fd_step)
+    return ChartMetric(2, [[1e-6, math.pi - 1e-6], [0, 2 * math.pi]], metric, d_metric, d2_metric)
 
 
-def conformal_chart(fd_step=None):
+def conformal_chart():
     """e^{2u(x)} delta on R^2 with u = a x + b y; closed-form Christoffels."""
     a, b = 0.7, -0.4
-
-    def u(x):
-        return a * x[..., 0] + b * x[..., 1]
+    du = np.array([a, b])
 
     def metric(x):
         x = np.asarray(x, dtype=float)
-        factor = np.exp(2 * u(x))
+        factor = np.exp(2 * (a * x[..., 0] + b * x[..., 1]))
         return factor[..., None, None] * np.eye(2)
 
-    return ChartMetric(2, [[-1, 1], [-1, 1]], metric, fd_step=fd_step), (a, b)
+    def d_metric(x):  # d_k g = 2 u_k g
+        return 2 * du[:, None, None] * metric(x)[..., None, :, :]
+
+    def d2_metric(x):  # d_k d_l g = 4 u_k u_l g
+        return 4 * np.multiply.outer(du, du)[:, :, None, None] * metric(x)[..., None, None, :, :]
+
+    return ChartMetric(2, [[-1, 1], [-1, 1]], metric, d_metric, d2_metric), (a, b)
 
 
 class TestChristoffel:
     def test_euclidean_vanishes(self):
-        first, second = christoffel(euclidean_chart(), np.zeros(2))
-        assert np.allclose(first, 0) and np.allclose(second, 0)
+        frame = frame_at(euclidean_chart(), np.zeros(2))
+        assert np.allclose(frame.gamma_first, 0) and np.allclose(frame.gamma_second, 0)
 
     def test_sphere_golden_values(self):
         th = 1.1
-        _, second = christoffel(sphere_chart(), np.array([th, 0.3]))
+        second = frame_at(sphere_chart(), [th, 0.3]).gamma_second
         assert second[0, 1, 1] == pytest.approx(-math.sin(th) * math.cos(th), abs=1e-12)
         assert second[1, 0, 1] == pytest.approx(math.cos(th) / math.sin(th), abs=1e-12)
         assert second[1, 1, 0] == pytest.approx(math.cos(th) / math.sin(th), abs=1e-12)
@@ -87,9 +89,8 @@ class TestChristoffel:
 
     def test_conformal_closed_form(self):
         # Gamma^k_ij = d_i u delta^k_j + d_j u delta^k_i - d^k u delta_ij
-        chart, (a, b) = conformal_chart(fd_step=1e-6)
-        x = np.array([0.2, -0.3])
-        _, second = christoffel(chart, x)
+        chart, (a, b) = conformal_chart()
+        second = frame_at(chart, [0.2, -0.3]).gamma_second
         du = np.array([a, b])
         expected = np.zeros((2, 2, 2))
         for k in range(2):
@@ -98,46 +99,45 @@ class TestChristoffel:
                     expected[k, i, j] = (
                         du[i] * (k == j) + du[j] * (k == i) - du[k] * (i == j)
                     )
-        assert np.allclose(second, expected, atol=1e-7)
+        assert np.allclose(second, expected, atol=1e-12)
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
-            christoffel(sphere_chart(), np.array([4.0, 0.0]))
+            frame_at(sphere_chart(), [4.0, 0.0])
+        with pytest.raises(DomainError):
+            frame_at(sphere_chart(), [1.0, 0.0, 0.0])
 
-    def test_one_sided_stencil_flag(self):
-        chart = sphere_chart(analytic=False, fd_step=1e-3)
-        jets = chart.jets(np.array([5e-4, 1.0]))  # stencil would cross theta = 0
-        assert jets.one_sided
-        interior = chart.jets(np.array([1.0, 1.0]))
-        assert not interior.one_sided
+    def test_contains_is_batched(self):
+        chart = sphere_chart()
+        pts = np.array([[1.0, 0.0], [4.0, 0.0], [1e-6 - 1e-13, 2 * math.pi], [1.0, -1e-11]])
+        assert chart.contains(pts).tolist() == [True, False, True, False]
+        assert chart.contains(pts.reshape(2, 2, 2)).shape == (2, 2)
 
 
 class TestRiemann:
     def test_flat_vanishes(self):
-        assert np.allclose(riemann(euclidean_chart(), np.zeros(2)), 0)
+        assert np.allclose(frame_at(euclidean_chart(), np.zeros(2)).riemann, 0)
 
     def test_sphere_golden_value(self):
         th = 0.9
-        r = riemann(sphere_chart(), np.array([th, 1.0]))
+        r = frame_at(sphere_chart(), [th, 1.0]).riemann
         assert r[0, 1, 0, 1] == pytest.approx(math.sin(th) ** 2, rel=1e-12)
         # Gauss curvature K = R_1212 / det g = 1
         assert r[0, 1, 0, 1] / math.sin(th) ** 2 == pytest.approx(1.0, rel=1e-12)
 
     def test_finite_difference_oracle(self):
-        x = np.array([1.2, 0.5])
-        analytic = riemann(sphere_chart(), x)
-        numeric = riemann(sphere_chart(analytic=False, fd_step=1e-4), x)
-        assert np.allclose(analytic, numeric, atol=1e-6)
+        # the hand-written jets against sympy's derivatives of the same metric
+        import sympy as sp
 
-    def test_fd_convergence_order(self):
-        # halving the step must cut the truncation error by >= 3.5x
-        x = np.array([1.2, 0.5])
-        exact = riemann(sphere_chart(), x)
-        err = {}
-        for h in (2e-2, 1e-2):
-            approx = riemann(sphere_chart(analytic=False, fd_step=h), x)
-            err[h] = np.max(np.abs(approx - exact))
-        assert err[2e-2] / err[1e-2] >= 3.5
+        from sympy_oracle import chart_from_metric_exprs
+
+        th, ph = sp.symbols("th ph", real=True)
+        chart = sphere_chart()
+        oracle = chart_from_metric_exprs("oracle", (th, ph), sp.diag(1, sp.sin(th) ** 2), chart.domain)
+        for x in ([1.2, 0.5], [0.3, 4.0], [2.9, 1.7]):
+            ours, ref = frame_at(chart, x), frame_at(oracle, x)
+            assert np.max(np.abs(ours.gamma_second - ref.gamma_second)) <= 1e-12
+            assert np.max(np.abs(ours.riemann - ref.riemann)) <= 1e-12
 
     def test_symmetries_and_bianchi_on_catalog(self, full_catalog):
         rng = np.random.default_rng(5)
@@ -152,7 +152,7 @@ class TestRiemann:
     def test_product_block_structure(self, s2xs2):
         chart = s2xs2.quad_chart.metric
         x = np.array([1.0, 0.5, 2.0, 1.5])
-        r = riemann(chart, x)
+        r = frame_at(chart, x).riemann
         block1, block2 = (0, 1), (2, 3)
         for idx in np.ndindex(4, 4, 4, 4):
             in1 = all(i in block1 for i in idx)
@@ -163,7 +163,7 @@ class TestRiemann:
         assert r[2, 3, 2, 3] == pytest.approx(math.sin(2.0) ** 2, rel=1e-9)
 
     def test_frame_validation(self):
-        frame = CurvatureFrame.from_chart(sphere_chart(), np.array([1.0, 0.0]))
+        frame = frame_at(sphere_chart(), [1.0, 0.0])
         frame.validate(1e-10)
         bad = CurvatureFrame(
             x=frame.x,
@@ -199,19 +199,21 @@ class TestHessian:
             lambda x: np.asarray(x, dtype=float),
             lambda x: np.eye(2),
         )
-        assert np.allclose(hessian_form(euclidean_chart(), h, np.array([0.3, -0.4])), np.eye(2))
+        x = np.array([0.3, -0.4])
+        assert np.allclose(covariant_hessian(frame_at(euclidean_chart(), x), h.grad(x), h.hess(x)), np.eye(2))
 
     def test_constant_potential(self):
         h = ScalarField(lambda x: 1.0, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)))
-        out = hessian_form(sphere_chart(), h, np.array([1.0, 2.0]))
-        assert np.allclose(out, 0)
+        x = np.array([1.0, 2.0])
+        assert np.allclose(covariant_hessian(frame_at(sphere_chart(), x), h.grad(x), h.hess(x)), 0)
 
     def test_sphere_equator_fd_oracle(self):
         # compare against a finite-difference covariant Hessian
         chart = sphere_chart()
         h = height_field()
         x = np.array([math.pi / 2, 0.8])
-        analytic = hessian_form(chart, h, x)
+        frame = frame_at(chart, x)
+        analytic = covariant_hessian(frame, h.grad(x), h.hess(x))
         step = 1e-5
         fd = np.zeros((2, 2))
         for i in range(2):
@@ -224,8 +226,7 @@ class TestHessian:
                         fd[i, j] += si * sj * h(y)
         fd /= 4 * step**2
         # the coordinate-Hessian stencil still needs the Gamma correction
-        _, second = christoffel(chart, x)
-        fd_cov = fd - np.einsum("kij,k->ij", second, h.grad(x))
+        fd_cov = fd - np.einsum("kij,k->ij", frame.gamma_second, h.grad(x))
         assert np.allclose(analytic, fd_cov, atol=1e-5)
 
     def test_symmetry(self):
@@ -234,45 +235,14 @@ class TestHessian:
         h = height_field()
         for _ in range(20):
             x = np.array([rng.uniform(0.3, 2.8), rng.uniform(0, 6.2)])
-            out = hessian_form(chart, h, x)
+            out = covariant_hessian(frame_at(chart, x), h.grad(x), h.hess(x))
             assert np.max(np.abs(out - out.T)) < 1e-10
 
     def test_gamma_term_drops_at_critical_point(self):
         # where grad h = 0 the covariant and raw Hessians coincide
-        frame = CurvatureFrame.from_chart(sphere_chart(), np.array([1.0, 1.0]))
+        frame = frame_at(sphere_chart(), [1.0, 1.0])
         raw = np.array([[1.0, 0.2], [0.2, -0.5]])
         assert np.allclose(covariant_hessian(frame, np.zeros(2), raw), raw)
-
-
-class TestGradientNormSq:
-    def test_constant(self):
-        h = ScalarField(lambda x: 1.0, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)))
-        assert gradient_norm_sq(euclidean_chart(), h, np.zeros(2)) == 0.0
-
-    def test_flat_coordinate(self):
-        h = ScalarField(
-            lambda x: x[..., 0], lambda x: np.array([1.0, 0.0]), lambda x: np.zeros((2, 2))
-        )
-        assert gradient_norm_sq(euclidean_chart(), h, np.array([0.5, 0.5])) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("radius", [1.0, 2.0])
-    def test_sphere_height(self, radius):
-        def metric(x):
-            th = np.asarray(x, dtype=float)[..., 0]
-            g = np.zeros(np.shape(th) + (2, 2))
-            g[..., 0, 0] = radius**2
-            g[..., 1, 1] = (radius * np.sin(th)) ** 2
-            return g
-
-        chart = ChartMetric(2, [[1e-6, math.pi - 1e-6], [0, 2 * math.pi]], metric, fd_step=1e-5)
-        h = ScalarField(
-            lambda x: radius * np.cos(x[..., 0]),
-            lambda x: np.array([-radius * np.sin(x[..., 0]), 0.0]),
-            lambda x: np.diag([-radius * np.cos(x[..., 0]), 0.0]),
-        )
-        th = 0.9
-        expected = math.sin(th) ** 2  # |grad (r cos theta)|^2 = sin^2 / 1 * ... = sin^2
-        assert gradient_norm_sq(chart, h, np.array([th, 0.1])) == pytest.approx(expected)
 
 
 class TestBiforms:

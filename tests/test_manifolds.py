@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cgb.geometry import riemann
+from cgb.geometry import CurvatureFrame
 from cgb.manifolds import (
     catalog,
     get_manifold,
@@ -109,7 +109,7 @@ class TestQuadrature:
         vals = np.empty(grid.size)
         for idx in range(grid.size):
             x = grid.points[idx]
-            r = riemann(chart, x)
+            r = CurvatureFrame.from_chart(chart, x).riemann
             g = chart.metric(x)
             det = np.linalg.det(g)
             vals[idx] = r[0, 1, 0, 1] / det * math.sqrt(det)  # K * area element

@@ -7,7 +7,7 @@ import pytest
 
 from cgb.geometry import ChartMetric, CurvatureFrame, ScalarField, curvature_biform, pair_biform
 from cgb.grassmann import berezin, exp_even
-from cgb.manifolds import quadrature_grid, integrate_values, with_scaled_metric
+from cgb.manifolds import flat_chart, quadrature_grid, integrate_values, sphere
 from cgb.morse import find_critical_points
 from cgb.sigma import (
     ResolutionError,
@@ -103,6 +103,16 @@ class TestReduceAuxiliaryField:
         frame = flat_frame(2)
         value = reduce_auxiliary_field(frame, np.array([1.0, 0.0]), 2.0)
         assert value == pytest.approx(math.exp(-2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0])
+    def test_sphere_height(self, radius):
+        # on the sphere of radius r, g = r^2 diag(1, sin^2 theta) and
+        # |grad (r cos theta)|_g^2 = sin^2 theta
+        th, lam = 0.9, 1.5
+        frame = sphere_frame(sphere(radius), th)
+        grad = np.array([-radius * math.sin(th), 0.0])
+        expected = math.exp(-0.5 * lam**2 * math.sin(th) ** 2) / radius**2 / math.sin(th)
+        assert reduce_auxiliary_field(frame, grad, lam) == pytest.approx(expected, rel=1e-12)
 
 
 # (fixture, potential, polar-angle range or None): n = 2 charts, then S2xS2
@@ -229,11 +239,6 @@ class TestPartitionFunction:
         )
         assert fast_h.value == pytest.approx(direct_h.value, abs=1e-12)
 
-    def test_metric_scaling_invariance(self, s2):
-        scaled = with_scaled_metric(s2, 2.0)
-        result = partition_function(scaled, None, 0.0, (96, 192))
-        assert abs(result.value - 2.0) < 1e-3
-
     def test_metric_perturbation_invariance(self, s2_perturbed):
         result = partition_function(s2_perturbed, None, 0.0, (128, 256))
         assert abs(result.value - 2.0) < 1e-2
@@ -281,11 +286,9 @@ class TestPartitionFunction:
             assert abs(result.value - 2.0) < 1e-3, (a, b, c, result.value)
 
     def test_odd_dimension_rejected(self):
-        from cgb.manifolds import Chart, ChartMetric, ManifoldSpec
+        from cgb.manifolds import Chart, ManifoldSpec
 
-        chart = ChartMetric(
-            1, [[0.0, 1.0]], lambda x: np.ones(np.shape(x)[:-1] + (1, 1))
-        )
+        chart = flat_chart("c", 1, [[0.0, 1.0]])
         spec = ManifoldSpec(
             name="circle",
             dim=1,
@@ -354,6 +357,25 @@ class TestSweep:
         monkeypatch.undo()
         for r in sweep.results:
             assert r.value == partition_function(s2, "height", r.lam, r.resolution).value
+
+    def test_factorized_sweep_reuses_stiffness(self, s2xs2, monkeypatch):
+        # the product's stiffness (one call per factor inside it) serves the factor integrals
+        from cgb import sigma
+
+        calls = []
+        stiffness = sigma.potential_stiffness
+        monkeypatch.setattr(sigma, "potential_stiffness", lambda *args: calls.append(args) or stiffness(*args))
+        base = (8, 16, 8, 16)
+        sweep = lambda_sweep(s2xs2, "height_sum", [0.0, 0.5, 1.0], base)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        mu = potential_stiffness(s2xs2, "height_sum")
+        f1, f2 = s2xs2.factors
+        for r in sweep.results:
+            assert r.resolution == adaptive_resolution(s2xs2, r.lam, base, mu)
+            z1 = partition_function(f1, "height", r.lam, r.resolution[:2])
+            z2 = partition_function(f2, "height", r.lam, r.resolution[2:])
+            assert r.value == z1.value * z2.value
 
     def test_perturbed_sphere_with_coupling(self, s2_perturbed):
         # both the metric and the potential deformed away from round: still flat

@@ -1,0 +1,49 @@
+"""The benchmark tracer's contract with the library.
+
+``cgbbench/tracing.py`` wraps library functions by (module, attribute) and
+the jet evaluators of every chart a catalog builder returns.  A rename in
+``src/`` that drops one of those names breaks ``--trace 1``; these tests
+catch it without running the benchmark.  The tracer module uses only the
+standard library, so it is executed from its source without importing the
+``cgbbench`` package.
+"""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+from cgb import manifolds
+
+TRACING = Path(__file__).resolve().parents[1] / "cgbbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    module = types.ModuleType("cgbbench_tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def test_wrapped_names_resolve(tracing):
+    for module_name, attr, _, _ in tracing.WRAPPED:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (module_name, attr)
+
+
+def test_builder_names_exist(tracing):
+    for name in tracing.BUILDERS:
+        assert callable(getattr(manifolds, name, None)), name
+
+
+def test_every_chart_exposes_the_jet_evaluators(tracing):
+    def specs(spec):
+        yield spec
+        for factor in spec.factors or ():
+            yield from specs(factor)
+
+    for name, build in manifolds._BUILDERS.items():
+        for spec in specs(build()):
+            for chart in spec.charts.values():
+                for attr in tracing.JET_EVALUATORS:
+                    assert callable(getattr(chart.metric, attr, None)), (name, chart.name, attr)
