@@ -15,6 +15,7 @@ from cgb.geometry import (
     pair_biform,
 )
 from cgb.grassmann import GrassmannElement, berezin, exp_even
+from cgb.sigma import reduce_auxiliary_field
 
 
 def frame_at(chart, x):
@@ -243,6 +244,22 @@ class TestHessian:
         frame = frame_at(sphere_chart(), [1.0, 1.0])
         raw = np.array([[1.0, 0.2], [0.2, -0.5]])
         assert np.allclose(covariant_hessian(frame, np.zeros(2), raw), raw)
+
+
+class TestGradientNormSq:
+    # |grad h|_g^2 reaches Z through det(g)^(-1/2) exp(-lambda^2 |grad h|_g^2 / 2)
+    def test_constant(self):
+        h = ScalarField(lambda x: 1.0, lambda x: np.zeros(2), lambda x: np.zeros((2, 2)))
+        x = np.zeros(2)
+        assert reduce_auxiliary_field(frame_at(euclidean_chart(), x), h.grad(x), 3.0) == 1.0
+
+    def test_flat_coordinate(self):
+        h = ScalarField(
+            lambda x: x[..., 0], lambda x: np.array([1.0, 0.0]), lambda x: np.zeros((2, 2))
+        )
+        x = np.array([0.5, 0.5])
+        value = reduce_auxiliary_field(frame_at(euclidean_chart(), x), h.grad(x), 2.0)
+        assert value == pytest.approx(math.exp(-2.0), rel=1e-14)
 
 
 class TestBiforms:

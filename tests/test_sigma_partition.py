@@ -239,6 +239,11 @@ class TestPartitionFunction:
         )
         assert fast_h.value == pytest.approx(direct_h.value, abs=1e-12)
 
+    def test_metric_scaling_invariance(self):
+        # the sphere of radius sqrt(2) is the unit sphere with g scaled by 2
+        result = partition_function(sphere(math.sqrt(2.0)), None, 0.0, (96, 192))
+        assert abs(result.value - 2.0) < 1e-3
+
     def test_metric_perturbation_invariance(self, s2_perturbed):
         result = partition_function(s2_perturbed, None, 0.0, (128, 256))
         assert abs(result.value - 2.0) < 1e-2
