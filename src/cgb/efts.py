@@ -379,6 +379,8 @@ def parse_vector_field(text: str, delta: int, m: int) -> "VectorField":
             prefix = prefix[:-1].strip()
             if not prefix:
                 raise ParseError(f"empty factor before '*' in {piece!r}")
+        elif prefix:
+            raise ParseError(f"missing operator before {direction.group(0)!r}")
         coeff = (
             SuperPolynomial.constant(delta, m, 1)
             if not prefix

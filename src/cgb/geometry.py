@@ -11,7 +11,11 @@ these jets we assemble, at a point,
   sphere has R_{theta phi theta phi} = sin^2(theta),
 * the covariant Hessian Hess(h)_ij = d_i d_j h - Gamma^k_ij d_k h,
 
-packaged in an immutable :class:`CurvatureFrame`.
+packaged in an immutable :class:`CurvatureFrame`.  The frame is the
+pointwise oracle.  The batched integrand gets the same tensors in one of two
+ways: from the jets (``christoffel_tensors`` and ``riemann_tensor``, which
+need d2g), or, on a chart whose metric is induced by its embedding X, from
+dX and d2X alone through the Gauss equation (``induced_curvature``).
 
 The frame also feeds two Grassmann-valued constructions on the 2n
 generators phi_1^1, phi_2^1, ..., phi_1^n, phi_2^n (generator 2i is
@@ -65,7 +69,10 @@ class ChartMetric:
     """A coordinate chart with batched evaluators of g, dg and d2g.
 
     Each evaluator maps points of shape (..., dim) to the jet with the
-    index axes last, as laid out in :class:`MetricJets`.
+    index axes last, as laid out in :class:`MetricJets`.  ``embedding`` is
+    set when g is the metric induced by a ``TrigEmbedding`` X of the chart;
+    the batched integrand then takes g, Christoffel symbols and curvature
+    from dX and d2X (:func:`induced_curvature`) instead of the jets.
     """
 
     def __init__(
@@ -76,6 +83,7 @@ class ChartMetric:
         d_metric: Callable[[np.ndarray], np.ndarray],
         d2_metric: Callable[[np.ndarray], np.ndarray],
         name: str = "chart",
+        embedding=None,
     ):
         self.dim = dim
         self.domain = np.asarray(domain, dtype=float).reshape(dim, 2)
@@ -85,6 +93,7 @@ class ChartMetric:
         self.d_metric = d_metric
         self.d2_metric = d2_metric
         self.name = name
+        self.embedding = embedding
 
     def contains(self, x) -> np.ndarray:
         """Mask over the leading axes of ``x``: which points lie in the domain box."""
@@ -146,6 +155,28 @@ def riemann_tensor(g, g_inv, dg, d2g, gamma_first, gamma_second) -> np.ndarray:
     return np.einsum("...im,...mjkl->...ijkl", g, rup)
 
 
+def induced_curvature(dx: np.ndarray, d2x: np.ndarray, g_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gamma^k_ij and R_ijkl of the metric g_ij = X_i.X_j induced by an embedding X.
+
+    ``dx[..., i, a]`` is d_i X^a and ``d2x[..., i, j, a]`` is d_i d_j X^a, points
+    first; ``g_inv`` is the inverse of g.  With Gamma^m_ij = g^mp X_p.X_ij and
+    the normal part N_ij = X_ij - X_m Gamma^m_ij of the second derivatives,
+    the Gauss equation gives R_ijkl = N_ik.N_jl - N_il.N_jk (do Carmo,
+    *Riemannian Geometry*, ch. 6), in the sign convention of
+    :func:`riemann_tensor`.  Needs no third derivatives of X.  Returns
+    Gamma^k_ij laid out [..., k, i, j] as in :func:`christoffel_tensors`.
+    """
+    n = dx.shape[-2]
+    batch = dx.shape[:-2]
+    flat2 = d2x.reshape(batch + (n * n, d2x.shape[-1]))  # rows (ij)
+    gamma = (flat2 @ np.swapaxes(dx, -1, -2)) @ g_inv  # [..., (ij), m] = Gamma^m_ij
+    normal = flat2 - gamma @ dx
+    gram = normal @ np.ascontiguousarray(np.swapaxes(normal, -1, -2))  # [..., (ik), (jl)] = N_ik.N_jl
+    q = gram.reshape(batch + (n,) * 4)  # q[..., i, k, j, l]
+    riem = np.swapaxes(q - np.swapaxes(q, -3, -1), -3, -2)  # N_ik.N_jl - N_il.N_jk at [..., i, j, k, l]
+    return np.moveaxis(gamma.reshape(batch + (n,) * 3), -1, -3), riem
+
+
 @dataclass(frozen=True)
 class CurvatureFrame:
     """Immutable pointwise package of metric, Christoffel, and curvature."""
@@ -200,12 +231,6 @@ class CurvatureFrame:
                 np.max(np.abs(r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2)))
             ),
         }
-
-    def validate(self, tol_sym: float = 1e-6) -> "CurvatureFrame":
-        worst = max(self.symmetry_residuals().values())
-        if worst > tol_sym:
-            raise ValueError(f"curvature symmetry residual {worst:.3e} exceeds {tol_sym:.1e}")
-        return self
 
 
 # -- scalar fields -----------------------------------------------------------

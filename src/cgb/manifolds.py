@@ -6,8 +6,9 @@ with f_k in {1, sin, cos}.  The same object serves as ``Chart.embed`` and,
 through closed-form derivatives of orders 1-3 and the product rule
 (``pullback_jets``), yields the metric jets g, dg and d2g as vectorized
 numpy arrays; a conformal factor of the same form multiplies them
-(``scaled_jets``).  The flat torus keeps the exact jets (I, 0, 0).  Besides
-its charts, each manifold has
+(``scaled_jets``).  A chart without such a factor also keeps its embedding,
+from which the integrand takes its curvature directly.  The flat torus
+keeps the exact jets (I, 0, 0).  Besides its charts, each manifold has
 
 * a designated quadrature chart covering the manifold up to polar caps of
   parameter measure ``excised_measure`` (folded into error bounds),
@@ -194,9 +195,12 @@ def scaled_jets(phi: Sequence[np.ndarray], jets: Sequence[np.ndarray]) -> list[n
     return out
 
 
-def _jet_chart(name: str, dim: int, domain, jet: Callable[[np.ndarray, int], np.ndarray]) -> ChartMetric:
+def _jet_chart(
+    name: str, dim: int, domain, jet: Callable[[np.ndarray, int], np.ndarray], embedding=None
+) -> ChartMetric:
     """ChartMetric whose metric, d_metric and d2_metric are jet(x, 0), jet(x, 1) and jet(x, 2)."""
-    return ChartMetric(dim, domain, *(functools.partial(jet, order=k) for k in range(3)), name=name)
+    jets = (functools.partial(jet, order=k) for k in range(3))
+    return ChartMetric(dim, domain, *jets, name=name, embedding=embedding)
 
 
 def embedded_chart(name: str, embedding: TrigEmbedding, domain, factor=None) -> ChartMetric:
@@ -209,7 +213,7 @@ def embedded_chart(name: str, embedding: TrigEmbedding, domain, factor=None) -> 
             jets = scaled_jets(phi, jets)
         return _points_first(jets[order], order + 2)
 
-    return _jet_chart(name, embedding.dim, domain, jet)
+    return _jet_chart(name, embedding.dim, domain, jet, embedding if factor is None else None)
 
 
 def flat_chart(name: str, dim: int, domain) -> ChartMetric:
@@ -315,8 +319,17 @@ class QuadratureGrid:
         return self.points.shape[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; leggauss is an O(n^3) eigensolve."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def gauss_legendre_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = _legendre_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (nodes + 1.0), half * weights
 
@@ -494,7 +507,11 @@ def _product_chart(name: str, c1: Chart, c2: Chart, quad: bool) -> Chart:
         lambda x, attr=attr, rank=rank: _blocks(x, n1, getattr(m1, attr), getattr(m2, attr), rank)
         for attr, rank in (("metric", 2), ("d_metric", 3), ("d2_metric", 4))
     ]
-    chart = ChartMetric(n1 + c2.dim, np.vstack([m1.domain, m2.domain]), *jets, name=name)
+    # X1 and X2 fill disjoint ambient axes, so the embedding of the product induces the block metric
+    embedding = None
+    if m1.embedding is not None and m2.embedding is not None:
+        embedding = _product_embedding(m1.embedding, m2.embedding)
+    chart = ChartMetric(n1 + c2.dim, np.vstack([m1.domain, m2.domain]), *jets, name=name, embedding=embedding)
     quad_domain = None
     excised = 0.0
     if quad:

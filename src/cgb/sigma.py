@@ -26,7 +26,11 @@ Integrating out F turns exp(-S) into the partition integrand
         * [top Berezin coefficient of exp(lambda HessBiform - Biform/2)],
 
 whose bare-Lebesgue quadrature times (2pi)^(-n/2) is the partition
-function Z.  At lambda = 0 the Berezin factor is the Pfaffian density of
+function Z.  The batched integrand takes its curvature from the second
+fundamental form on charts with an induced metric (s2, ellipsoid, torus and
+both s2xs2 product charts: one pass of embedding derivatives per chunk) and
+from the metric jets elsewhere (the flat torus's exact jets and the
+conformally scaled s2_perturbed).  At lambda = 0 the Berezin factor is the Pfaffian density of
 the curvature (Euler density); as lambda grows the integrand localizes
 onto critical points of h and Z counts them with Hessian signs.  Z itself
 is flat in lambda: it equals the Euler characteristic throughout.
@@ -54,6 +58,7 @@ from .geometry import (
     christoffel_tensors,
     covariant_hessian,
     curvature_biform,
+    induced_curvature,
     pair_biform,
     riemann_tensor,
     CURVATURE_BIFORM_SIGN,
@@ -62,6 +67,7 @@ from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multipl
 from .manifolds import (
     ManifoldSpec,
     MorseFunction,
+    _points_first,
     integrate_values,
     pairwise_sum,
     quadrature_grid,
@@ -337,22 +343,40 @@ def _berezin_top(riem: np.ndarray, hcov: np.ndarray | None, lam: float) -> np.nd
 _CHUNK = 1 << 18
 
 
-def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
-    """One chunk of integrand values: vectorized tensors, then Berezin tops."""
-    n = chart.dim
-    g = np.asarray(chart.metric(points), dtype=float)
-    dg = np.asarray(chart.d_metric(points), dtype=float)
-    d2g = np.asarray(chart.d2_metric(points), dtype=float)
+def _inverse_metric(g: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det g and g^-1 at every point of a chunk; names the first point where g is not positive definite."""
     det = np.linalg.det(g)
-    if np.any(det <= 0):
-        raise ValueError("metric not positive definite on the grid")
-    g_inv = np.linalg.inv(g)
-    flat = not (dg.any() or d2g.any())
-    if flat:
-        riem = np.zeros(points.shape[:1] + (n,) * 4)
+    bad = np.flatnonzero(~(det > 0))
+    if bad.size:
+        where = ", ".join(str(float(c)) for c in points[bad[0]])
+        raise ValueError(f"metric not positive definite at the grid point ({where})")
+    return det, np.linalg.inv(g)
+
+
+def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
+    """One chunk of integrand values: vectorized tensors, then Berezin tops.
+
+    On a chart with an induced metric every tensor comes from one pass of
+    embedding derivatives (``induced_curvature``); other charts use the metric
+    jets, and the exact jets (I, 0, 0) skip the curvature.
+    """
+    n = chart.dim
+    flat = False
+    if chart.embedding is not None:
+        dx, d2x = (_points_first(d, r) for d, r in zip(chart.embedding.derivatives(points, [1, 2]), (2, 3)))
+        det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), points)
+        gamma2, riem = induced_curvature(dx, d2x, g_inv)
     else:
-        gamma1, gamma2 = christoffel_tensors(g_inv, dg)
-        riem = riemann_tensor(g, g_inv, dg, d2g, gamma1, gamma2)
+        g = np.asarray(chart.metric(points), dtype=float)
+        dg = np.asarray(chart.d_metric(points), dtype=float)
+        d2g = np.asarray(chart.d2_metric(points), dtype=float)
+        det, g_inv = _inverse_metric(g, points)
+        flat = not (dg.any() or d2g.any())
+        if flat:
+            riem = np.zeros(points.shape[:1] + (n,) * 4)
+        else:
+            gamma1, gamma2 = christoffel_tensors(g_inv, dg)
+            riem = riemann_tensor(g, g_inv, dg, d2g, gamma1, gamma2)
 
     hcov = None
     if h is not None and lam != 0.0:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +57,7 @@ MALFORMED = {
     "efts-field-trailing-minus": (["efts", "cartan", "x1*d/dx1 -"], None, "dangling sign"),
     "efts-field-empty-factor": (["efts", "cartan", "*d/dx1"], None, "empty factor"),
     "efts-field-double-star": (["efts", "cartan", "x1**d/dx1"], None, "empty factor"),
+    "efts-field-juxtaposed": (["efts", "cartan", "x1 d/dx1", "--delta", "2"], None, "missing operator"),
     "efts-negative-degree-cap": (["efts", "cartan", "d/dx1", "--degree-cap", "-1"], None, "degree"),
     "params-unknown": (["pfaffian", "--manifold", "s2", "--manifold-params", '{"foo": 1}'], None, "foo"),
     "params-list": (["pfaffian", "--manifold", "s2", "--manifold-params", "[1]"], None, "manifold_params"),
@@ -134,6 +136,23 @@ class TestPfaffianCommand:
         code, _, _ = run(capsys, "pfaffian", "--manifold", "s2", "--resolution", "8,16", "--tolerance", "1")
         assert code == 0
         assert len(calls) == 1
+
+    def test_degenerate_metric_is_usage_error(self, capsys, monkeypatch):
+        # the embedding (cos x, sin x) does not move along y: g = diag(1, 0)
+        def flat_circle():
+            cos, sin, one = manifolds.COS, manifolds.SIN, manifolds.ONE
+            embed = manifolds.TrigEmbedding([[(1.0, (cos, one))], [(1.0, (sin, one))]])
+            domain = [[0.0, 1.0], [0.0, 1.0]]
+            chart = manifolds.Chart(
+                manifolds.embedded_chart("degenerate", embed, domain), embed, quad_domain=np.array(domain)
+            )
+            return manifolds.ManifoldSpec("degenerate", 2, {"degenerate": chart}, 0, {})
+
+        monkeypatch.setitem(manifolds._BUILDERS, "degenerate", flat_circle)
+        code, stdout, err = run(capsys, "pfaffian", "--manifold", "degenerate", "--resolution", "4,4")
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: metric not positive definite at the grid point (")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_tolerance_failure_exit_code(self, capsys):
         code, stdout, _ = run(

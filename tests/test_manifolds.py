@@ -7,7 +7,9 @@ import pytest
 
 from cgb.geometry import CurvatureFrame
 from cgb.manifolds import (
+    _legendre_rule,
     catalog,
+    gauss_legendre_axis,
     get_manifold,
     integrate_values,
     pairwise_sum,
@@ -51,6 +53,19 @@ class TestQuadrature:
         box = s2.quad_chart.quad_domain
         volume = float(np.prod(box[:, 1] - box[:, 0]))
         assert pairwise_sum(grid.weights) == pytest.approx(volume, rel=1e-12)
+
+    def test_legendre_rule_cached_read_only(self):
+        first, again = _legendre_rule(37), _legendre_rule(37)
+        assert first is again and first[0] is again[0] and first[1] is again[1]
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+        with pytest.raises(ValueError):
+            first[0][0] = 0.0
+        nodes, weights = np.polynomial.legendre.leggauss(37)
+        lo, hi = 0.25, 2.0
+        got = gauss_legendre_axis(lo, hi, 37)
+        half = 0.5 * (hi - lo)
+        assert np.array_equal(got[0], lo + half * (nodes + 1.0)) and np.array_equal(got[1], half * weights)
+        assert got[0].flags.writeable  # the mapped axis is a fresh array
 
     def test_resolution_validation(self, s2):
         with pytest.raises(ValueError):

@@ -7,7 +7,19 @@ import pytest
 
 from cgb.geometry import ChartMetric, CurvatureFrame, ScalarField, curvature_biform, pair_biform
 from cgb.grassmann import berezin, exp_even
-from cgb.manifolds import flat_chart, quadrature_grid, integrate_values, sphere
+from cgb.manifolds import (
+    ONE,
+    SIN,
+    COS,
+    TrigEmbedding,
+    embedded_chart,
+    flat_chart,
+    get_manifold,
+    integrate_values,
+    product_of_spheres,
+    quadrature_grid,
+    sphere,
+)
 from cgb.morse import find_critical_points
 from cgb.sigma import (
     ResolutionError,
@@ -308,6 +320,73 @@ class TestPartitionFunction:
         a = partition_function(s2, "height", 1.0, (48, 96))
         b = partition_function(s2, "height", 1.0, (48, 96))
         assert a.value == b.value and a.error_bound == b.error_bound
+
+
+def count_calls(monkeypatch, metric, attr="d2_metric"):
+    """Record the batch size of every call of one jet evaluator of ``metric``."""
+    calls = []
+    evaluate = getattr(metric, attr)
+
+    def counted(x):
+        calls.append(len(x))
+        return evaluate(x)
+
+    monkeypatch.setattr(metric, attr, counted)
+    return calls
+
+
+# (manifold, potential, coupling, resolution, Z.hex(), error_bound.hex()) of the jets route,
+# as computed before induced charts took the Gauss-equation route
+JETS_ROUTE_BITS = [
+    ("s2_perturbed", None, 0.0, (32, 64), "0x1.0000fb9119fb4p+1", "0x1.d228b99dccea8p-13"),
+    ("s2_perturbed", "height", 1.0, (32, 64), "0x1.0000fb7ba0819p+1", "0x1.5ba92285d7899p-13"),
+    ("flat_t2", "coscos", 0.25, (48, 48), "0x1.27643e37eddb7p-54", "0x0.0p+0"),
+]
+
+
+class TestCurvatureRoutes:
+    def test_induced_charts_skip_d2_metric(self, monkeypatch):
+        s2, s2xs2 = sphere(1.0), product_of_spheres()
+        metrics = [s2.quad_chart.metric, s2xs2.quad_chart.metric] + [f.quad_chart.metric for f in s2xs2.factors]
+        calls = [count_calls(monkeypatch, m) for m in metrics]
+        assert abs(partition_function(s2, None, 0.0, (32, 64)).value - 2.0) < 1e-3
+        assert abs(partition_function(s2, "height", 1.0, (32, 64)).value - 2.0) < 1e-3
+        for h_name, lam in ((None, 0.0), ("height_sum", 0.5)):
+            z = partition_function(s2xs2, h_name, lam, (8, 16, 8, 16), use_product_structure=False)
+            assert abs(z.value - 4.0) < 1e-2
+        assert calls == [[], [], [], []]
+
+    @pytest.mark.parametrize("name, h_name, lam, resolution, value, bound", JETS_ROUTE_BITS)
+    def test_jets_route_bits_unchanged(self, monkeypatch, name, h_name, lam, resolution, value, bound):
+        spec = get_manifold(name)
+        calls = count_calls(monkeypatch, spec.quad_chart.metric)
+        result = partition_function(spec, h_name, lam, resolution)
+        assert sum(calls) == math.prod(resolution)
+        assert (result.value.hex(), result.error_bound.hex()) == (value, bound)
+
+    def test_degenerate_metric_names_the_point(self):
+        # jets route: g = diag(1, x_0) is negative definite left of the axis
+        def metric(x):
+            g = np.zeros(np.shape(x)[:-1] + (2, 2))
+            g[..., 0, 0] = 1.0
+            g[..., 1, 1] = x[..., 0]
+            return g
+
+        chart = ChartMetric(
+            2,
+            [[-1.0, 1.0], [-1.0, 1.0]],
+            metric,
+            lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2)),
+            lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2, 2)),
+        )
+        pts = np.array([[0.5, 0.1], [-0.25, 0.3], [-0.5, 0.2]])
+        with pytest.raises(ValueError, match=r"not positive definite at the grid point \(-0\.25, 0\.3\)"):
+            _integrand_on_points(chart, pts, 0.0, None)
+        # induced route: X = (cos x_0, sin x_0) does not move along x_1, so g_11 = 0
+        circle = TrigEmbedding([[(1.0, (COS, ONE))], [(1.0, (SIN, ONE))]])
+        chart = embedded_chart("degenerate", circle, [[-1.0, 1.0], [-1.0, 1.0]])
+        with pytest.raises(ValueError, match=r"not positive definite at the grid point \(0\.5, 0\.1\)"):
+            _integrand_on_points(chart, pts, 0.0, None)
 
 
 class TestResolutionPolicy:
