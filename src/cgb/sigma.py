@@ -26,14 +26,16 @@ Integrating out F turns exp(-S) into the partition integrand
         * [top Berezin coefficient of exp(lambda HessBiform - Biform/2)],
 
 whose bare-Lebesgue quadrature times (2pi)^(-n/2) is the partition
-function Z.  The batched integrand takes its curvature from the second
-fundamental form on charts with an induced metric (s2, ellipsoid, torus and
-both s2xs2 product charts: one pass of embedding derivatives per chunk) and
-from the metric jets elsewhere (the flat torus's exact jets and the
-conformally scaled s2_perturbed).  At lambda = 0 the Berezin factor is the Pfaffian density of
+function Z.  At lambda = 0 the Berezin factor is the Pfaffian density of
 the curvature (Euler density); as lambda grows the integrand localizes
 onto critical points of h and Z counts them with Hessian signs.  Z itself
 is flat in lambda: it equals the Euler characteristic throughout.
+
+The batched integrand takes its curvature from the second fundamental form
+on charts with an induced metric (s2, ellipsoid, torus and both s2xs2
+product charts: one pass of embedding derivatives per chunk) and from the
+metric jets elsewhere (the flat torus's exact jets and the conformally
+scaled s2_perturbed).
 
 Sign bookkeeping: the quartic curvature element carries a single frozen
 calibration sign (see ``geometry.curvature_biform``); the action couples
