@@ -150,11 +150,6 @@ class SuperPolynomial:
     def is_odd(self) -> bool:
         return all(self.key_parity(k) == 1 for k in self.terms)
 
-    def degree_part(self, degree: int) -> "SuperPolynomial":
-        return SuperPolynomial(
-            self.delta, self.m, {k: c for k, c in self.terms.items() if self.key_degree(k) == degree}
-        )
-
     def degrees(self) -> set[int]:
         return {self.key_degree(k) for k in self.terms}
 
@@ -233,9 +228,8 @@ def generator_name(delta: int, gen: Gen) -> str:
 
 
 def _generator_table(delta: int) -> dict[str, int]:
-    if delta == 1:
-        return {"": 0, "D": 1}
-    return {"": 0, "D1": 1, "D2": 2, "D21": 3}
+    """Name prefix -> direction mask, read off ``generator_name``."""
+    return {generator_name(delta, (0, mask)).rpartition("x")[0]: mask for mask in range(1 << delta)}
 
 
 def format_polynomial(p: SuperPolynomial) -> str:
@@ -270,15 +264,29 @@ def format_polynomial(p: SuperPolynomial) -> str:
     return text
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>D\d*x\d+|x\d+)|(?P<int>\d+)|(?P<op>[-+*^/]))")
+_TOKEN = re.compile(r"\s*(?:(?P<field>d/dx\d+)|(?P<name>D\d*x\d+|x\d+)|(?P<int>\d+)|(?P<op>[-+*^/]))")
 
 
 class ParseError(ValueError):
     pass
 
 
-def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
-    """Parse the canonical text syntax, e.g. ``2*x1*D21x1 - 2*D1x1*D2x1``."""
+def _power(delta: int, m: int, gen: Gen, k: int) -> SuperPolynomial:
+    """gen^k in one step: an odd generator squares to zero."""
+    if _gen_parity(gen):
+        terms = {((), (gen,) * k): _ONE} if k < 2 else {}
+    else:
+        terms = {(((gen, k),) if k else (), ()): _ONE}
+    return SuperPolynomial(delta, m, terms)
+
+
+def _summands(text: str, delta: int, m: int):
+    """Yield (product of factors, j or None) per summand of ``text``.
+
+    A summand is a run of signs, then factors joined by '*': an integer or
+    fraction, or a generator with an optional power.  j is the variable
+    index of a closing ``d/dx<j>``, which may only end a summand.
+    """
     tokens: list[tuple[str, str]] = []
     pos = 0
     while pos < len(text):
@@ -288,13 +296,8 @@ def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
                 raise ParseError(f"unexpected input at {text[pos:]!r}")
             break
         pos = match.end()
-        for kind in ("name", "int", "op"):
-            val = match.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
+        tokens.append((match.lastgroup, match.group(match.lastgroup)))
     table = _generator_table(delta)
-    result = SuperPolynomial.zero(delta, m)
     i = 0
     n = len(tokens)
     while i < n:
@@ -306,11 +309,14 @@ def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
         if i >= n:
             raise ParseError("dangling sign")
         term = SuperPolynomial.constant(delta, m, sign)
+        direction = None
         expect_factor = True
         while i < n:
             kind, val = tokens[i]
             if kind == "op" and val in "+-":
                 break
+            if direction is not None:
+                raise ParseError(f"d/dx{direction + 1} must end its term, found {val!r} after it")
             if kind == "op" and val == "*":
                 if expect_factor:
                     raise ParseError("empty factor before '*'")
@@ -328,65 +334,50 @@ def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
                     coeff /= denominator
                     i += 2
                 term = term * coeff
-            elif kind == "name":
+            elif kind in ("name", "field"):
                 head, _, idx = val.rpartition("x")
-                if head not in table:
-                    raise ParseError(f"unknown generator prefix in {val!r} for delta={delta}")
                 var = int(idx) - 1
                 if not 0 <= var < m:
                     raise ParseError(f"variable {val!r} out of range for m={m}")
-                factor = SuperPolynomial.generator(delta, m, var, table[head])
-                power = 1
-                if i + 2 < n and tokens[i + 1] == ("op", "^") and tokens[i + 2][0] == "int":
-                    power = int(tokens[i + 2][1])
-                    i += 2
-                for _ in range(power):
-                    term = term * factor
+                if kind == "field":
+                    direction = var
+                elif head not in table:
+                    raise ParseError(f"unknown generator prefix in {val!r} for delta={delta}")
+                else:
+                    power = 1
+                    if i + 2 < n and tokens[i + 1] == ("op", "^") and tokens[i + 2][0] == "int":
+                        power = int(tokens[i + 2][1])
+                        i += 2
+                    term = term * _power(delta, m, (var, table[head]), power)
             else:
                 raise ParseError(f"unexpected token {val!r}")
             i += 1
             expect_factor = False
         if expect_factor:
             raise ParseError("empty factor after '*'")
+        yield term, direction
+
+
+def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
+    """Parse the canonical text syntax, e.g. ``2*x1*D21x1 - 2*D1x1*D2x1``."""
+    result = SuperPolynomial.zero(delta, m)
+    for term, direction in _summands(text, delta, m):
+        if direction is not None:
+            raise ParseError(f"unexpected token 'd/dx{direction + 1}' in a polynomial")
         result = result + term
     return result
 
 
 def parse_vector_field(text: str, delta: int, m: int) -> "VectorField":
     """Parse e.g. ``d/dx1``, ``x1*d/dx1``, or ``x2*d/dx1 - x1^2*d/dx2``."""
-    components = [SuperPolynomial.zero(delta, m) for _ in range(m)]
-    chunks = re.findall(r"[+-]?[^+-]+", text)
-    if not chunks:
+    summands = list(_summands(text, delta, m))
+    if not summands:
         raise ParseError("empty vector field")
-    if "".join(chunks) != text:  # findall skipped a sign with no term after it
-        raise ParseError("dangling sign")
-    for chunk in chunks:
-        piece = chunk.strip()
-        sign = 1
-        if piece.startswith("-"):
-            sign = -1
-            piece = piece[1:].strip()
-        elif piece.startswith("+"):
-            piece = piece[1:].strip()
-        direction = re.search(r"d/dx(\d+)$", piece)
+    components = [SuperPolynomial.zero(delta, m) for _ in range(m)]
+    for term, direction in summands:
         if direction is None:
-            raise ParseError(f"vector-field term {piece!r} must end in d/dx<j>")
-        var = int(direction.group(1)) - 1
-        if not 0 <= var < m:
-            raise ParseError(f"variable d/dx{var + 1} out of range for m={m}")
-        prefix = piece[: direction.start()].strip()
-        if prefix.endswith("*"):
-            prefix = prefix[:-1].strip()
-            if not prefix:
-                raise ParseError(f"empty factor before '*' in {piece!r}")
-        elif prefix:
-            raise ParseError(f"missing operator before {direction.group(0)!r}")
-        coeff = (
-            SuperPolynomial.constant(delta, m, 1)
-            if not prefix
-            else parse_polynomial(prefix, delta, m)
-        )
-        components[var] = components[var] + coeff.scale(sign)
+            raise ParseError(f"vector-field term {format_polynomial(term)!r} must end in d/dx<j>")
+        components[direction] = components[direction] + term
     return VectorField(delta, m, components)
 
 
@@ -661,9 +652,7 @@ def _closedness_violation(p: SuperPolynomial) -> str | None:
     return None
 
 
-def concordance_solve(
-    e_plus: SuperPolynomial, e_minus: SuperPolynomial, degree_cap: int | None = None
-) -> ConcordanceResult:
+def concordance_solve(e_plus: SuperPolynomial, e_minus: SuperPolynomial) -> ConcordanceResult:
     """Solve Delta e = E_+ - E_- exactly, or certify infeasibility.
 
     Both inputs must be even and closed under every d_i.  The system splits
@@ -683,8 +672,6 @@ def concordance_solve(
     target = e_plus - e_minus
     if target.is_zero():
         return ConcordanceResult(True, SuperPolynomial.zero(delta, m), None)
-    if degree_cap is not None and any(d > degree_cap for d in target.degrees()):
-        raise ValueError("target exceeds the requested degree truncation")
 
     blocks: dict[tuple[int, int], dict[MonomialKey, Fraction]] = {}
     for key, coeff in target.terms.items():

@@ -4,18 +4,18 @@ A :class:`ChartMetric` bundles batched closed-form evaluators of the metric
 g_ij(x) and its first and second derivatives on an axis-aligned box.  From
 these jets we assemble, at a point,
 
-* Christoffel symbols, first kind Gamma_ijk = (d_i g_kj + d_j g_ki
-  - d_k g_ij)/2 (symmetric in i, j; k is the form slot) and second kind
-  Gamma^k_ij = g^{kl} Gamma_ijl,
-* the lowered curvature tensor R_ijkl, normalized so the round unit
+* Christoffel symbols Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij)/2,
+* the lowered curvature tensor R_iklm, in closed form from d2g and Gamma
+  (do Carmo, *Riemannian Geometry*, ch. 4), normalized so the round unit
   sphere has R_{theta phi theta phi} = sin^2(theta),
 * the covariant Hessian Hess(h)_ij = d_i d_j h - Gamma^k_ij d_k h,
 
 packaged in an immutable :class:`CurvatureFrame`.  The frame is the
 pointwise oracle.  The batched integrand gets the same tensors in one of two
-ways: from the jets (``christoffel_tensors`` and ``riemann_tensor``, which
-need d2g), or, on a chart whose metric is induced by its embedding X, from
-dX and d2X alone through the Gauss equation (``induced_curvature``).
+ways: from the jets (``christoffel_tensors`` and ``riemann_tensor``), or, on
+a chart whose metric is induced by its embedding X, from dX and d2X alone
+through the Gauss equation (``induced_curvature``).  Every batched array
+is laid out points first: leading batch axes, then index axes.
 
 The frame also feeds two Grassmann-valued constructions on the 2n
 generators phi_1^1, phi_2^1, ..., phi_1^n, phi_2^n (generator 2i is
@@ -114,45 +114,38 @@ class ChartMetric:
 # -- tensors from jets -------------------------------------------------------
 
 
-def christoffel_tensors(g_inv: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First- and second-kind Christoffel symbols from g^-1 and dg; accepts leading batch axes."""
-    # Gamma_ijk = (d_i g_kj + d_j g_ki - d_k g_ij) / 2, stored [..., i, j, k]
+def christoffel_tensors(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = g^kl (d_i g_jl + d_j g_il - d_l g_ij) / 2, laid out [..., k, i, j]; accepts leading batch axes."""
     first = 0.5 * (
         np.einsum("...ikj->...ijk", dg)
         + np.einsum("...jki->...ijk", dg)
         - np.einsum("...kij->...ijk", dg)
     )
-    second = np.einsum("...kl,...ijl->...kij", g_inv, first)
-    return first, second
+    return np.einsum("...kl,...ijl->...kij", g_inv, first)
 
 
-def riemann_tensor(g, g_inv, dg, d2g, gamma_first, gamma_second) -> np.ndarray:
-    """Lowered curvature tensor R_ijkl; accepts leading batch axes.
+def riemann_tensor(g: np.ndarray, d2g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Lowered curvature tensor R_iklm from g, d2g and Gamma^k_ij; accepts leading batch axes.
 
-    Sign convention: R_ijij > 0 on positively curved surfaces; the round
-    unit sphere has R_{theta phi theta phi} = sin^2 theta.
+    R_iklm = (d_k d_l g_im + d_i d_m g_kl - d_k d_m g_il - d_i d_l g_km) / 2
+             + g_np (Gamma^n_kl Gamma^p_im - Gamma^n_km Gamma^p_il)
+
+    (do Carmo, *Riemannian Geometry*, ch. 4).  Sign convention: R_ijij > 0 on
+    positively curved surfaces; the round unit sphere has
+    R_{theta phi theta phi} = sin^2 theta.
     """
-    # lowered-index first kind with form slot leading: G1[p, l, j] = Gamma_ljp
-    g1 = np.einsum("...ljp->...plj", gamma_first)
-    # d_k Gamma_{p, lj} from second derivatives of g
-    dg1 = 0.5 * (
-        np.einsum("...klpj->...kplj", d2g)
-        + np.einsum("...kjpl->...kplj", d2g)
-        - np.einsum("...kplj->...kplj", d2g)
+    n = g.shape[-1]
+    flat = gamma.reshape(gamma.shape[:-2] + (n * n,))  # [..., p, (kl)] = Gamma^p_kl
+    lowered = g @ flat  # g_pn Gamma^n_kl
+    # g_np Gamma^n_kl Gamma^p_im at [..., i, k, l, m]; the Gamma^n_km Gamma^p_il term is its (l, m) transpose
+    quad = np.einsum("...imkl->...iklm", (np.swapaxes(flat, -1, -2) @ lowered).reshape(d2g.shape))
+    second = 0.5 * (
+        np.einsum("...klim->...iklm", d2g)
+        + np.einsum("...imkl->...iklm", d2g)
+        - np.einsum("...kmil->...iklm", d2g)
+        - np.einsum("...ilkm->...iklm", d2g)
     )
-    d_ginv = -np.einsum("...ma,...kab,...bp->...kmp", g_inv, dg, g_inv)
-    # d_k Gamma^m_{lj}
-    dgamma2 = np.einsum("...kmp,...plj->...kmlj", d_ginv, g1) + np.einsum(
-        "...mp,...kplj->...kmlj", g_inv, dg1
-    )
-    g2 = gamma_second
-    rup = (
-        np.einsum("...kmlj->...mjkl", dgamma2)
-        - np.einsum("...lmkj->...mjkl", dgamma2)
-        + np.einsum("...mkp,...plj->...mjkl", g2, g2)
-        - np.einsum("...mlp,...pkj->...mjkl", g2, g2)
-    )
-    return np.einsum("...im,...mjkl->...ijkl", g, rup)
+    return second + (quad - np.swapaxes(quad, -1, -2))
 
 
 def induced_curvature(dx: np.ndarray, d2x: np.ndarray, g_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,7 +178,6 @@ class CurvatureFrame:
     g: np.ndarray
     g_inv: np.ndarray
     det_g: float
-    gamma_first: np.ndarray
     gamma_second: np.ndarray
     riemann: np.ndarray
 
@@ -205,15 +197,14 @@ class CurvatureFrame:
             raise ValueError(f"metric is not positive definite at {x}") from None
         det_g = float(np.linalg.det(g))
         g_inv = np.linalg.inv(g)
-        first, second = christoffel_tensors(g_inv, jets.dg)
+        gamma = christoffel_tensors(g_inv, jets.dg)
         return cls(
             x=np.asarray(x, dtype=float),
             g=g,
             g_inv=g_inv,
             det_g=det_g,
-            gamma_first=first,
-            gamma_second=second,
-            riemann=riemann_tensor(g, g_inv, jets.dg, jets.d2g, first, second),
+            gamma_second=gamma,
+            riemann=riemann_tensor(g, jets.d2g, gamma),
         )
 
     @classmethod

@@ -8,7 +8,8 @@ through closed-form derivatives of orders 1-3 and the product rule
 numpy arrays; a conformal factor of the same form multiplies them
 (``scaled_jets``).  A chart without such a factor also keeps its embedding,
 from which the integrand takes its curvature directly.  The flat torus
-keeps the exact jets (I, 0, 0).  Besides its charts, each manifold has
+keeps the exact jets (I, 0, 0).  Derivatives and jets are laid out points
+first: leading batch axes, then index axes, with the ambient axis last.  Besides its charts, each manifold has
 
 * a designated quadrature chart covering the manifold up to polar caps of
   parameter measure ``excised_measure`` (folded into error bounds),
@@ -100,7 +101,7 @@ class TrigEmbedding:
         return self._plans[d]
 
     def derivatives(self, x, orders: Sequence[int]) -> list[np.ndarray]:
-        """[d^d X for d in orders], points last: d^d X has shape (n,) * d + (m,) + batch.
+        """[d^d X for d in orders], points first: d^d X has shape batch + (n,) * d + (m,).
 
         sin and cos of a coordinate are taken only when some term needs them.
         """
@@ -115,21 +116,15 @@ class TrigEmbedding:
 
         out = []
         for d in orders:
-            arr = np.zeros((self.dim,) * d + (len(self.components),) + x.shape[:-1])
+            arr = np.zeros(x.shape[:-1] + (self.dim,) * d + (len(self.components),))
             for index, terms in self._plan(d):
                 products = [functools.reduce(np.multiply, [trig(*f) for f in fs], c) for c, fs in terms]
-                arr[index] = functools.reduce(np.add, products)
+                arr[(...,) + index] = functools.reduce(np.add, products)
             out.append(arr)
         return out
 
     def __call__(self, x) -> np.ndarray:
-        return _points_first(self.derivatives(x, [0])[0], 1)
-
-
-def _points_first(arr: np.ndarray, rank: int) -> np.ndarray:
-    """Move the ``rank`` leading index axes of ``arr`` behind its point axes, contiguously."""
-    out = arr.transpose(tuple(range(rank, arr.ndim)) + tuple(range(rank)))
-    return out if out.flags.c_contiguous else np.ascontiguousarray(out)  # keeps a 0-d value 0-d
+        return self.derivatives(x, [0])[0]
 
 
 def _product_embedding(e1: TrigEmbedding, e2: TrigEmbedding) -> TrigEmbedding:
@@ -144,7 +139,7 @@ def trig_field(potential: TrigEmbedding) -> ScalarField:
     """Value, gradient and Hessian (points first) of a one-component TrigEmbedding."""
 
     def jet(x, order: int) -> np.ndarray:
-        return _points_first(np.take(potential.derivatives(x, [order])[0], 0, axis=order), order)
+        return potential.derivatives(x, [order])[0][..., 0]
 
     return ScalarField(*(functools.partial(jet, order=k) for k in range(3)))
 
@@ -157,41 +152,39 @@ def _ambient_sum(charts: dict[str, "Chart"], axes: Sequence[int]) -> dict[str, S
     }
 
 
-def _dot(a: np.ndarray, b: np.ndarray, ra: int, rb: int) -> np.ndarray:
-    """Contract the ambient axis: a[A, m, ...] b[B, m, ...] -> [A, B, ...] for ra, rb index axes."""
-    a = a.reshape(a.shape[:ra] + (1,) * rb + a.shape[ra:])
-    return (a * b.reshape((1,) * ra + b.shape)).sum(axis=ra + rb)
-
-
 def pullback_jets(dx: Sequence[np.ndarray]) -> list[np.ndarray]:
     """[g, dg, d2g][:len(dx)] of the pulled-back Euclidean metric, from [dX, d2X, d3X].
 
-    Index axes come first and points last, as in ``TrigEmbedding.derivatives``.
+    Points first, as in ``TrigEmbedding.derivatives``; every dot product is a
+    broadcast product summed over the last (ambient) axis.
     g_ij = X_i.X_j, d_k g_ij = X_ki.X_j + X_i.X_kj and
     d_kl g_ij = X_kli.X_j + X_i.X_klj + X_ki.X_lj + X_li.X_kj.  Each sum
     pairs a term with its i <-> j transpose, so the jets are exactly symmetric.
     """
     x1 = dx[0]
-    jets = [_dot(x1, x1, 1, 1)]
+    jets = [(x1[..., :, None, :] * x1[..., None, :, :]).sum(-1)]
     if len(dx) > 1:
-        a = _dot(dx[1], x1, 2, 1)
-        jets.append(a + np.swapaxes(a, 1, 2))
+        a = (dx[1][..., None, :] * x1[..., None, None, :, :]).sum(-1)  # X_ki.X_j at [k, i, j]
+        jets.append(a + np.swapaxes(a, -1, -2))
     if len(dx) > 2:
-        b = _dot(dx[2], x1, 3, 1)
-        c = np.swapaxes(_dot(dx[1], dx[1], 2, 2), 1, 2)  # X_ki.X_lj at [k, l, i, j]
-        jets.append((b + np.swapaxes(b, 2, 3)) + (c + np.swapaxes(c, 2, 3)))
+        b = (dx[2][..., None, :] * x1[..., None, None, None, :, :]).sum(-1)  # X_kli.X_j
+        c = (dx[1][..., :, None, :, None, :] * dx[1][..., None, :, None, :, :]).sum(-1)  # X_ki.X_lj at [k, l, i, j]
+        jets.append((b + np.swapaxes(b, -1, -2)) + (c + np.swapaxes(c, -1, -2)))
     return jets
 
 
 def scaled_jets(phi: Sequence[np.ndarray], jets: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Jets of phi * g from [phi, dphi, d2phi] and [g, dg, d2g] (equal lengths, points last)."""
+    """Jets of phi * g from [phi, dphi, d2phi] and [g, dg, d2g] (equal lengths, points first)."""
     g = jets[0]
-    out = [phi[0] * g]
+    out = [phi[0][..., None, None] * g]
     if len(jets) > 1:
-        out.append(phi[1][:, None, None] * g + phi[0] * jets[1])
+        out.append(phi[1][..., :, None, None] * g[..., None, :, :] + phi[0][..., None, None, None] * jets[1])
     if len(jets) > 2:
-        cross = phi[1][:, None, None, None] * jets[1]
-        out.append((phi[2][:, :, None, None] * g + (cross + np.swapaxes(cross, 0, 1))) + phi[0] * jets[2])
+        cross = phi[1][..., :, None, None, None] * jets[1][..., None, :, :, :]
+        out.append(
+            (phi[2][..., None, None] * g[..., None, None, :, :] + (cross + np.swapaxes(cross, -4, -3)))
+            + phi[0][..., None, None, None, None] * jets[2]
+        )
     return out
 
 
@@ -209,9 +202,8 @@ def embedded_chart(name: str, embedding: TrigEmbedding, domain, factor=None) -> 
     def jet(x, order: int) -> np.ndarray:
         jets = pullback_jets(embedding.derivatives(x, range(1, order + 2)))
         if factor is not None:
-            phi = [np.take(d, 0, axis=k) for k, d in enumerate(factor.derivatives(x, range(order + 1)))]
-            jets = scaled_jets(phi, jets)
-        return _points_first(jets[order], order + 2)
+            jets = scaled_jets([d[..., 0] for d in factor.derivatives(x, range(order + 1))], jets)
+        return jets[order]
 
     return _jet_chart(name, embedding.dim, domain, jet, embedding if factor is None else None)
 
@@ -490,28 +482,10 @@ def flat_torus() -> ManifoldSpec:
     )
 
 
-def _blocks(x, n1: int, f1, f2, rank: int) -> np.ndarray:
-    """Tensor with ``rank`` axes of length n whose diagonal blocks are f1(x[:n1]) and f2(x[n1:])."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1] + (x.shape[-1],) * rank)
-    out[(...,) + (slice(None, n1),) * rank] = f1(x[..., :n1])
-    out[(...,) + (slice(n1, None),) * rank] = f2(x[..., n1:])
-    return out
-
-
 def _product_chart(name: str, c1: Chart, c2: Chart, quad: bool) -> Chart:
-    n1 = c1.dim
-    m1, m2 = c1.metric, c2.metric
-    # the factor evaluators are looked up per call, so wrapping them takes effect
-    jets = [
-        lambda x, attr=attr, rank=rank: _blocks(x, n1, getattr(m1, attr), getattr(m2, attr), rank)
-        for attr, rank in (("metric", 2), ("d_metric", 3), ("d2_metric", 4))
-    ]
-    # X1 and X2 fill disjoint ambient axes, so the embedding of the product induces the block metric
-    embedding = None
-    if m1.embedding is not None and m2.embedding is not None:
-        embedding = _product_embedding(m1.embedding, m2.embedding)
-    chart = ChartMetric(n1 + c2.dim, np.vstack([m1.domain, m2.domain]), *jets, name=name, embedding=embedding)
+    # X1 and X2 fill disjoint ambient axes, so the product embedding induces the block metric
+    embed = _product_embedding(c1.embed, c2.embed)
+    chart = embedded_chart(name, embed, np.vstack([c1.metric.domain, c2.metric.domain]))
     quad_domain = None
     excised = 0.0
     if quad:
@@ -521,7 +495,7 @@ def _product_chart(name: str, c1: Chart, c2: Chart, quad: bool) -> Chart:
         excised = c1.excised_measure * area2 + area1 * c2.excised_measure
     return Chart(
         metric=chart,
-        embed=_product_embedding(c1.embed, c2.embed),
+        embed=embed,
         quad_domain=quad_domain,
         periods=c1.periods + c2.periods,
         excised_measure=excised,

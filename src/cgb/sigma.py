@@ -69,7 +69,6 @@ from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multipl
 from .manifolds import (
     ManifoldSpec,
     MorseFunction,
-    _points_first,
     integrate_values,
     pairwise_sum,
     quadrature_grid,
@@ -164,7 +163,7 @@ def action_coordinate(
     g, dg, d2g = jets.g, jets.dg, jets.d2g
     n = g.shape[0]
     N = 2 * n
-    _, gamma2 = christoffel_tensors(np.linalg.inv(g), dg)
+    gamma2 = christoffel_tensors(np.linalg.inv(g), dg)
     F = np.asarray(cf.F, dtype=float)
     phi1 = [GrassmannElement.generator(N, 2 * i) for i in range(n)]
     phi2 = [GrassmannElement.generator(N, 2 * i + 1) for i in range(n)]
@@ -343,6 +342,7 @@ def _berezin_top(riem: np.ndarray, hcov: np.ndarray | None, lam: float) -> np.nd
 
 
 _CHUNK = 1 << 18
+_STIFFNESS_PROBE = 17  # points per axis of the stiffness probe grid
 
 
 def _inverse_metric(g: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -365,7 +365,7 @@ def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> n
     n = chart.dim
     flat = False
     if chart.embedding is not None:
-        dx, d2x = (_points_first(d, r) for d, r in zip(chart.embedding.derivatives(points, [1, 2]), (2, 3)))
+        dx, d2x = chart.embedding.derivatives(points, [1, 2])
         det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), points)
         gamma2, riem = induced_curvature(dx, d2x, g_inv)
     else:
@@ -377,8 +377,8 @@ def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> n
         if flat:
             riem = np.zeros(points.shape[:1] + (n,) * 4)
         else:
-            gamma1, gamma2 = christoffel_tensors(g_inv, dg)
-            riem = riemann_tensor(g, g_inv, dg, d2g, gamma1, gamma2)
+            gamma2 = christoffel_tensors(g_inv, dg)
+            riem = riemann_tensor(g, d2g, gamma2)
 
     hcov = None
     if h is not None and lam != 0.0:
@@ -404,7 +404,7 @@ def _integrand_on_points(chart: ChartMetric, points: np.ndarray, lam: float, h) 
     return out
 
 
-def potential_stiffness(spec: ManifoldSpec, h_name: str | None, probe: int = 17) -> float:
+def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     """Chart-coordinate steepness of the localization Gaussian.
 
     The reduced integrand carries exp(-lam^2 |grad h|^2_g / 2); near a zero
@@ -418,13 +418,10 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None, probe: int = 17)
     if potential is None:
         return 1.0
     if spec.factors is not None and potential.factor_names is not None:
-        return max(
-            potential_stiffness(f, name, probe)
-            for f, name in zip(spec.factors, potential.factor_names)
-        )
+        return max(potential_stiffness(f, name) for f, name in zip(spec.factors, potential.factor_names))
     chart = spec.quad_chart
     h = potential.on_chart(chart.name)
-    axes = [np.linspace(lo, hi, probe) for lo, hi in chart.quad_domain]
+    axes = [np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     g_inv = np.linalg.inv(np.asarray(chart.metric.metric(pts), dtype=float))

@@ -324,6 +324,20 @@ FLAGS = st.fixed_dictionaries(
 )
 
 
+def exit_code_and_stderr(argv):
+    """Run the CLI in-process; argparse's own rejections count by their exit code."""
+    import contextlib
+    import io
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, stderr.getvalue()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     command=st.sampled_from(["pfaffian", "sweep", "index"]),
@@ -332,24 +346,55 @@ FLAGS = st.fixed_dictionaries(
 )
 def test_fuzzed_input_keeps_error_contract(command, manifest, flags):
     """Any manifest and flag values end in exit 0, 1 or 2, never in a traceback."""
-    import contextlib
-    import io
     import tempfile
 
     if command != "index":
         flags.pop("--seed-density", None)
     argv = [command] + [arg for flag, value in flags.items() for arg in (flag, value)]
-    stdout, stderr = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         if manifest is not None:
             path = f"{tmp}/m.json"
             with open(path, "w") as fh:
                 json.dump(manifest, fh)
             argv += ["--manifest", path]
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse rejects the flag itself
-                code = exc.code
+        code, stderr = exit_code_and_stderr(argv)
     assert code in (0, 1, 2), (argv, manifest, code)
-    assert "Traceback" not in stderr.getvalue()
+    assert "Traceback" not in stderr
+
+
+# efts text: sums of the grammar's factors (base variables only, each summand
+# closed by a d/dx<j>, for a vector field); the same with a junk character
+# spliced in; and a soup of loose tokens
+EFTS_FACTORS = ["x1", "x2", "2", "3/2", "x1^2", "D1x1", "D2x2", "D21x1", "Dx1", "D1x1^0", "D21x1^3"]
+EFTS_BAD_FACTORS = ["x3", "D3x1", "1/0", "d/dx1"]
+
+
+def efts_text(field):
+    factors = EFTS_FACTORS[:5] + ["x3", "D1x1"] if field else EFTS_FACTORS + EFTS_BAD_FACTORS[:3]
+    ends = [["d/dx1"], ["d/dx2"], ["d/dx3"], ["d/dx1", "x1"]] if field else [[]]
+    product = st.tuples(st.lists(st.sampled_from(factors), min_size=0 if field else 1, max_size=3), st.sampled_from(ends))
+    summand = st.tuples(st.sampled_from(["", "-", "--"]), product.map(lambda t: "*".join(t[0] + t[1])))
+    well_formed = st.lists(summand.map("".join), min_size=1, max_size=3).map(" + ".join)
+    junk = st.sampled_from(["^", "/", "*", "-", "@", "d/d", "x", "\u00e9"])
+    at = st.sampled_from([0, 2, 5, 1000])  # 1000: at the end
+    spliced = st.tuples(well_formed, junk, at).map(lambda t: t[0][: t[2]] + t[1] + t[0][t[2]:])
+    tokens = EFTS_FACTORS + EFTS_BAD_FACTORS + ["+", "-", "*", "^", "/", "0", " "]
+    soup = st.lists(st.sampled_from(tokens), max_size=8).map("".join)
+    return st.one_of(well_formed, well_formed, spliced, soup)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["delta", "cartan", "concordance"]),
+    delta=st.integers(1, 2),
+    nvars=st.integers(1, 2),
+    degree_cap=st.integers(0, 2),
+    data=st.data(),
+)
+def test_fuzzed_efts_text_keeps_error_contract(command, delta, nvars, degree_cap, data):
+    """Any efts text ends in exit 0, 1 or 2, never in a traceback."""
+    texts = data.draw(st.lists(efts_text(command == "cartan"), min_size=1, max_size=1 + (command == "concordance")))
+    flags = ["--delta", str(delta), "--vars", str(nvars), "--degree-cap", str(degree_cap)]
+    code, stderr = exit_code_and_stderr(["efts", command, *flags, "--", *texts])  # texts may start with '-'
+    assert code in (0, 1, 2), (command, texts, flags, code)
+    assert "Traceback" not in stderr

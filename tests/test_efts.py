@@ -393,6 +393,25 @@ class TestTextSyntax:
         with pytest.raises(ParseError):
             parse_polynomial("x9", 2, 1)
 
+    def test_powers(self):
+        one = SuperPolynomial.constant(2, 1, 1)
+        assert poly("x1^0") == one and poly("D1x1^0") == one and poly("D21x1^0") == one
+        assert poly("D1x1^1") == SuperPolynomial.generator(2, 1, 0, 1)
+        assert poly("D1x1^2").is_zero() and poly("3*D2x1^5").is_zero()
+        assert poly("x1^3") == poly("x1*x1*x1") and poly("D21x1^2*x1") == poly("x1*D21x1*D21x1")
+
+    def test_huge_power_in_one_step(self):
+        # multiplying x1 out a factor at a time would take minutes
+        huge = poly("x1^3000000")
+        assert huge.terms == {((((0, 0), 3000000),), ()): 1}
+        # Delta x^k = k x^(k-1) D21x - k (k - 1) x^(k-2) D1x D2x
+        expected = "-8999997000000*x1^2999998*D1x1*D2x1 + 3000000*x1^2999999*D21x1"
+        assert format_polynomial(apply_Delta(huge)) == expected
+
+    def test_polynomial_rejects_a_direction(self):
+        with pytest.raises(ParseError, match="d/dx1"):
+            parse_polynomial("x1 + d/dx1", 2, 1)
+
     def test_vector_field_parsing(self):
         w = parse_vector_field("x2*d/dx1 - x1^2*d/dx2", 2, 2)
         assert w.components[0] == SuperPolynomial.variable(2, 2, 1)
@@ -404,3 +423,11 @@ class TestTextSyntax:
     def test_vector_field_rejects_missing_direction(self):
         with pytest.raises(ParseError):
             parse_vector_field("x1", 2, 1)
+
+    def test_direction_ends_its_term(self):
+        with pytest.raises(ParseError, match="must end"):
+            parse_vector_field("d/dx1*x1", 2, 1)
+        with pytest.raises(ParseError, match="must end"):
+            parse_vector_field("d/dx1^2", 2, 1)
+        w = parse_vector_field("-2*x1^2*d/dx1 + d/dx1", 2, 1)
+        assert w.components[0] == poly("1 - 2*x1^2")

@@ -83,7 +83,7 @@ def conformal_chart():
 class TestChristoffel:
     def test_euclidean_vanishes(self):
         frame = frame_at(euclidean_chart(), np.zeros(2))
-        assert np.allclose(frame.gamma_first, 0) and np.allclose(frame.gamma_second, 0)
+        assert np.allclose(frame.gamma_second, 0)
 
     def test_sphere_golden_values(self):
         th = 1.1
@@ -176,7 +176,6 @@ class TestRiemann:
             g=frame.g,
             g_inv=frame.g_inv,
             det_g=frame.det_g,
-            gamma_first=frame.gamma_first,
             gamma_second=frame.gamma_second,
             riemann=frame.riemann + 1e-3,
         )
@@ -207,6 +206,31 @@ def induced_test_points(spec, rng):
     return np.concatenate(blocks, axis=-1)
 
 
+def random_embedded_chart(n, m, rng):
+    """Chart of a random TrigEmbedding R^n -> R^m: three mixed sin/cos products per component."""
+    components = [
+        [(float(rng.normal()), tuple(int(f) for f in rng.integers(0, 3, size=n))) for _ in range(3)]
+        for _ in range(m)
+    ]
+    embedding = manifolds.TrigEmbedding(components, tuple(rng.uniform(0.5, 1.5, size=n)))
+    return manifolds.embedded_chart("random", embedding, [[-3.0, 3.0]] * n)
+
+
+def assert_routes_agree(metric, pts, label):
+    """Gamma and R from the jets and from the Gauss equation agree to 1e-11 max(1, |ref|); returns R."""
+    g = metric.metric(pts)
+    g_inv = np.linalg.inv(g)
+    gamma2 = christoffel_tensors(g_inv, metric.d_metric(pts))
+    riem = riemann_tensor(g, metric.d2_metric(pts), gamma2)
+    dx, d2x = metric.embedding.derivatives(pts, [1, 2])
+    assert np.max(np.abs(dx @ np.swapaxes(dx, -1, -2) - g)) <= 1e-12 * np.max(np.abs(g))
+    got_gamma, got_riem = induced_curvature(dx, d2x, g_inv)
+    for got, ref in ((got_gamma, gamma2), (got_riem, riem)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref))), label
+    return riem
+
+
 class TestInducedCurvature:
     """The Gauss-equation route against the jets route on every induced chart."""
 
@@ -215,27 +239,29 @@ class TestInducedCurvature:
         spec = INDUCED_SPECS[name]()
         pts = induced_test_points(spec, np.random.default_rng(21))
         for chart in spec.charts.values():
-            metric = chart.metric
-            assert metric.embedding is not None, chart.name
-            g = metric.metric(pts)
-            g_inv = np.linalg.inv(g)
-            gamma1, gamma2 = christoffel_tensors(g_inv, metric.d_metric(pts))
-            riem = riemann_tensor(g, g_inv, metric.d_metric(pts), metric.d2_metric(pts), gamma1, gamma2)
-            dx, d2x = (
-                manifolds._points_first(d, r)
-                for d, r in zip(metric.embedding.derivatives(pts, [1, 2]), (2, 3))
-            )
-            assert np.max(np.abs(dx @ np.swapaxes(dx, -1, -2) - g)) <= 1e-12 * np.max(np.abs(g))
-            got_gamma, got_riem = induced_curvature(dx, d2x, g_inv)
-            for got, ref in ((got_gamma, gamma2), (got_riem, riem)):
-                assert got.shape == ref.shape
-                assert np.max(np.abs(got - ref)) <= 1e-11 * max(1.0, np.max(np.abs(ref))), chart.name
+            assert chart.metric.embedding is not None, chart.name
+            assert_routes_agree(chart.metric, pts, chart.name)
+
+    @pytest.mark.parametrize("n, m", [(3, 6), (4, 8)])
+    def test_random_embedding_matches_jets_route(self, n, m):
+        # a full metric, so R has components with three and four distinct indices
+        rng = np.random.default_rng(40 + n)
+        metric = random_embedded_chart(n, m, rng)
+        pts = rng.uniform(-3.0, 3.0, size=(400, n))
+        eig = np.linalg.eigvalsh(metric.metric(pts))
+        pts = pts[eig[:, 0] > 1e-2 * eig[:, -1]]  # well-conditioned g only
+        assert len(pts) >= 200
+        assert np.min(np.abs(metric.metric(pts)[:, 0, 1])) > 0.0
+        riem = assert_routes_agree(metric, pts, f"random {n}-D")
+        assert np.max(np.abs(riem[:, 0, 1, 0, 2])) > 0.1
+        if n == 4:
+            assert np.max(np.abs(riem[:, 0, 1, 2, 3])) > 0.1
 
     def test_unit_sphere_sign(self):
         th = 0.9
         chart = manifolds.sphere(1.0).charts["polar"].metric
         x = np.array([[th, 1.0]])
-        dx, d2x = (manifolds._points_first(d, r) for d, r in zip(chart.embedding.derivatives(x, [1, 2]), (2, 3)))
+        dx, d2x = chart.embedding.derivatives(x, [1, 2])
         g_inv = np.linalg.inv(chart.metric(x))
         gamma2, riem = induced_curvature(dx, d2x, g_inv)
         assert riem[0, 0, 1, 0, 1] == pytest.approx(math.sin(th) ** 2, rel=1e-14)
@@ -365,7 +391,6 @@ class TestBiforms:
             g=np.eye(n),
             g_inv=np.eye(n),
             det_g=1.0,
-            gamma_first=np.zeros((n, n, n)),
             gamma_second=np.zeros((n, n, n)),
             riemann=r,
         )

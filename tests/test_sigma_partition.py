@@ -43,7 +43,6 @@ def flat_frame(n):
         g=np.eye(n),
         g_inv=np.eye(n),
         det_g=1.0,
-        gamma_first=np.zeros((n, n, n)),
         gamma_second=np.zeros((n, n, n)),
         riemann=np.zeros((n, n, n, n)),
     )

@@ -47,3 +47,21 @@ def test_every_chart_exposes_the_jet_evaluators(tracing):
             for chart in spec.charts.values():
                 for attr in tracing.JET_EVALUATORS:
                     assert callable(getattr(chart.metric, attr, None)), (name, chart.name, attr)
+
+
+def test_riemann_counter_reads_the_chunk_size(tracing, monkeypatch):
+    # the counter takes the point count from riemann_tensor's first argument
+    from cgb import sigma
+
+    counts = []
+    riemann_tensor = sigma.riemann_tensor
+
+    def recording(*args):
+        counts.append(tracing.COUNTERS["riemann"](args, None))
+        return riemann_tensor(*args)
+
+    monkeypatch.setattr(sigma, "riemann_tensor", recording)
+    spec = manifolds.sphere_conformal()
+    points = manifolds.quadrature_grid(spec, (8, 16)).points
+    sigma._integrand_chunk(spec.quad_chart.metric, points, 0.0, None)
+    assert counts == [{"geometry.riemann_points": len(points)}]
