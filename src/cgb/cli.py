@@ -423,7 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_st.set_defaults(func=cmd_selftest)
 
-    p_ef = sub.add_parser("efts", help="odd-direction function algebra operations")
+    p_ef = sub.add_parser(
+        "efts",
+        help="odd-direction function algebra operations",
+        epilog="Give the flags first and the text after '--' when it starts with a minus sign: "
+        "cgb efts delta --delta 2 -- \"-x1^2\".",
+    )
     p_ef.add_argument("efts_command", choices=("delta", "cartan", "concordance"))
     p_ef.add_argument("element", help="polynomial or vector field text")
     p_ef.add_argument("element_b", nargs="?", help="second polynomial (concordance)")

@@ -14,8 +14,9 @@ packaged in an immutable :class:`CurvatureFrame`.  The frame is the
 pointwise oracle.  The batched integrand gets the same tensors in one of two
 ways: from the jets (``christoffel_tensors`` and ``riemann_tensor``), or, on
 a chart whose metric is induced by its embedding X, from dX and d2X alone
-through the Gauss equation (``induced_curvature``).  Every batched array
-is laid out points first: leading batch axes, then index axes.
+through the Gauss equation (``induced_curvature``); on a chart declared
+flat it needs none of them.  Every batched array is laid out points first:
+leading batch axes, then index axes.
 
 The frame also feeds two Grassmann-valued constructions on the 2n
 generators phi_1^1, phi_2^1, ..., phi_1^n, phi_2^n (generator 2i is
@@ -69,10 +70,17 @@ class ChartMetric:
     """A coordinate chart with batched evaluators of g, dg and d2g.
 
     Each evaluator maps points of shape (..., dim) to the jet with the
-    index axes last, as laid out in :class:`MetricJets`.  ``embedding`` is
-    set when g is the metric induced by a ``TrigEmbedding`` X of the chart;
-    the batched integrand then takes g, Christoffel symbols and curvature
-    from dX and d2X (:func:`induced_curvature`) instead of the jets.
+    index axes last, as laid out in :class:`MetricJets`.  Two structural
+    attributes let the batched integrand skip the jets:
+
+    * ``embedding`` is set when g is the metric induced by a
+      ``TrigEmbedding`` X of the chart; the integrand then takes g,
+      Christoffel symbols and curvature from dX and d2X
+      (:func:`induced_curvature`).
+    * ``flat`` promises that the jets are exactly (I, 0, 0) at every point:
+      the integrand then evaluates no jet and no curvature, and takes
+      g^-1 = I and det g = 1 as known.  The evaluators must still return
+      those jets, for the pointwise frame.
     """
 
     def __init__(
@@ -84,6 +92,7 @@ class ChartMetric:
         d2_metric: Callable[[np.ndarray], np.ndarray],
         name: str = "chart",
         embedding=None,
+        flat: bool = False,
     ):
         self.dim = dim
         self.domain = np.asarray(domain, dtype=float).reshape(dim, 2)
@@ -94,6 +103,7 @@ class ChartMetric:
         self.d2_metric = d2_metric
         self.name = name
         self.embedding = embedding
+        self.flat = flat
 
     def contains(self, x) -> np.ndarray:
         """Mask over the leading axes of ``x``: which points lie in the domain box."""

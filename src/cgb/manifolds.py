@@ -8,8 +8,10 @@ through closed-form derivatives of orders 1-3 and the product rule
 numpy arrays; a conformal factor of the same form multiplies them
 (``scaled_jets``).  A chart without such a factor also keeps its embedding,
 from which the integrand takes its curvature directly.  The flat torus
-keeps the exact jets (I, 0, 0).  Derivatives and jets are laid out points
-first: leading batch axes, then index axes, with the ambient axis last.  Besides its charts, each manifold has
+keeps the exact jets (I, 0, 0) and declares itself ``flat``, so the
+integrand evaluates no metric work there at all.  Derivatives and jets are
+laid out points first: leading batch axes, then index axes, with the
+ambient axis last.  Besides its charts, each manifold has
 
 * a designated quadrature chart covering the manifold up to polar caps of
   parameter measure ``excised_measure`` (folded into error bounds),
@@ -22,8 +24,9 @@ first: leading batch axes, then index axes, with the ambient axis last.  Besides
 
 Quadrature weights are bare Lebesgue weights on chart coordinates
 (Gauss-Legendre tensor grids); all metric volume factors belong to the
-integrand.  Grid sums use a fixed-shape pairwise reduction so results do
-not depend on evaluation chunking.
+integrand.  Tensor grids are written axis by axis into one points array,
+with no mesh copies.  Grid sums use a fixed-shape pairwise reduction so
+results do not depend on evaluation chunking.
 """
 
 from __future__ import annotations
@@ -189,11 +192,11 @@ def scaled_jets(phi: Sequence[np.ndarray], jets: Sequence[np.ndarray]) -> list[n
 
 
 def _jet_chart(
-    name: str, dim: int, domain, jet: Callable[[np.ndarray, int], np.ndarray], embedding=None
+    name: str, dim: int, domain, jet: Callable[[np.ndarray, int], np.ndarray], **structure
 ) -> ChartMetric:
     """ChartMetric whose metric, d_metric and d2_metric are jet(x, 0), jet(x, 1) and jet(x, 2)."""
     jets = (functools.partial(jet, order=k) for k in range(3))
-    return ChartMetric(dim, domain, *jets, name=name, embedding=embedding)
+    return ChartMetric(dim, domain, *jets, name=name, **structure)
 
 
 def embedded_chart(name: str, embedding: TrigEmbedding, domain, factor=None) -> ChartMetric:
@@ -205,11 +208,11 @@ def embedded_chart(name: str, embedding: TrigEmbedding, domain, factor=None) -> 
             jets = scaled_jets([d[..., 0] for d in factor.derivatives(x, range(order + 1))], jets)
         return jets[order]
 
-    return _jet_chart(name, embedding.dim, domain, jet, embedding if factor is None else None)
+    return _jet_chart(name, embedding.dim, domain, jet, embedding=embedding if factor is None else None)
 
 
 def flat_chart(name: str, dim: int, domain) -> ChartMetric:
-    """Euclidean coordinates with the exact jets (I, 0, 0)."""
+    """Euclidean coordinates with the exact jets (I, 0, 0), declared ``flat``."""
 
     def jet(x, order: int) -> np.ndarray:
         out = np.zeros(np.shape(x)[:-1] + (dim,) * (order + 2))
@@ -217,7 +220,7 @@ def flat_chart(name: str, dim: int, domain) -> ChartMetric:
             out[..., range(dim), range(dim)] = 1.0
         return out
 
-    return _jet_chart(name, dim, domain, jet)
+    return _jet_chart(name, dim, domain, jet, flat=True)
 
 
 @dataclass(frozen=True)
@@ -334,13 +337,12 @@ def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int]) -> Quadrature
     if any(r < 2 for r in resolution):
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
     axes = [gauss_legendre_axis(lo, hi, r) for (lo, hi), r in zip(chart.quad_domain, resolution)]
-    mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    wmesh = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    weights = np.ones(points.shape[0])
-    for w in wmesh:
-        weights = weights * w.ravel()
-    return QuadratureGrid(chart.name, points, weights, resolution, chart.excised_measure)
+    points = np.empty(resolution + (chart.dim,))
+    for k, (nodes, _) in enumerate(axes):
+        points[..., k] = nodes.reshape((-1,) + (1,) * (chart.dim - 1 - k))
+    # ((w_0 w_1) w_2)...: the same products, in the same order, as a running product from 1
+    weights = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel()
+    return QuadratureGrid(chart.name, points.reshape(-1, chart.dim), weights, resolution, chart.excised_measure)
 
 
 def integrate_values(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:

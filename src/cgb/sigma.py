@@ -31,11 +31,17 @@ the curvature (Euler density); as lambda grows the integrand localizes
 onto critical points of h and Z counts them with Hessian signs.  Z itself
 is flat in lambda: it equals the Euler characteristic throughout.
 
-The batched integrand takes its curvature from the second fundamental form
-on charts with an induced metric (s2, ellipsoid, torus and both s2xs2
-product charts: one pass of embedding derivatives per chunk) and from the
-metric jets elsewhere (the flat torus's exact jets and the conformally
-scaled s2_perturbed).
+The batched integrand has three routes to its tensors, chosen by what the
+chart declares:
+
+* induced: curvature from the second fundamental form on charts with an
+  induced metric (s2, ellipsoid, torus and both s2xs2 product charts: one
+  pass of embedding derivatives per chunk);
+* flat: a chart whose jets are exactly (I, 0, 0) (the flat torus) evaluates
+  no jet, inverse, determinant or curvature: the covariant Hessian is the
+  raw Hessian and the Gaussian is exp(-lambda^2 |grad h|^2 / 2);
+* jets: curvature from the metric jets (the conformally scaled
+  s2_perturbed).
 
 Sign bookkeeping: the quartic curvature element carries a single frozen
 calibration sign (see ``geometry.curvature_biform``); the action couples
@@ -318,23 +324,26 @@ def _top_covers(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(covers)
 
 
-def _berezin_top(riem: np.ndarray, hcov: np.ndarray | None, lam: float) -> np.ndarray:
-    """Top coefficient of exp(lam HessBiform - Biform/2) at every point of a batch.
+def _berezin_top(
+    riem: np.ndarray | None, hcov: np.ndarray | None, lam: float, n: int, size: int
+) -> np.ndarray:
+    """Top coefficient of exp(lam HessBiform - Biform/2) at each of ``size`` points in dimension n.
 
     Sums the signed products of per-point monomial coefficients over
-    ``_top_covers``; the pointwise Grassmann engine (``partition_integrand``)
-    is its test oracle.
+    ``_top_covers``; a None tensor contributes no monomials, so the covers
+    that need them drop out.  The pointwise Grassmann engine
+    (``partition_integrand``) is its test oracle.
     """
-    n = riem.shape[-1]
     pairs, quartics = biform_monomials(n)
     half = CURVATURE_BIFORM_SIGN * -0.5
     coef: dict[int, np.ndarray] = {}
-    for index, mask, sign in quartics:
-        coef[mask] = coef.get(mask, 0.0) + (half * sign) * riem[(...,) + index]
+    if riem is not None:
+        for index, mask, sign in quartics:
+            coef[mask] = coef.get(mask, 0.0) + (half * sign) * riem[(...,) + index]
     if hcov is not None:
         for index, mask, sign in pairs:
             coef[mask] = (lam * sign) * hcov[(...,) + index]
-    top = np.zeros(riem.shape[0])
+    top = np.zeros(size)
     for sign, masks in _top_covers(n):
         if all(mask in coef for mask in masks):
             top += sign * functools.reduce(np.multiply, (coef[mask] for mask in masks))
@@ -358,38 +367,39 @@ def _inverse_metric(g: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.n
 def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
     """One chunk of integrand values: vectorized tensors, then Berezin tops.
 
-    On a chart with an induced metric every tensor comes from one pass of
-    embedding derivatives (``induced_curvature``); other charts use the metric
-    jets, and the exact jets (I, 0, 0) skip the curvature.
+    Three routes, by what the chart declares.  Induced: every tensor comes
+    from one pass of embedding derivatives (``induced_curvature``).  Flat: the
+    exact jets (I, 0, 0) skip the curvature, the inverse and the determinant,
+    and no jet is evaluated.  Jets: Christoffel symbols and curvature from the
+    metric jets.
     """
     n = chart.dim
-    flat = False
+    riem = None
     if chart.embedding is not None:
         dx, d2x = chart.embedding.derivatives(points, [1, 2])
         det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), points)
         gamma2, riem = induced_curvature(dx, d2x, g_inv)
-    else:
+    elif not chart.flat:
         g = np.asarray(chart.metric(points), dtype=float)
-        dg = np.asarray(chart.d_metric(points), dtype=float)
-        d2g = np.asarray(chart.d2_metric(points), dtype=float)
         det, g_inv = _inverse_metric(g, points)
-        flat = not (dg.any() or d2g.any())
-        if flat:
-            riem = np.zeros(points.shape[:1] + (n,) * 4)
-        else:
-            gamma2 = christoffel_tensors(g_inv, dg)
-            riem = riemann_tensor(g, d2g, gamma2)
+        gamma2 = christoffel_tensors(g_inv, np.asarray(chart.d_metric(points), dtype=float))
+        riem = riemann_tensor(g, np.asarray(chart.d2_metric(points), dtype=float), gamma2)
 
     hcov = None
+    aux = 1.0
     if h is not None and lam != 0.0:
         grad = np.asarray(h.grad(points), dtype=float)
         hess = np.asarray(h.hess(points), dtype=float)
-        hcov = hess if flat else hess - np.einsum("...kij,...k->...ij", gamma2, grad)
-        grad_norm_sq = np.einsum("...i,...ij,...j->...", grad, g_inv, grad)
-        aux = np.exp(-0.5 * lam**2 * grad_norm_sq) / np.sqrt(det)
-    else:
-        aux = 1.0 / np.sqrt(det)
-    return aux * _berezin_top(riem, hcov, lam)
+        if chart.flat:
+            hcov = hess
+            grad_norm_sq = np.einsum("...i,...i->...", grad, grad)
+        else:
+            hcov = hess - np.einsum("...kij,...k->...ij", gamma2, grad)
+            grad_norm_sq = np.einsum("...i,...ij,...j->...", grad, g_inv, grad)
+        aux = np.exp(-0.5 * lam**2 * grad_norm_sq)
+    if not chart.flat:
+        aux = aux / np.sqrt(det)
+    return aux * _berezin_top(riem, hcov, lam, n, len(points))
 
 
 def _integrand_on_points(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
@@ -424,7 +434,8 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     axes = [np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    g_inv = np.linalg.inv(np.asarray(chart.metric.metric(pts), dtype=float))
+    metric = chart.metric
+    g_inv = np.eye(chart.dim) if metric.flat else np.linalg.inv(np.asarray(metric.metric(pts), dtype=float))
     hess = np.asarray(h.hess(pts), dtype=float)
     form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
     mu_sq = np.linalg.eigvalsh(form)[..., -1]

@@ -284,6 +284,12 @@ class TestEftsCommand:
         assert code == 1
         assert "INFEASIBLE" in stdout
 
+    def test_leading_minus_after_double_dash(self, capsys):
+        # argparse reads text starting with '-' as an option unless it follows '--'
+        code, stdout, _ = run(capsys, "efts", "delta", "--delta", "2", "--", "-x1^2")
+        assert code == 0
+        assert stdout.strip() == "2*D1x1*D2x1 - 2*x1*D21x1"
+
     def test_parse_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "efts", "delta", "x1 @@ 2", "--delta", "2")
         assert code == 2

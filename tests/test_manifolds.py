@@ -67,6 +67,24 @@ class TestQuadrature:
         assert np.array_equal(got[0], lo + half * (nodes + 1.0)) and np.array_equal(got[1], half * weights)
         assert got[0].flags.writeable  # the mapped axis is a fresh array
 
+    @pytest.mark.parametrize(
+        "name, resolution", [("s2", (96, 192)), ("torus", (33, 17)), ("s2xs2", (8, 10, 8, 10))]
+    )
+    def test_grid_matches_meshgrid_oracle(self, name, resolution):
+        # the meshgrid construction, a running product of weights from 1, as the byte-level oracle
+        spec = get_manifold(name)
+        axes = [gauss_legendre_axis(lo, hi, r) for (lo, hi), r in zip(spec.quad_chart.quad_domain, resolution)]
+        mesh = np.meshgrid(*[a[0] for a in axes], indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=-1)
+        weights = np.ones(points.shape[0])
+        for w in np.meshgrid(*[a[1] for a in axes], indexing="ij"):
+            weights = weights * w.ravel()
+        grid = quadrature_grid(spec, resolution)
+        assert grid.points.tobytes() == points.tobytes() and grid.weights.tobytes() == weights.tobytes()
+        count = math.prod(resolution)
+        assert grid.points.shape == (count, spec.dim) and grid.points.flags.c_contiguous
+        assert grid.weights.shape == (count,) and grid.size == count
+
     def test_resolution_validation(self, s2):
         with pytest.raises(ValueError):
             quadrature_grid(s2, (1, 64))

@@ -339,8 +339,13 @@ def count_calls(monkeypatch, metric, attr="d2_metric"):
 JETS_ROUTE_BITS = [
     ("s2_perturbed", None, 0.0, (32, 64), "0x1.0000fb9119fb4p+1", "0x1.d228b99dccea8p-13"),
     ("s2_perturbed", "height", 1.0, (32, 64), "0x1.0000fb7ba0819p+1", "0x1.5ba92285d7899p-13"),
-    ("flat_t2", "coscos", 0.25, (48, 48), "0x1.27643e37eddb7p-54", "0x0.0p+0"),
 ]
+
+# flat_t2 with coscos: Z.hex() at lambda = 0.25 on 48x48 and along the adaptive sweep
+# (0, 1, 2, 5) from base 48x48, as computed while the flat torus read its jets; every
+# error bound is 0
+FLAT_ROUTE_BITS = "0x1.27643e37eddb7p-54"
+FLAT_SWEEP_BITS = ["0x0.0p+0", "-0x1.debcf21405e80p-58", "-0x1.0287a5e692011p-54", "-0x1.910b3cff6e590p-55"]
 
 
 class TestCurvatureRoutes:
@@ -362,6 +367,36 @@ class TestCurvatureRoutes:
         result = partition_function(spec, h_name, lam, resolution)
         assert sum(calls) == math.prod(resolution)
         assert (result.value.hex(), result.error_bound.hex()) == (value, bound)
+
+    def test_flat_route_bits_unchanged(self, monkeypatch):
+        spec = get_manifold("flat_t2")
+        calls = [count_calls(monkeypatch, spec.quad_chart.metric, attr) for attr in ("metric", "d_metric", "d2_metric")]
+        result = partition_function(spec, "coscos", 0.25, (48, 48))
+        assert (result.value.hex(), result.error_bound.hex()) == (FLAT_ROUTE_BITS, "0x0.0p+0")
+        sweep = lambda_sweep(spec, "coscos", (0, 1, 2, 5), (48, 48))
+        assert [r.value.hex() for r in sweep.results] == FLAT_SWEEP_BITS
+        assert [r.error_bound for r in sweep.results] == [0.0] * 4
+        assert calls == [[], [], []]
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_flat_chart_jets_are_exact(self, dim):
+        # the integrand takes (I, 0, 0) on trust from the flat declaration;
+        # the evaluators the pointwise frame reads must return exactly that
+        chart = flat_chart("flat", dim, [[0.0, 1.0]] * dim)
+        assert chart.flat and chart.embedding is None
+        pts = np.random.default_rng(9).uniform(0.0, 1.0, size=(7, 5, dim))
+        eye = np.broadcast_to(np.eye(dim), (7, 5, dim, dim))
+        assert np.array_equal(chart.metric(pts), eye)
+        assert np.array_equal(chart.d_metric(pts), np.zeros((7, 5) + (dim,) * 3))
+        assert np.array_equal(chart.d2_metric(pts), np.zeros((7, 5) + (dim,) * 4))
+        assert not any(get_manifold(name).quad_chart.metric.flat for name in ("s2", "torus", "s2xs2", "s2_perturbed"))
+
+    @pytest.mark.parametrize("lam", [0.25, 1.0])
+    def test_flat_route_matches_engine(self, flat_t2, lam):
+        # the kernel takes (I, 0, 0) as declared; the engine reads the jets
+        chart = flat_t2.quad_chart
+        pts = np.random.default_rng(13).uniform(0.0, 1.0, size=(40, 2))
+        assert_kernel_matches_engine(chart.metric, flat_t2.potential("coscos").on_chart(chart.name), pts, lam)
 
     def test_degenerate_metric_names_the_point(self):
         # jets route: g = diag(1, x_0) is negative definite left of the axis
