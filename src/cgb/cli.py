@@ -85,25 +85,25 @@ def _is_number(value) -> bool:
 def load_manifest(args: argparse.Namespace):
     """The run manifest with flag overrides applied, and the manifold it names."""
     data = {}
-    if getattr(args, "manifest", None):
+    if args.manifest:
         with open(args.manifest) as fh:
             data = json.load(fh)
     manifest = RunManifest.from_dict(data)
-    if getattr(args, "manifold", None):
+    if args.manifold:
         manifest.manifold = args.manifold
-    if getattr(args, "manifold_params", None):
+    if args.manifold_params:
         manifest.manifold_params = json.loads(args.manifold_params)
-    if getattr(args, "morse", None):
+    if args.morse:
         manifest.morse = None if args.morse == "none" else args.morse
-    if getattr(args, "lambdas", None):
+    if args.lambdas:
         manifest.lambdas = [float(v) for v in args.lambdas.split(",")]
-    if getattr(args, "resolution", None):
+    if args.resolution:
         manifest.resolution = [int(v) for v in args.resolution.split(",")]
-    if getattr(args, "tolerance", None) is not None:
+    if args.tolerance is not None:
         manifest.tolerance = args.tolerance
-    if getattr(args, "out", None):
+    if args.out:
         manifest.out = args.out
-    if getattr(args, "no_adaptive", False):
+    if args.no_adaptive:
         manifest.adaptive = False
     return manifest, manifest.validate()
 
@@ -332,9 +332,7 @@ def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    rows = list(
-        _selftest_checks(args.seed or 0, args.backend or "float", args.inject_sign_fault)
-    )
+    rows = list(_selftest_checks(args.seed, args.backend, args.inject_sign_fault))
     width = max(len(name) for name, _, _ in rows)
     all_ok = True
     for name, ok, detail in rows:
@@ -368,17 +366,15 @@ def cmd_efts(args: argparse.Namespace) -> int:
             return 0
         print(f"FAIL: {report.counterexample}")
         return 1
-    if args.efts_command == "concordance":
-        e_plus = parse_polynomial(args.element, delta, m)
-        e_minus = parse_polynomial(args.element_b or "0", delta, m)
-        result = concordance_solve(e_plus, e_minus)
-        if result.feasible:
-            print(f"WITNESS: {format_polynomial(result.witness)}")
-            return 0
-        print(f"INFEASIBLE: {result.certificate}")
-        return 1
-    print(f"unknown efts subcommand {args.efts_command!r}", file=sys.stderr)
-    return 2
+    # argparse's choices leave "concordance"
+    e_plus = parse_polynomial(args.element, delta, m)
+    e_minus = parse_polynomial(args.element_b or "0", delta, m)
+    result = concordance_solve(e_plus, e_minus)
+    if result.feasible:
+        print(f"WITNESS: {format_polynomial(result.witness)}")
+        return 0
+    print(f"INFEASIBLE: {result.certificate}")
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -43,6 +43,10 @@ MonomialKey = tuple[EvenPart, OddPart]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# Largest monomial basis ``enumerate_monomials`` builds; every basis of the
+# tests, the self-test and the README examples has at most a few hundred keys.
+MAX_BASIS_KEYS = 100_000
+
 
 def _gen_degree(gen: Gen) -> int:
     return gen[1].bit_count()
@@ -440,10 +444,7 @@ def apply_d(i: int, p: SuperPolynomial) -> SuperPolynomial:
 
 def apply_Delta(p: SuperPolynomial) -> SuperPolynomial:
     """The composition d_delta ... d_1; raises degree by delta."""
-    out = p
-    for i in range(1, p.delta + 1):
-        out = apply_d(i, out)
-    return out
+    return _d_composite((1 << p.delta) - 1, p)
 
 
 class VectorField:
@@ -548,29 +549,36 @@ def apply_Iw(w: VectorField, p: SuperPolynomial) -> SuperPolynomial:
 def enumerate_monomials(
     delta: int, m: int, max_degree: int, max_weight: int
 ) -> list[MonomialKey]:
-    """All monomial keys with polynomial degree and factor count in bounds."""
+    """All monomial keys with polynomial degree and factor count in bounds.
+
+    The keys grow one generator at a time; a basis of more than
+    ``MAX_BASIS_KEYS`` keys raises ``ValueError`` instead of filling memory.
+    """
     if max_degree < 0 or max_weight < 0:
         raise ValueError(f"degree and weight caps must be non-negative, got {max_degree} and {max_weight}")
-    gens: list[Gen] = [(j, mask) for j in range(m) for mask in range(1 << delta)]
-    keys: list[MonomialKey] = []
-
-    def build(idx: int, evens: list, odds: list, degree: int, weight: int):
-        if idx == len(gens):
-            keys.append((tuple(evens), tuple(odds)))
-            return
-        gen = gens[idx]
+    partial: list[tuple[EvenPart, OddPart, int, int]] = [((), (), 0, 0)]  # evens, odds, degree, weight
+    for gen in ((j, mask) for j in range(m) for mask in range(1 << delta)):
         gdeg = _gen_degree(gen)
-        build(idx + 1, evens, odds, degree, weight)
-        if _gen_parity(gen):
-            if degree + gdeg <= max_degree and weight + 1 <= max_weight:
-                build(idx + 1, evens, odds + [gen], degree + gdeg, weight + 1)
-        else:
-            k = 1
-            while degree + k * gdeg <= max_degree and weight + k <= max_weight:
-                build(idx + 1, evens + [(gen, k)], odds, degree + k * gdeg, weight + k)
-                k += 1
-
-    build(0, [], [], 0, 0)
+        odd = _gen_parity(gen)
+        grown = []
+        for item in partial:
+            grown.append(item)
+            evens, odds, degree, weight = item
+            if odd:
+                if degree + gdeg <= max_degree and weight < max_weight:
+                    grown.append((evens, odds + (gen,), degree + gdeg, weight + 1))
+            else:
+                k = 1
+                while degree + k * gdeg <= max_degree and weight + k <= max_weight:
+                    grown.append((evens + ((gen, k),), odds, degree + k * gdeg, weight + k))
+                    k += 1
+            if len(grown) > MAX_BASIS_KEYS:
+                raise ValueError(
+                    f"the monomial basis for {m} variables at delta {delta}, degree cap {max_degree} "
+                    f"and weight cap {max_weight} has more than {MAX_BASIS_KEYS} keys"
+                )
+        partial = grown
+    keys = [(evens, odds) for evens, odds, _, _ in partial]
     keys.sort(key=lambda key: (SuperPolynomial.key_degree(key), SuperPolynomial.key_weight(key), key))
     return keys
 

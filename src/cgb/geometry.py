@@ -28,7 +28,8 @@ phi_1^{i+1}, generator 2i+1 is phi_2^{i+1}):
   frozen constant, calibrated once so that the Euler density of the round
   sphere integrates to chi(S^2) = +2; with that normalization the Berezin
   projection of exp(-biform/2) recovers the Pfaffian density on every
-  catalog manifold.
+  catalog manifold.  Both go through one accumulator over the table
+  ``biform_monomials``, whose signs come from ``GrassmannElement.monomial``.
 """
 
 from __future__ import annotations
@@ -259,19 +260,6 @@ def covariant_hessian(frame: CurvatureFrame, grad: np.ndarray, hess: np.ndarray)
 # Generator layout on 2n symbols: phi_1^{i+1} -> 2i, phi_2^{i+1} -> 2i + 1.
 
 
-def _monomial_mask_sign(indices: tuple[int, ...]) -> tuple[int, int]:
-    """Bitmask and sorting sign of a product of distinct generators; (0, 0) if repeated."""
-    mask = 0
-    swaps = 0
-    for idx in indices:
-        bit = 1 << idx
-        if mask & bit:
-            return 0, 0
-        swaps += (mask >> (idx + 1)).bit_count()
-        mask |= bit
-    return mask, (-1 if swaps & 1 else 1)
-
-
 @functools.lru_cache(maxsize=None)
 def biform_monomials(n: int) -> tuple[tuple, tuple]:
     """Generator monomials of the biforms on 2n generators, with their signs.
@@ -282,11 +270,15 @@ def biform_monomials(n: int) -> tuple[tuple, tuple]:
     quartics vanish).  ``mask`` is the generator bitmask of the product and
     ``sign`` the sign of sorting it; several index tuples share one mask.
     """
-    pairs = tuple(
-        ((i, j), *_monomial_mask_sign((2 * i, 2 * j + 1))) for i in range(n) for j in range(n)
-    )
+
+    def entry(index: tuple[int, ...]) -> tuple:
+        gens = [2 * a + pos % 2 for pos, a in enumerate(index)]  # factors alternate phi_1, phi_2
+        ((mask, sign),) = GrassmannElement.monomial(2 * n, gens).terms.items()
+        return index, mask, sign
+
+    pairs = tuple(entry((i, j)) for i in range(n) for j in range(n))
     quartics = tuple(
-        ((i, j, k, l), *_monomial_mask_sign((2 * i, 2 * j + 1, 2 * k, 2 * l + 1)))
+        entry((i, j, k, l))
         for i in range(n)
         for k in range(n)
         if k != i
@@ -297,16 +289,21 @@ def biform_monomials(n: int) -> tuple[tuple, tuple]:
     return pairs, quartics
 
 
+def _biform(n: int, monomials: tuple, tensor: np.ndarray, scale: float) -> GrassmannElement:
+    """scale * sum of tensor[index] times the signed monomial, over ``monomials`` from :func:`biform_monomials`."""
+    terms: dict[int, float] = {}
+    for index, mask, sign in monomials:
+        c = tensor[index]
+        if c != 0.0:
+            terms[mask] = terms.get(mask, 0.0) + scale * sign * c
+    return GrassmannElement(2 * n, terms)
+
+
 def pair_biform(matrix: np.ndarray) -> GrassmannElement:
     """sum_ij M_ij phi_1^i phi_2^j as a Grassmann element on 2n generators."""
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
-    terms: dict[int, float] = {}
-    for index, mask, sign in biform_monomials(n)[0]:
-        c = m[index]
-        if c != 0.0:
-            terms[mask] = terms.get(mask, 0.0) + sign * c
-    return GrassmannElement(2 * n, terms)
+    return _biform(n, biform_monomials(n)[0], m, 1.0)
 
 
 def curvature_biform(frame: CurvatureFrame) -> GrassmannElement:
@@ -317,15 +314,4 @@ def curvature_biform(frame: CurvatureFrame) -> GrassmannElement:
     makes exp(-biform/2) Berezin-project to the positive Pfaffian density
     (chi(S^2) = +2 golden test).
     """
-    r = frame.riemann
-    terms: dict[int, float] = {}
-    for index, mask, sign in biform_monomials(frame.dim)[1]:
-        c = r[index]
-        if c == 0.0:
-            continue
-        acc = terms.get(mask, 0.0) + CURVATURE_BIFORM_SIGN * sign * c
-        if acc == 0.0:
-            terms.pop(mask, None)
-        else:
-            terms[mask] = acc
-    return GrassmannElement(2 * frame.dim, terms)
+    return _biform(frame.dim, biform_monomials(frame.dim)[1], frame.riemann, CURVATURE_BIFORM_SIGN)

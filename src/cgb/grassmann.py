@@ -112,9 +112,7 @@ class GrassmannElement:
 
     @classmethod
     def generator(cls, generator_count: int, index: int) -> "GrassmannElement":
-        if not 0 <= index < generator_count:
-            raise ValueError(f"generator index {index} out of range")
-        return cls(generator_count, {1 << index: 1})
+        return cls.monomial(generator_count, [index])
 
     @classmethod
     def monomial(cls, generator_count: int, indices: Iterable[int], coeff=1) -> "GrassmannElement":
@@ -320,18 +318,14 @@ def fermionic_gaussian(q, tol: float = 1e-10):
                 terms[(1 << i) | (1 << j)] = -rows[i][j]
     element = GrassmannElement(m, terms)
     n = m // 2
-    low = element
-    for _ in range(n // 2 - 1):
+    low = GrassmannElement.scalar(m, 1)
+    for _ in range(n // 2):
         low = multiply(low, element)
     high = multiply(low, element) if n % 2 else low
-    if n == 1:
-        low_terms, high_terms = {0: 1}, element.terms
-    else:
-        low_terms, high_terms = low.terms, high.terms
     full = (1 << m) - 1
     top = 0
-    for mask, coeff in low_terms.items():
-        other = high_terms.get(full ^ mask)
+    for mask, coeff in low.terms.items():
+        other = high.terms.get(full ^ mask)
         if other is not None:
             top += _merge_sign(mask, full ^ mask) * coeff * other
     return _divide(top, math.factorial(n))

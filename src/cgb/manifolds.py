@@ -24,8 +24,8 @@ ambient axis last.  Besides its charts, each manifold has
 
 Quadrature weights are bare Lebesgue weights on chart coordinates
 (Gauss-Legendre tensor grids); all metric volume factors belong to the
-integrand.  Tensor grids are written axis by axis into one points array,
-with no mesh copies.  Grid sums use a fixed-shape pairwise reduction so
+integrand.  Every tensor grid (quadrature, Newton seeds, stiffness probe) is
+written by ``tensor_points``, axis by axis with no mesh copies.  Grid sums use a fixed-shape pairwise reduction so
 results do not depend on evaluation chunking.
 """
 
@@ -303,10 +303,8 @@ class QuadratureGrid:
     ``excised_measure * sup|integrand|`` into error bounds.
     """
 
-    chart_name: str
     points: np.ndarray  # (N, dim)
     weights: np.ndarray  # (N,)
-    resolution: tuple[int, ...]
     excised_measure: float
 
     @property
@@ -329,6 +327,15 @@ def gauss_legendre_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.nd
     return lo + half * (nodes + 1.0), half * weights
 
 
+def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """(N, dim) points of the tensor grid of the 1-D ``axes`` in C order, written axis by axis with no mesh copies."""
+    shape = tuple(len(a) for a in axes)
+    points = np.empty(shape + (len(axes),))
+    for k, nodes in enumerate(axes):
+        points[..., k] = np.reshape(nodes, (-1,) + (1,) * (len(axes) - 1 - k))
+    return points.reshape(-1, len(axes))
+
+
 def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int]) -> QuadratureGrid:
     chart = spec.quad_chart
     resolution = tuple(int(r) for r in resolution)
@@ -337,12 +344,9 @@ def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int]) -> Quadrature
     if any(r < 2 for r in resolution):
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
     axes = [gauss_legendre_axis(lo, hi, r) for (lo, hi), r in zip(chart.quad_domain, resolution)]
-    points = np.empty(resolution + (chart.dim,))
-    for k, (nodes, _) in enumerate(axes):
-        points[..., k] = nodes.reshape((-1,) + (1,) * (chart.dim - 1 - k))
     # ((w_0 w_1) w_2)...: the same products, in the same order, as a running product from 1
     weights = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel()
-    return QuadratureGrid(chart.name, points.reshape(-1, chart.dim), weights, resolution, chart.excised_measure)
+    return QuadratureGrid(tensor_points([nodes for nodes, _ in axes]), weights, chart.excised_measure)
 
 
 def integrate_values(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import Chart, ManifoldSpec
+from .manifolds import Chart, ManifoldSpec, tensor_points
 
 TOL_GRAD = 1e-10
 TOL_MORSE = 1e-8
@@ -102,13 +102,11 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
 
 
 def _seeds(chart: Chart, density: int) -> np.ndarray:
-    dom = chart.metric.domain
     axes = []
-    for lo, hi in dom:
+    for lo, hi in chart.metric.domain:
         pad = 0.5 * (hi - lo) / density
         axes.append(np.linspace(lo + pad, hi - pad, density))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return tensor_points(axes)
 
 
 def find_critical_points(

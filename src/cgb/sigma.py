@@ -78,6 +78,7 @@ from .manifolds import (
     integrate_values,
     pairwise_sum,
     quadrature_grid,
+    tensor_points,
 )
 
 # Coupling of the action to the calibrated curvature element.  The
@@ -145,9 +146,7 @@ def action_geometric(frame: CurvatureFrame, cf: ComponentField) -> GrassmannElem
     return out
 
 
-def action_coordinate(
-    jets: MetricJets, cf: ComponentField, *, fault_flip: bool = False
-) -> GrassmannElement:
+def action_coordinate(jets: MetricJets, cf: ComponentField) -> GrassmannElement:
     """Action from raw metric jets: the five-term kinetic expansion.
 
     Substitutes the even component E^k = F^k - Gamma^k_ab phi_1^a phi_2^b
@@ -161,10 +160,6 @@ def action_coordinate(
     and the potential through E:
 
         S_pot = -lambda (d_k h  E^k + d_k d_l h  phi_1^k phi_2^l).
-
-    ``fault_flip`` flips the second-derivative kinetic term; the self-test
-    uses it to demonstrate that the route-equivalence check detects sign
-    errors.
     """
     g, dg, d2g = jets.g, jets.dg, jets.d2g
     n = g.shape[0]
@@ -181,7 +176,6 @@ def action_coordinate(
         E.append(e)
 
     total = GrassmannElement.zero(N)
-    s5 = -1.0 if fault_flip else 1.0
     for i in range(n):
         for j in range(n):
             total = total + g[i, j] * multiply(E[i], E[j])
@@ -195,7 +189,7 @@ def action_coordinate(
                     c2 = d2g[k, l, i, j]
                     if c2 != 0.0:
                         mono = multiply(multiply(phi2[l], phi1[k]), multiply(phi1[i], phi2[j]))
-                        total = total + (s5 * c2) * mono
+                        total = total + c2 * mono
     total = 0.5 * total
 
     if cf.lam != 0.0:
@@ -215,7 +209,10 @@ def check_action_equivalence(
     samples: int = 100,
     fault_flip: bool = False,
 ) -> float:
-    """Max coefficient discrepancy between the two action routes on random jets."""
+    """Max coefficient discrepancy between the two action routes on random jets.
+
+    ``fault_flip`` plants the self-test's sign error: the coordinate route gets -d2g.
+    """
     worst = 0.0
     for n in dims:
         for _ in range(samples):
@@ -235,7 +232,7 @@ def check_action_equivalence(
                 h_hess=0.5 * (hess + hess.T),
             )
             jets = MetricJets(g, dg, d2g)
-            lhs = action_coordinate(jets, cf, fault_flip=fault_flip)
+            lhs = action_coordinate(MetricJets(g, dg, -d2g) if fault_flip else jets, cf)
             frame = CurvatureFrame.from_jets(np.zeros(n), jets)
             rhs = action_geometric(frame, cf)
             masks = set(lhs.terms) | set(rhs.terms)
@@ -431,11 +428,8 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
         return max(potential_stiffness(f, name) for f, name in zip(spec.factors, potential.factor_names))
     chart = spec.quad_chart
     h = potential.on_chart(chart.name)
-    axes = [np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    metric = chart.metric
-    g_inv = np.eye(chart.dim) if metric.flat else np.linalg.inv(np.asarray(metric.metric(pts), dtype=float))
+    pts = tensor_points([np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain])
+    g_inv = np.eye(chart.dim) if chart.metric.flat else _inverse_metric(chart.metric.metric(pts), pts)[1]
     hess = np.asarray(h.hess(pts), dtype=float)
     form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
     mu_sq = np.linalg.eigvalsh(form)[..., -1]

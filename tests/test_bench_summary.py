@@ -67,3 +67,30 @@ def test_missing_directory_is_usage_error(bench_summary, tmp_path, capsys):
     code = bench_summary.main(["--parent", str(tmp_path / "none"), "--change", str(tmp_path), "--label", "x"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: no report directory")
+
+
+ROOT = SCRIPT.parents[1]
+COMMITTED = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_artifacts_exist():
+    assert COMMITTED
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=lambda p: p.name)
+def test_committed_bench_artifact_is_complete(path):
+    # every committed summary covers every declared workload and end-to-end
+    # metric over at least ten runs a side, with no failed operation
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    summary = json.loads(path.read_text())
+    assert path.name == f"BENCH_{summary['label']}.json"
+    assert set(summary["workloads"]) >= {w["name"] for w in declared["workloads"]}
+    for name in (w["name"] for w in declared["workloads"]):
+        workload = summary["workloads"][name]
+        for metric in (m["name"] for m in declared["end_to_end"]):
+            for side in ("parent", "change"):
+                spread = workload["end_to_end"][metric][side]
+                assert spread["runs"] >= 10, (name, metric, side)
+                assert spread["q1"] <= spread["median"] <= spread["q3"], (name, metric, side)
+        assert workload["operations"]["parent"]["failed"] == 0, name
+        assert workload["operations"]["change"]["failed"] == 0, name

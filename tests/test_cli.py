@@ -17,6 +17,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def flat_circle():
+    """A chart whose embedding (cos x, sin x) does not move along y: g = diag(1, 0) everywhere."""
+    cos, sin, one = manifolds.COS, manifolds.SIN, manifolds.ONE
+    embed = manifolds.TrigEmbedding([[(1.0, (cos, one))], [(1.0, (sin, one))]])
+    domain = [[0.0, 1.0], [0.0, 1.0]]
+    chart = manifolds.Chart(
+        manifolds.embedded_chart("degenerate", embed, domain), embed, quad_domain=np.array(domain)
+    )
+    h = manifolds.MorseFunction({"degenerate": manifolds.trig_field(manifolds.TrigEmbedding([[(1.0, (cos, one))]]))})
+    return manifolds.ManifoldSpec("degenerate", 2, {"degenerate": chart}, 0, {"h": h})
+
+
 class TestManifest:
     def test_round_trip(self):
         manifest = RunManifest(
@@ -138,20 +150,27 @@ class TestPfaffianCommand:
         assert len(calls) == 1
 
     def test_degenerate_metric_is_usage_error(self, capsys, monkeypatch):
-        # the embedding (cos x, sin x) does not move along y: g = diag(1, 0)
-        def flat_circle():
-            cos, sin, one = manifolds.COS, manifolds.SIN, manifolds.ONE
-            embed = manifolds.TrigEmbedding([[(1.0, (cos, one))], [(1.0, (sin, one))]])
-            domain = [[0.0, 1.0], [0.0, 1.0]]
-            chart = manifolds.Chart(
-                manifolds.embedded_chart("degenerate", embed, domain), embed, quad_domain=np.array(domain)
-            )
-            return manifolds.ManifoldSpec("degenerate", 2, {"degenerate": chart}, 0, {})
-
         monkeypatch.setitem(manifolds._BUILDERS, "degenerate", flat_circle)
         code, stdout, err = run(capsys, "pfaffian", "--manifold", "degenerate", "--resolution", "4,4")
         assert code == 2 and stdout == ""
         assert err.startswith("error: metric not positive definite at the grid point (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_degenerate_metric_in_stiffness_probe_names_the_point(self, capsys, monkeypatch):
+        # a sweep meets the metric first in the stiffness probe, which inverts g
+        # the way the integrand does
+        monkeypatch.setitem(manifolds._BUILDERS, "degenerate", flat_circle)
+        code, stdout, err = run(capsys, "sweep", "--manifold", "degenerate", "--morse", "h", "--lambda", "1")
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: metric not positive definite at the grid point (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_degenerate_critical_point_is_usage_error(self, capsys, monkeypatch, degenerate_patch):
+        monkeypatch.setitem(manifolds._BUILDERS, "degenerate_patch", lambda: degenerate_patch)
+        code, stdout, err = run(capsys, "index", "--manifold", "degenerate_patch", "--morse", "pinch")
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: critical point of 'pinch' ")
+        assert err.endswith("the potential is not Morse there\n")
         assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_tolerance_failure_exit_code(self, capsys):
@@ -289,6 +308,13 @@ class TestEftsCommand:
         code, stdout, _ = run(capsys, "efts", "delta", "--delta", "2", "--", "-x1^2")
         assert code == 0
         assert stdout.strip() == "2*D1x1*D2x1 - 2*x1*D21x1"
+
+    def test_oversized_basis_is_usage_error(self, capsys):
+        # 300 variables at degree cap 0 would enumerate C(304, 4) ~ 350M weight-4 keys
+        code, stdout, err = run(capsys, "efts", "cartan", "d/dx1", "--vars", "300", "--delta", "2", "--degree-cap", "0")
+        assert code == 2 and stdout == ""
+        assert err.startswith("error: the monomial basis for 300 variables ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_parse_error_is_usage_error(self, capsys):
         code, _, err = run(capsys, "efts", "delta", "x1 @@ 2", "--delta", "2")

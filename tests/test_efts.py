@@ -1,10 +1,12 @@
 """The exact odd-direction function algebra and its operators."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from cgb import efts
 from cgb.efts import (
     CartanReport,
     ParseError,
@@ -181,6 +183,31 @@ class TestContractions:
                             k, psi, apply_d(k, mono)
                         )
                         assert lhs == apply_L(psi, mono)
+
+
+class TestMonomialBasis:
+    @pytest.mark.parametrize("delta, m, degree, weight", [(1, 2, 3, 3), (2, 1, 3, 4), (2, 2, 2, 3), (2, 2, 0, 2)])
+    def test_matches_brute_force(self, delta, m, degree, weight):
+        # every exponent choice per generator (odd ones at most once), filtered by the caps
+        gens = [(j, mask) for j in range(m) for mask in range(1 << delta)]
+        ranges = [range(2) if mask.bit_count() % 2 else range(weight + 1) for _, mask in gens]
+        want = set()
+        for exps in itertools.product(*ranges):
+            chosen = [(gen, k) for gen, k in zip(gens, exps) if k]
+            if sum(k * mask.bit_count() for (_, mask), k in chosen) <= degree and sum(exps) <= weight:
+                evens = tuple((gen, k) for gen, k in chosen if gen[1].bit_count() % 2 == 0)
+                want.add((evens, tuple(gen for gen, _ in chosen if gen[1].bit_count() % 2)))
+        keys = enumerate_monomials(delta, m, degree, weight)
+        assert len(keys) == len(want) and set(keys) == want
+        assert keys == sorted(keys, key=lambda k: (SuperPolynomial.key_degree(k), SuperPolynomial.key_weight(k), k))
+
+    def test_size_bound(self, monkeypatch):
+        keys = enumerate_monomials(2, 2, 3, 4)
+        monkeypatch.setattr(efts, "MAX_BASIS_KEYS", len(keys))
+        assert enumerate_monomials(2, 2, 3, 4) == keys
+        monkeypatch.setattr(efts, "MAX_BASIS_KEYS", len(keys) - 1)
+        with pytest.raises(ValueError, match=f"more than {len(keys) - 1} keys"):
+            enumerate_monomials(2, 2, 3, 4)
 
 
 class TestCartan:

@@ -11,6 +11,7 @@ from cgb.geometry import (
     CurvatureFrame,
     DomainError,
     ScalarField,
+    biform_monomials,
     christoffel_tensors,
     covariant_hessian,
     curvature_biform,
@@ -18,7 +19,7 @@ from cgb.geometry import (
     pair_biform,
     riemann_tensor,
 )
-from cgb.grassmann import GrassmannElement, berezin, exp_even
+from cgb.grassmann import GrassmannElement, berezin, exp_even, permutation_sign
 from cgb.manifolds import quadrature_grid
 from cgb.sigma import reduce_auxiliary_field
 
@@ -414,6 +415,23 @@ class TestBiforms:
                         )
                         expected = expected + (CURVATURE_BIFORM_SIGN * r[i, j, k, l]) * mono
         assert curvature_biform(frame).isclose(expected, 1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_monomial_table_matches_permutation_rule(self, n):
+        # independent of the product's merge rule: the mask ORs the generator
+        # bits, the sign is that of the permutation sorting the generators
+        pairs, quartics = biform_monomials(n)
+        want_pairs = [(i, j) for i in range(n) for j in range(n)]
+        want_quartics = [
+            (i, j, k, l) for i in range(n) for k in range(n) if k != i for j in range(n) for l in range(n) if l != j
+        ]
+        assert [index for index, _, _ in pairs] == want_pairs
+        assert [index for index, _, _ in quartics] == want_quartics
+        for index, mask, sign in pairs + quartics:
+            gens = [2 * a + pos % 2 for pos, a in enumerate(index)]  # phi_1^i -> 2i, phi_2^j -> 2j + 1
+            assert mask == sum(1 << g for g in gens), index
+            assert sign == permutation_sign([int(p) for p in np.argsort(gens)]), index
+            assert type(sign) is int
 
     def test_biform_even_no_scalar(self):
         frame = CurvatureFrame.from_chart(sphere_chart(), np.array([0.7, 0.2]))

@@ -14,7 +14,9 @@ from cgb.manifolds import (
     integrate_values,
     pairwise_sum,
     quadrature_grid,
+    tensor_points,
 )
+from cgb.morse import _seeds
 
 
 class TestCatalog:
@@ -84,6 +86,27 @@ class TestQuadrature:
         count = math.prod(resolution)
         assert grid.points.shape == (count, spec.dim) and grid.points.flags.c_contiguous
         assert grid.weights.shape == (count,) and grid.size == count
+
+    @pytest.mark.parametrize("counts", [(5, 7), (3, 4, 2, 5)])
+    def test_tensor_points_match_meshgrid_oracle(self, counts):
+        rng = np.random.default_rng(len(counts))
+        axes = [rng.normal(size=c) for c in counts]
+        oracle = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        points = tensor_points(axes)
+        assert points.shape == oracle.shape and points.flags.c_contiguous
+        assert points.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("density", [1, 5, 8])
+    def test_newton_seeds_match_meshgrid_oracle(self, full_catalog, density):
+        for spec in full_catalog:
+            for name, chart in spec.charts.items():
+                axes = []
+                for lo, hi in chart.metric.domain:
+                    pad = 0.5 * (hi - lo) / density
+                    axes.append(np.linspace(lo + pad, hi - pad, density))
+                oracle = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+                seeds = _seeds(chart, density)
+                assert seeds.shape == oracle.shape and seeds.tobytes() == oracle.tobytes(), (spec.name, name)
 
     def test_resolution_validation(self, s2):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cgb.geometry import ScalarField
-from cgb.manifolds import Chart, ChartMetric, ManifoldSpec, MorseFunction
+from cgb.manifolds import ManifoldSpec, MorseFunction
 from cgb.morse import (
     DegenerateCriticalPointError,
     TOL_GRAD,
@@ -84,44 +84,9 @@ class TestCriticalPoints:
                 key = lambda cps: sorted(tuple(np.round(cp.embedded, 6)) for cp in cps)
                 assert key(coarse) == key(fine)
 
-    def test_degenerate_point_raises(self):
-        # h = u'^2 v' (primed = centered): Newton converges to the critical
-        # point while det Hess = -4 u'^2 collapses below tolerance
-        chart = ChartMetric(
-            2,
-            [[0.0, 1.0], [0.0, 1.0]],
-            lambda x: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2)).copy(),
-            lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2)),
-            lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2, 2)),
-            name="flat",
-        )
-
-        def grad(x):
-            u, v = x[..., 0] - 0.5, x[..., 1] - 0.5
-            return np.stack([2 * u * v, u**2], axis=-1)
-
-        def hess(x):
-            u, v = x[..., 0] - 0.5, x[..., 1] - 0.5
-            row0 = np.stack([2 * v, 2 * u], axis=-1)
-            row1 = np.stack([2 * u, np.zeros_like(u)], axis=-1)
-            return np.stack([row0, row1], axis=-2)
-
-        h = ScalarField(lambda x: (x[..., 0] - 0.5) ** 2 * (x[..., 1] - 0.5), grad, hess)
-        spec = ManifoldSpec(
-            name="degenerate_patch",
-            dim=2,
-            charts={
-                "flat": Chart(
-                    metric=chart,
-                    embed=lambda x: np.asarray(x, dtype=float),
-                    quad_domain=np.array([[0.0, 1.0], [0.0, 1.0]]),
-                )
-            },
-            euler_char=1,
-            morse_catalog={"pinch": MorseFunction(fields={"flat": h})},
-        )
+    def test_degenerate_point_raises(self, degenerate_patch):
         with pytest.raises(DegenerateCriticalPointError):
-            find_critical_points(spec, "pinch")
+            find_critical_points(degenerate_patch, "pinch")
 
 
 class TestHopfIndex:

@@ -48,6 +48,11 @@ class TestTwoRouteEquivalence:
         worst = check_action_equivalence(rng, dims=(2,), samples=5, fault_flip=True)
         assert worst > 1e-3
 
+    def test_fault_injection_value_pinned(self):
+        # the planted fault (-d2g on the coordinate route) gives the same discrepancy, to the bit
+        worst = check_action_equivalence(np.random.default_rng(5), dims=(2,), samples=5, fault_flip=True)
+        assert worst.hex() == "0x1.6289d52fcf1e7p+0"
+
     def test_potential_route_matches(self):
         # the raw-jet potential (through E) equals the covariant-Hessian one
         rng = np.random.default_rng(77)
