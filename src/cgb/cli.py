@@ -65,6 +65,7 @@ class RunManifest:
         return spec
 
     def to_dict(self) -> dict:
+        """The JSON object ``from_dict`` and ``--manifest`` read back: the way to write a manifest file."""
         return asdict(self)
 
     @classmethod

@@ -30,6 +30,7 @@ that the difference is not in the image of Delta within the truncation.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,7 +58,14 @@ def _gen_parity(gen: Gen) -> int:
 
 
 def _merge_odd(a: OddPart, b: OddPart) -> tuple[OddPart, int] | None:
-    """Merge two sorted odd-generator tuples; None if a generator repeats."""
+    """Merge two sorted odd-generator tuples; None if a generator repeats.
+
+    Returns the merged tuple and the sign of sorting the concatenation a + b,
+    the rule ``grassmann._merge_sign`` applies to bitmasks.  It stays a merge
+    of its own: the product needs the merged key anyway, the swaps fall out
+    of the same pass, and odd generators here are (var, mask) pairs of any
+    number of variables, not bits below ``grassmann.MAX_GENERATORS``.
+    """
     merged: list[Gen] = []
     i = j = swaps = 0
     while i < len(a) and j < len(b):
@@ -98,7 +106,7 @@ class SuperPolynomial:
         if terms:
             for key, coeff in terms.items():
                 if coeff != 0:
-                    clean[key] = Fraction(coeff)
+                    clean[key] = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         self.terms = clean
 
     # -- constructors ------------------------------------------------------
@@ -154,9 +162,6 @@ class SuperPolynomial:
     def is_odd(self) -> bool:
         return all(self.key_parity(k) == 1 for k in self.terms)
 
-    def degrees(self) -> set[int]:
-        return {self.key_degree(k) for k in self.terms}
-
     # -- arithmetic ----------------------------------------------------------
 
     def _check(self, other: "SuperPolynomial") -> None:
@@ -203,7 +208,7 @@ class SuperPolynomial:
                     continue
                 odd, sign = merged
                 key = (_merge_even(ev_a, ev_b), odd)
-                acc[key] = acc.get(key, _ZERO) + sign * ca * cb
+                acc[key] = acc.get(key, _ZERO) + (-ca * cb if sign < 0 else ca * cb)
         return SuperPolynomial(self.delta, self.m, acc)
 
     def __eq__(self, other):
@@ -514,19 +519,6 @@ def apply_iota(k: int, psi: VectorField, p: SuperPolynomial) -> SuperPolynomial:
     return _apply_derivation(p, 1, image)
 
 
-def grading_involution(p: SuperPolynomial) -> SuperPolynomial:
-    """The reflection action on the odd directions: odd terms flip sign.
-
-    Twisted inputs are required to be eigenvectors of this involution;
-    ``concordance_solve`` admits only the +1 eigenspace (even elements).
-    """
-    return SuperPolynomial(
-        p.delta,
-        p.m,
-        {key: -c if SuperPolynomial.key_parity(key) else c for key, c in p.terms.items()},
-    )
-
-
 def apply_Iw(w: VectorField, p: SuperPolynomial) -> SuperPolynomial:
     """Top contraction: kills every generator except D_{full} x^j -> w^j.
 
@@ -695,14 +687,7 @@ def concordance_solve(e_plus: SuperPolynomial, e_minus: SuperPolynomial) -> Conc
                 None,
                 f"target has degree-{degree} terms but the image of Delta starts at degree {delta}",
             )
-        basis = enumerate_monomials(delta, m, source_degree, weight)
-        basis = [
-            k
-            for k in basis
-            if SuperPolynomial.key_degree(k) == source_degree
-            and SuperPolynomial.key_weight(k) == weight
-        ]
-        columns = [apply_Delta(monomial(delta, m, key)) for key in basis]
+        basis, columns = _delta_block(delta, m, source_degree, weight)
         solution = _solve_block(columns, block, delta, m)
         if solution is None:
             return ConcordanceResult(
@@ -719,8 +704,25 @@ def concordance_solve(e_plus: SuperPolynomial, e_minus: SuperPolynomial) -> Conc
     return ConcordanceResult(True, witness, None)
 
 
+@functools.lru_cache(maxsize=64)
+def _delta_block(
+    delta: int, m: int, source_degree: int, weight: int
+) -> tuple[tuple[MonomialKey, ...], tuple[SuperPolynomial, ...]]:
+    """The monomials of one (degree, weight) block and their images under Delta.
+
+    The block depends only on its labels, so it is built once and shared by
+    every solve that meets it; callers only read the columns' terms.
+    """
+    basis = tuple(
+        key
+        for key in enumerate_monomials(delta, m, source_degree, weight)
+        if SuperPolynomial.key_degree(key) == source_degree and SuperPolynomial.key_weight(key) == weight
+    )
+    return basis, tuple(apply_Delta(monomial(delta, m, key)) for key in basis)
+
+
 def _solve_block(
-    columns: list[SuperPolynomial], target: dict[MonomialKey, Fraction], delta: int, m: int
+    columns: Sequence[SuperPolynomial], target: dict[MonomialKey, Fraction], delta: int, m: int
 ) -> list[Fraction] | None:
     """Exact dense solve of sum_j c_j * columns_j = target; None if infeasible."""
     rows = sorted(set(target) | {k for col in columns for k in col.terms})

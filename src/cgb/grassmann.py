@@ -40,20 +40,30 @@ class ParityError(ValueError):
 MAX_GENERATORS = 64
 
 
+def _parity_word(mask: int) -> int:
+    """Word whose bit j is set when ``mask`` has an odd number of bits above j.
+
+    A suffix xor of ``mask >> 1``; the shifts 1, 2, ..., 32 reach every bit
+    of a mask of up to 64 generators.
+    """
+    word = mask >> 1
+    word ^= word >> 1
+    word ^= word >> 2
+    word ^= word >> 4
+    word ^= word >> 8
+    word ^= word >> 16
+    word ^= word >> 32
+    return word
+
+
 def _merge_sign(mask_a: int, mask_b: int) -> int:
     """Sign of sorting the concatenation of two disjoint index sets.
 
     Equals the parity of the number of pairs (a, b), a in mask_a,
-    b in mask_b, with a > b.
+    b in mask_b, with a > b: the parity of the bits of mask_b at which
+    ``_parity_word(mask_a)`` is set.
     """
-    swaps = 0
-    b = mask_b
-    while b:
-        low = b & -b
-        j = low.bit_length() - 1
-        swaps += (mask_a >> (j + 1)).bit_count()
-        b ^= low
-    return -1 if swaps & 1 else 1
+    return -1 if (_parity_word(mask_a) & mask_b).bit_count() & 1 else 1
 
 
 def permutation_sign(perm: Sequence[int]) -> int:
@@ -139,10 +149,6 @@ class GrassmannElement:
     def scalar_part(self):
         return self.terms.get(0, 0)
 
-    def degree_part(self, degree: int) -> "GrassmannElement":
-        kept = {m: c for m, c in self.terms.items() if m.bit_count() == degree}
-        return GrassmannElement(self.generator_count, kept)
-
     def is_even(self) -> bool:
         return all(m.bit_count() % 2 == 0 for m in self.terms)
 
@@ -211,10 +217,11 @@ def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     a._check_compatible(b)
     acc: dict[int, object] = {}
     for mask_a, ca in a.terms.items():
+        word = _parity_word(mask_a)  # the merge sign of mask_a, for every mask_b
         for mask_b, cb in b.terms.items():
             if mask_a & mask_b:
                 continue
-            val = _merge_sign(mask_a, mask_b) * ca * cb
+            val = -ca * cb if (word & mask_b).bit_count() & 1 else ca * cb
             mask = mask_a | mask_b
             prev = acc.get(mask)
             acc[mask] = val if prev is None else prev + val

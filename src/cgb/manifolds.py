@@ -45,6 +45,13 @@ from .geometry import ChartMetric, ScalarField
 
 POLAR_CAP = 1e-4  # half-angle excised around each spherical pole
 
+# Largest quadrature grid ``quadrature_grid`` builds.  A Gauss-Legendre rule
+# of n nodes solves an n x n companion matrix, so each axis is bounded as well
+# as the total; the largest grid of the tests, the README and the benchmark
+# is the flat-torus sweep at lambda 10, 3159^2 (about 1e7) points.
+MAX_AXIS_POINTS = 4096
+MAX_GRID_POINTS = 1 << 24
+
 
 def pairwise_sum(values: np.ndarray) -> float:
     """Deterministic pairwise summation (fixed reduction shape)."""
@@ -336,6 +343,16 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     return points.reshape(-1, len(axes))
 
 
+def check_point_budget(resolution: Sequence[int]) -> None:
+    """Refuse a grid above ``MAX_AXIS_POINTS`` on an axis or ``MAX_GRID_POINTS`` in all, before any allocation."""
+    total = math.prod(resolution)
+    if max(resolution) > MAX_AXIS_POINTS or total > MAX_GRID_POINTS:
+        raise ValueError(
+            f"quadrature grid {tuple(resolution)} has {total} points, above the budget of "
+            f"{MAX_AXIS_POINTS} per axis and {MAX_GRID_POINTS} in all"
+        )
+
+
 def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int]) -> QuadratureGrid:
     chart = spec.quad_chart
     resolution = tuple(int(r) for r in resolution)
@@ -343,6 +360,7 @@ def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int]) -> Quadrature
         raise ValueError(f"resolution needs {chart.dim} axis counts, got {resolution}")
     if any(r < 2 for r in resolution):
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
+    check_point_budget(resolution)
     axes = [gauss_legendre_axis(lo, hi, r) for (lo, hi), r in zip(chart.quad_domain, resolution)]
     # ((w_0 w_1) w_2)...: the same products, in the same order, as a running product from 1
     weights = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel()

@@ -146,6 +146,29 @@ def action_geometric(frame: CurvatureFrame, cf: ComponentField) -> GrassmannElem
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _coordinate_generators(
+    n: int,
+) -> tuple[tuple[GrassmannElement, ...], tuple[GrassmannElement, ...], dict[tuple[int, int, int, int], GrassmannElement]]:
+    """phi_1, phi_2 and the quartic products phi_2^l phi_1^k phi_1^i phi_2^j, keyed (k, l, i, j).
+
+    The coordinate route's own products, built once per dimension n with
+    ``multiply``; they never come from ``geometry.biform_monomials``, so the
+    two action routes keep independent sign bookkeeping.
+    """
+    N = 2 * n
+    phi1 = tuple(GrassmannElement.generator(N, 2 * i) for i in range(n))
+    phi2 = tuple(GrassmannElement.generator(N, 2 * i + 1) for i in range(n))
+    quartics = {
+        (k, l, i, j): multiply(multiply(phi2[l], phi1[k]), multiply(phi1[i], phi2[j]))
+        for k in range(n)
+        for l in range(n)
+        for i in range(n)
+        for j in range(n)
+    }
+    return phi1, phi2, quartics
+
+
 def action_coordinate(jets: MetricJets, cf: ComponentField) -> GrassmannElement:
     """Action from raw metric jets: the five-term kinetic expansion.
 
@@ -166,8 +189,7 @@ def action_coordinate(jets: MetricJets, cf: ComponentField) -> GrassmannElement:
     N = 2 * n
     gamma2 = christoffel_tensors(np.linalg.inv(g), dg)
     F = np.asarray(cf.F, dtype=float)
-    phi1 = [GrassmannElement.generator(N, 2 * i) for i in range(n)]
-    phi2 = [GrassmannElement.generator(N, 2 * i + 1) for i in range(n)]
+    phi1, phi2, quartics = _coordinate_generators(n)
 
     E = []
     for k in range(n):
@@ -188,8 +210,7 @@ def action_coordinate(jets: MetricJets, cf: ComponentField) -> GrassmannElement:
                 for l in range(n):
                     c2 = d2g[k, l, i, j]
                     if c2 != 0.0:
-                        mono = multiply(multiply(phi2[l], phi1[k]), multiply(phi1[i], phi2[j]))
-                        total = total + c2 * mono
+                        total = total + c2 * quartics[k, l, i, j]
     total = 0.5 * total
 
     if cf.lam != 0.0:

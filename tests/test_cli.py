@@ -220,6 +220,12 @@ class TestSweepCommand:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert payload["max_deviation"] < 1e-2
 
+    def test_grid_above_point_budget_is_usage_error(self, capsys):
+        # lambda 1000 asks for 315828^2 points: refused before any allocation
+        code, _, err = run(capsys, "sweep", "--manifold", "flat_t2", "--morse", "coscos", "--lambda", "1000")
+        assert code == 2
+        assert err.count("\n") == 1 and "315828" in err and "budget" in err
+
     def test_deterministic_output(self, capsys, tmp_path):
         argv = [
             "sweep", "--manifold", "flat_t2", "--morse", "coscos",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cgb import efts
+from cgb.grassmann import permutation_sign
 from cgb.efts import (
     CartanReport,
     ParseError,
@@ -31,6 +32,18 @@ def poly(text, delta=2, m=1):
     return parse_polynomial(text, delta, m)
 
 
+def degrees(p):
+    """The polynomial degrees of the monomials of ``p``."""
+    return {SuperPolynomial.key_degree(key) for key in p.terms}
+
+
+def grading_involution(p):
+    """The reflection action on the odd directions: odd terms flip sign."""
+    return SuperPolynomial(
+        p.delta, p.m, {key: -c if SuperPolynomial.key_parity(key) else c for key, c in p.terms.items()}
+    )
+
+
 class TestAlgebra:
     def test_odd_generators_square_to_zero(self):
         d1x = SuperPolynomial.generator(2, 1, 0, 1)
@@ -44,11 +57,11 @@ class TestAlgebra:
         d21x = SuperPolynomial.generator(2, 1, 0, 3)
         square = d21x * d21x
         assert not square.is_zero()
-        assert square.degrees() == {4}
+        assert degrees(square) == {4}
 
     def test_gradings(self):
         p = poly("x1*D21x1")
-        assert p.degrees() == {2}
+        assert degrees(p) == {2}
         assert SuperPolynomial.key_weight(next(iter(p.terms))) == 2
         assert p.is_even()
         assert poly("D1x1").is_odd()
@@ -85,19 +98,19 @@ class TestTranslationAction:
     def test_degree_bookkeeping(self):
         w = VectorField.coordinate(2, 1, 0)
         p = poly("x1*D21x1")
-        assert apply_d(1, p).degrees() == {3}
-        assert apply_Iw(w, p).degrees() == {0}
-        assert apply_L(w, p).degrees() == {2} or apply_L(w, p).is_zero()
+        assert degrees(apply_d(1, p)) == {3}
+        assert degrees(apply_Iw(w, p)) == {0}
+        assert degrees(apply_L(w, p)) == {2} or apply_L(w, p).is_zero()
 
     def test_grading_involution(self):
-        from cgb.efts import grading_involution
-
+        # concordance_solve admits the +1 eigenspace: exactly the even elements
         even = poly("x1*D21x1 + D1x1*D2x1")
         odd = poly("D1x1 + x1^2*D2x1")
         assert grading_involution(even) == even
         assert grading_involution(odd) == -odd
         mixed = even + odd
         assert grading_involution(grading_involution(mixed)) == mixed
+        assert grading_involution(mixed) != mixed and not mixed.is_even()
 
 
 class TestDelta:
@@ -118,7 +131,7 @@ class TestDelta:
         for delta in (1, 2):
             x = SuperPolynomial.variable(delta, 1, 0)
             out = apply_Delta(x * x * x)
-            assert out.degrees() == {delta}
+            assert degrees(out) == {delta}
 
 
 class TestLieDerivative:
@@ -297,6 +310,103 @@ class TestConcordance:
         assert apply_d(1, target).is_zero() and apply_d(2, target).is_zero()
         result = concordance_solve(target, SuperPolynomial.zero(2, 1))
         assert result.feasible and result.witness == poly("x1")
+
+
+def sorting_sign(sequence):
+    """Sign of sorting ``sequence`` of distinct items, by ``permutation_sign`` of its ranks."""
+    ranks = {item: rank for rank, item in enumerate(sorted(sequence))}
+    return permutation_sign([ranks[item] for item in sequence])
+
+
+class TestMergeOdd:
+    def test_matches_permutation_sign(self):
+        rng = random.Random(11)
+        gens = [(var, mask) for var in range(5) for mask in (1, 2)]
+        disjoint = 0
+        for _ in range(3000):
+            a = tuple(sorted(rng.sample(gens, rng.randint(0, 6))))
+            b = tuple(sorted(rng.sample(gens, rng.randint(0, 6))))
+            merged = efts._merge_odd(a, b)
+            if set(a) & set(b):
+                assert merged is None
+            else:
+                disjoint += 1
+                assert merged == (tuple(sorted(a + b)), sorting_sign(a + b))
+        assert disjoint > 300
+
+
+def _solves(cases):
+    return [(r.feasible, r.witness, r.certificate) for r in (concordance_solve(a, b) for a, b in cases)]
+
+
+def _interleaved_cases():
+    """Targets in the four algebras delta = 1, 2 and m = 1, 2, taken in turn.
+
+    The first target of each algebra has degree 2 and weight 2, so the solves
+    meet blocks with equal labels in different algebras.  With delta = 1 and
+    m = 1 every closed even element is a constant: those targets are certified
+    infeasible.
+    """
+    rng = random.Random(8)
+    groups = []
+    for delta in (1, 2):
+        for m in (1, 2):
+            zero = SuperPolynomial.zero(delta, m)
+            # sources of even images: parity delta mod 2, not in the kernel of Delta
+            keys = [
+                key
+                for key in enumerate_monomials(delta, m, 3, 3)
+                if SuperPolynomial.key_parity(key) == delta & 1 and not apply_Delta(monomial(delta, m, key)).is_zero()
+            ]
+            labelled = [key for key in keys if SuperPolynomial.key_degree(key) == 2 - delta and SuperPolynomial.key_weight(key) == 2]
+            sources = []
+            if keys:
+                sources.append(sum((monomial(delta, m, key, rng.randint(1, 4)) for key in labelled), zero))
+                sources += [sum((monomial(delta, m, k, rng.randint(-4, 4) or 1) for k in rng.sample(keys, 3)), zero) for _ in range(3)]
+            cases = [(apply_Delta(source), zero) for source in sources]
+            cases.append((SuperPolynomial.constant(delta, m, 2), zero))  # certified infeasible
+            cases.append(((cases[0][0] if sources else zero) + SuperPolynomial.constant(delta, m, 1), zero))
+            groups.append(cases)
+    return [case for turn in itertools.zip_longest(*groups) for case in turn if case is not None]
+
+
+class TestDeltaBlockCache:
+    def test_cold_and_warm_solves_agree(self):
+        cases = _interleaved_cases()
+        cold = []
+        for case in cases:
+            efts._delta_block.cache_clear()
+            cold += _solves([case])
+        efts._delta_block.cache_clear()
+        first = _solves(cases)
+        warm = _solves(cases)
+        assert efts._delta_block.cache_info().hits > 0
+        assert first == cold and warm == cold
+        assert sum(not feasible for feasible, _, _ in cold) == 8 and sum(feasible for feasible, _, _ in cold) == 12
+        for (target, _), (feasible, witness, _) in zip(cases, cold):
+            assert not feasible or apply_Delta(witness) == target
+
+    def test_interleaved_algebras_get_their_own_columns(self):
+        _solves(_interleaved_cases())
+        for delta in (1, 2):
+            for m in (1, 2):
+                basis, columns = efts._delta_block(delta, m, 2 - delta, 2)
+                assert basis and {(SuperPolynomial.key_degree(k), SuperPolynomial.key_weight(k)) for k in basis} == {(2 - delta, 2)}
+                assert all(col.delta == delta and col.m == m for col in columns)
+                assert list(columns) == [apply_Delta(monomial(delta, m, key)) for key in basis]
+
+    def test_cached_columns_unchanged_by_a_solve(self):
+        zero = SuperPolynomial.zero(2, 1)
+        target = apply_Delta(poly("x1^2 + x1^3"))
+        concordance_solve(target, zero)
+        blocks = [efts._delta_block(2, 1, 0, weight) for weight in (2, 3)]
+        snapshot = [[dict(col.terms) for col in columns] for _, columns in blocks]
+        assert concordance_solve(target, zero).witness == poly("x1^2 + x1^3")
+        concordance_solve(apply_Delta(poly("3*x1^3 - x1^2")), zero)
+        assert [[dict(col.terms) for col in columns] for _, columns in blocks] == snapshot
+
+    def test_cache_is_bounded(self):
+        assert efts._delta_block.cache_info().maxsize is not None
 
 
 class TestPoincareLemmaDeltaOne:

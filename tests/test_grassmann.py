@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgb.grassmann import (
+    MAX_GENERATORS,
     DimensionMismatchError,
     GrassmannElement,
     ParityError,
@@ -20,6 +22,7 @@ from cgb.grassmann import (
     permutation_sign,
     pfaffian_combinatorial,
 )
+from cgb.grassmann import _merge_sign, _parity_word
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -216,3 +219,70 @@ class TestFermionicGaussian:
             ]
             skew = [[mat[i][j] - mat[j][i] for j in range(2 * half)] for i in range(2 * half)]
             assert fermionic_gaussian(skew, tol=0) == pfaffian_combinatorial(skew)
+
+
+def bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def sorting_sign(sequence):
+    """Sign of sorting ``sequence`` of distinct integers, by ``permutation_sign`` of its ranks."""
+    ranks = {value: rank for rank, value in enumerate(sorted(sequence))}
+    return permutation_sign([ranks[value] for value in sequence])
+
+
+class TestSignRule:
+    """The parity-word merge sign against the cycle-decomposition oracle."""
+
+    def test_merge_sign_matches_permutation_sign(self):
+        rng = random.Random(20261018)
+        high = 0
+        for _ in range(20_000):
+            n = rng.randint(1, MAX_GENERATORS)
+            owner = [rng.randrange(3) for _ in range(n)]  # 0: neither, 1: mask_a, 2: mask_b
+            mask_a = sum(1 << i for i, o in enumerate(owner) if o == 1)
+            mask_b = sum(1 << i for i, o in enumerate(owner) if o == 2)
+            high += (mask_a | mask_b) >> 32 != 0
+            assert _merge_sign(mask_a, mask_b) == sorting_sign(bits(mask_a) + bits(mask_b))
+        assert high > 5_000  # the upper half of a 64-generator word is exercised
+
+    def test_parity_word_counts_bits_above(self):
+        rng = random.Random(5)
+        for _ in range(500):
+            mask = rng.getrandbits(MAX_GENERATORS)
+            word = _parity_word(mask)
+            for j in range(MAX_GENERATORS):
+                assert word >> j & 1 == (mask >> (j + 1)).bit_count() & 1
+
+    @pytest.mark.parametrize("kind", [float, Fraction])
+    def test_multiply_matches_termwise_monomials(self, kind):
+        rng = random.Random(17)
+        for n in (1, 4, 9, 40, MAX_GENERATORS):
+            for _ in range(20):
+
+                def element():
+                    terms = {rng.getrandbits(n): kind(rng.randint(-9, 9)) / rng.randint(1, 4) for _ in range(8)}
+                    return GrassmannElement(n, terms)
+
+                a, b = element(), element()
+                expected = GrassmannElement.zero(n)
+                for mask_a, ca in a.terms.items():
+                    for mask_b, cb in b.terms.items():
+                        expected = expected + GrassmannElement.monomial(n, bits(mask_a) + bits(mask_b), ca * cb)
+                assert multiply(a, b) == expected
+
+    # fermionic_gaussian of default_rng(2026) skew forms of sizes 2..12, by float.hex
+    GAUSSIAN_PINS = (
+        "-0x1.1185dc949cc27p+1",
+        "0x1.259d9b1beb38dp-1",
+        "-0x1.fc7aa81768b7cp+2",
+        "-0x1.7cb001b27a2abp-8",
+        "-0x1.a48e305f430d3p+7",
+        "-0x1.af6110fe7bed0p+8",
+    )
+
+    def test_fermionic_gaussian_bits_pinned(self):
+        rng = np.random.default_rng(2026)
+        for half, pin in enumerate(self.GAUSSIAN_PINS, start=1):
+            mat = rng.normal(size=(2 * half, 2 * half))
+            assert fermionic_gaussian(mat - mat.T).hex() == pin

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from cgb.geometry import CurvatureFrame
+from cgb import manifolds
 from cgb.manifolds import (
+    MAX_AXIS_POINTS,
+    MAX_GRID_POINTS,
     _legendre_rule,
+    check_point_budget,
     catalog,
     gauss_legendre_axis,
     get_manifold,
@@ -55,6 +59,23 @@ class TestQuadrature:
         box = s2.quad_chart.quad_domain
         volume = float(np.prod(box[:, 1] - box[:, 0]))
         assert pairwise_sum(grid.weights) == pytest.approx(volume, rel=1e-12)
+
+    def test_point_budget_admits_the_largest_grids_in_use(self):
+        for resolution in ((3159, 3159), (24, 24, 24, 24), (252, 503)):
+            check_point_budget(resolution)
+        check_point_budget((MAX_AXIS_POINTS, MAX_GRID_POINTS // MAX_AXIS_POINTS))
+        with pytest.raises(ValueError, match=f"{MAX_AXIS_POINTS + 1}, 2\\) has {2 * MAX_AXIS_POINTS + 2} points"):
+            check_point_budget((MAX_AXIS_POINTS + 1, 2))
+        with pytest.raises(ValueError, match=f"has {MAX_GRID_POINTS + 4096} points"):
+            check_point_budget((16, 16, 16, MAX_GRID_POINTS // 4096 + 1))
+
+    def test_point_budget_checked_before_any_rule(self, monkeypatch):
+        def unreachable(n):
+            raise AssertionError(f"a {n}-point rule was built")
+
+        monkeypatch.setattr(manifolds, "_legendre_rule", unreachable)
+        with pytest.raises(ValueError, match="315828, 315828"):
+            quadrature_grid(get_manifold("flat_t2"), (315828, 315828))
 
     def test_legendre_rule_cached_read_only(self):
         first, again = _legendre_rule(37), _legendre_rule(37)

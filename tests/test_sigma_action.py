@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cgb.geometry import CurvatureFrame, MetricJets, curvature_biform
-from cgb.grassmann import GrassmannElement
+from cgb.grassmann import GrassmannElement, permutation_sign
 from cgb.sigma import (
     ACTION_CURVATURE_COUPLING,
     ComponentField,
@@ -14,6 +14,12 @@ from cgb.sigma import (
     action_geometric,
     check_action_equivalence,
 )
+
+
+def degree_part(element, degree):
+    """The terms of ``element`` on monomials of ``degree`` generators."""
+    kept = {m: c for m, c in element.terms.items() if m.bit_count() == degree}
+    return GrassmannElement(element.generator_count, kept)
 
 
 def random_jets(rng, n):
@@ -89,7 +95,7 @@ class TestActionStructure:
         action = action_geometric(frame, cf)
         assert action.isclose(ACTION_CURVATURE_COUPLING * curvature_biform(frame), 1e-12)
         assert action.scalar_part == 0
-        assert action.degree_part(2).terms == {}
+        assert degree_part(action, 2).terms == {}
 
     def test_sphere_quartic_coefficient(self):
         # the quartic part carries + R_{theta phi theta phi} on the top monomial
@@ -115,8 +121,8 @@ class TestActionStructure:
         from cgb.geometry import pair_biform
 
         expected_quadratic = -lam * pair_biform(hess)
-        assert action.degree_part(2).isclose(expected_quadratic, 1e-12)
-        assert action.degree_part(4).terms == {}
+        assert degree_part(action, 2).isclose(expected_quadratic, 1e-12)
+        assert degree_part(action, 4).terms == {}
 
     def test_action_is_even(self):
         rng = np.random.default_rng(9)
@@ -129,3 +135,29 @@ class TestActionStructure:
             h_hess=np.eye(3),
         )
         assert action_coordinate(jets, cf).is_even()
+
+
+class TestCoordinateGenerators:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quartics_match_permutation_rule_without_biform_table(self, n, monkeypatch):
+        # the coordinate route keeps its own signs: it builds them with the
+        # biform table unreachable, and they match the cycle-decomposition rule
+        from cgb import geometry, sigma
+
+        def unreachable(n):
+            raise AssertionError("the coordinate route read biform_monomials")
+
+        monkeypatch.setattr(geometry, "biform_monomials", unreachable)
+        monkeypatch.setattr(sigma, "biform_monomials", unreachable)
+        sigma._coordinate_generators.cache_clear()
+        phi1, phi2, quartics = sigma._coordinate_generators(n)
+        assert [p.terms for p in phi1] == [{1 << (2 * i): 1} for i in range(n)]
+        assert [p.terms for p in phi2] == [{1 << (2 * i + 1): 1} for i in range(n)]
+        for (k, l, i, j), mono in quartics.items():
+            order = [2 * l + 1, 2 * k, 2 * i, 2 * j + 1]
+            if len(set(order)) < 4:
+                assert mono.terms == {}
+                continue
+            ranks = {g: r for r, g in enumerate(sorted(order))}
+            sign = permutation_sign([ranks[g] for g in order])
+            assert mono.terms == {sum(1 << g for g in order): sign}
