@@ -147,9 +147,7 @@ def action_geometric(frame: CurvatureFrame, cf: ComponentField) -> GrassmannElem
 
 
 @functools.lru_cache(maxsize=8)
-def _coordinate_generators(
-    n: int,
-) -> tuple[tuple[GrassmannElement, ...], tuple[GrassmannElement, ...], dict[tuple[int, int, int, int], GrassmannElement]]:
+def _coordinate_generators(n: int) -> tuple[tuple, tuple, dict[tuple[int, int, int, int], GrassmannElement]]:
     """phi_1, phi_2 and the quartic products phi_2^l phi_1^k phi_1^i phi_2^j, keyed (k, l, i, j).
 
     The coordinate route's own products, built once per dimension n with

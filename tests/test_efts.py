@@ -335,6 +335,10 @@ class TestMergeOdd:
         assert disjoint > 300
 
 
+def label(key):
+    return SuperPolynomial.key_degree(key), SuperPolynomial.key_weight(key)
+
+
 def _solves(cases):
     return [(r.feasible, r.witness, r.certificate) for r in (concordance_solve(a, b) for a, b in cases)]
 
@@ -358,11 +362,12 @@ def _interleaved_cases():
                 for key in enumerate_monomials(delta, m, 3, 3)
                 if SuperPolynomial.key_parity(key) == delta & 1 and not apply_Delta(monomial(delta, m, key)).is_zero()
             ]
-            labelled = [key for key in keys if SuperPolynomial.key_degree(key) == 2 - delta and SuperPolynomial.key_weight(key) == 2]
+            labelled = [key for key in keys if label(key) == (2 - delta, 2)]
             sources = []
             if keys:
                 sources.append(sum((monomial(delta, m, key, rng.randint(1, 4)) for key in labelled), zero))
-                sources += [sum((monomial(delta, m, k, rng.randint(-4, 4) or 1) for k in rng.sample(keys, 3)), zero) for _ in range(3)]
+                for _ in range(3):
+                    sources.append(sum((monomial(delta, m, k, rng.randint(1, 4)) for k in rng.sample(keys, 3)), zero))
             cases = [(apply_Delta(source), zero) for source in sources]
             cases.append((SuperPolynomial.constant(delta, m, 2), zero))  # certified infeasible
             cases.append(((cases[0][0] if sources else zero) + SuperPolynomial.constant(delta, m, 1), zero))
@@ -391,7 +396,7 @@ class TestDeltaBlockCache:
         for delta in (1, 2):
             for m in (1, 2):
                 basis, columns = efts._delta_block(delta, m, 2 - delta, 2)
-                assert basis and {(SuperPolynomial.key_degree(k), SuperPolynomial.key_weight(k)) for k in basis} == {(2 - delta, 2)}
+                assert basis and {label(key) for key in basis} == {(2 - delta, 2)}
                 assert all(col.delta == delta and col.m == m for col in columns)
                 assert list(columns) == [apply_Delta(monomial(delta, m, key)) for key in basis]
 
