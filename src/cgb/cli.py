@@ -14,8 +14,6 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 CSV_HEADER = "# cgb-sweep-v1: lambda,Z,error_bound,resolution"
 
 
@@ -55,7 +53,7 @@ class RunManifest:
         if not _is_number(self.tolerance) or not math.isfinite(self.tolerance) or self.tolerance <= 0:
             raise ValueError(f"tolerance must be a positive finite number, got {self.tolerance!r}")
         spec = get_manifold(self.manifold, **self.manifold_params)
-        if self.morse not in (None, "none"):
+        if self.morse is not None:
             spec.potential(self.morse)
         if len(self.resolution) not in (spec.dim, 0):
             raise ValueError(
@@ -95,7 +93,7 @@ def load_manifest(args: argparse.Namespace):
     if args.manifold_params:
         manifest.manifold_params = json.loads(args.manifold_params)
     if args.morse:
-        manifest.morse = None if args.morse == "none" else args.morse
+        manifest.morse = args.morse
     if args.lambdas:
         manifest.lambdas = [float(v) for v in args.lambdas.split(",")]
     if args.resolution:
@@ -106,6 +104,8 @@ def load_manifest(args: argparse.Namespace):
         manifest.out = args.out
     if args.no_adaptive:
         manifest.adaptive = False
+    if manifest.morse == "none":  # the one spelling of h = 0, from a flag or a manifest
+        manifest.morse = None
     return manifest, manifest.validate()
 
 
@@ -217,6 +217,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):
     """Run the cross-module invariant suite; yields (name, passed, detail)."""
     from fractions import Fraction
+
+    import numpy as np
 
     from .efts import (
         SuperPolynomial,

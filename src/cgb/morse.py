@@ -41,7 +41,6 @@ class CriticalPoint:
     hessian: np.ndarray
     det_hess: float
     sign: int
-    morse_ok: bool
     embedded: np.ndarray
     value: float
 
@@ -130,8 +129,7 @@ def find_critical_points(
                 continue
             hess = np.asarray(h.hess(x), dtype=float)
             det = float(np.linalg.det(hess))
-            morse_ok = abs(det) > TOL_MORSE
-            if not morse_ok:
+            if abs(det) <= TOL_MORSE:
                 raise DegenerateCriticalPointError(
                     f"critical point of {h_name!r} at {x.tolist()} on chart {chart_name!r} "
                     f"has |det Hess| = {abs(det):.3e} <= {TOL_MORSE:g}; "
@@ -145,7 +143,6 @@ def find_critical_points(
                     hessian=hess,
                     det_hess=det,
                     sign=1 if det > 0 else -1,
-                    morse_ok=morse_ok,
                     embedded=embedded,
                     value=float(h.value(x)),
                 )

@@ -74,12 +74,12 @@ from .geometry import (
 from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multiply
 from .manifolds import (
     ManifoldSpec,
-    MorseFunction,
     integrate_values,
     pairwise_sum,
     quadrature_grid,
     tensor_points,
 )
+from .morse import TOL_MORSE
 
 # Coupling of the action to the calibrated curvature element.  The
 # two-route equivalence check pins it: with the chi-calibrated biform the
@@ -370,10 +370,20 @@ _CHUNK = 1 << 18
 _STIFFNESS_PROBE = 17  # points per axis of the stiffness probe grid
 
 
-def _inverse_metric(g: np.ndarray, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det g and g^-1 at every point of a chunk; names the first point where g is not positive definite."""
+def _inverse_metric(g: np.ndarray, points: np.ndarray, gram: bool) -> tuple[np.ndarray, np.ndarray]:
+    """det g and g^-1 at every point of a chunk; names the first point where g is not positive definite.
+
+    A Gram matrix dX dX^T (``gram``: the metric an embedding induces) is
+    positive definite exactly where det g > 0.  Any other g must also have
+    positive leading minors (Sylvester's criterion).
+    """
     det = np.linalg.det(g)
-    bad = np.flatnonzero(~(det > 0))
+    ok = det > 0
+    if not gram:
+        ok &= g[..., 0, 0] > 0
+        for k in range(2, g.shape[-1]):
+            ok &= np.linalg.det(g[..., :k, :k]) > 0
+    bad = np.flatnonzero(~ok)
     if bad.size:
         where = ", ".join(str(float(c)) for c in points[bad[0]])
         raise ValueError(f"metric not positive definite at the grid point ({where})")
@@ -393,11 +403,11 @@ def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> n
     riem = None
     if chart.embedding is not None:
         dx, d2x = chart.embedding.derivatives(points, [1, 2])
-        det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), points)
+        det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), points, gram=True)
         gamma2, riem = induced_curvature(dx, d2x, g_inv)
     elif not chart.flat:
         g = np.asarray(chart.metric(points), dtype=float)
-        det, g_inv = _inverse_metric(g, points)
+        det, g_inv = _inverse_metric(g, points, gram=False)
         gamma2 = christoffel_tensors(g_inv, np.asarray(chart.d_metric(points), dtype=float))
         riem = riemann_tensor(g, np.asarray(chart.d2_metric(points), dtype=float), gamma2)
 
@@ -448,7 +458,10 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     chart = spec.quad_chart
     h = potential.on_chart(chart.name)
     pts = tensor_points([np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain])
-    g_inv = np.eye(chart.dim) if chart.metric.flat else _inverse_metric(chart.metric.metric(pts), pts)[1]
+    if chart.metric.flat:
+        g_inv = np.eye(chart.dim)
+    else:
+        g_inv = _inverse_metric(chart.metric.metric(pts), pts, gram=chart.metric.embedding is not None)[1]
     hess = np.asarray(h.hess(pts), dtype=float)
     form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
     mu_sq = np.linalg.eigvalsh(form)[..., -1]
@@ -478,11 +491,9 @@ def check_resolution(
 
 
 def adaptive_resolution(
-    spec: ManifoldSpec, lam: float, base: Sequence[int], stiffness: float | None = None
+    spec: ManifoldSpec, lam: float, base: Sequence[int], stiffness: float
 ) -> tuple[int, ...]:
     """Per-axis counts >= max(base, 8 * lambda * axis length * stiffness)."""
-    if stiffness is None:
-        stiffness = 1.0
     return tuple(
         max(int(b), int(math.ceil(count))) for b, count in zip(base, _bump_counts(spec, lam, stiffness, 8))
     )
@@ -507,7 +518,16 @@ def _partition(
     use_product_structure: bool,
     stiffness: float | None,
 ) -> PartitionResult:
-    """``partition_function``, given the potential's stiffness or None to compute it when it is needed."""
+    """``partition_function``, given the potential's stiffness or None to compute it when it is needed.
+
+    On a product with h = h_1 + h_2 (or no potential) the evaluation is
+    blockwise: with block metric and block curvature, the Berezin top
+    coefficient, det g and the gradient Gaussian all split between the
+    factors, so the full tensor-grid sum equals the product of factor sums.
+    ``stiffness`` is then the product's, the max of the factors': the
+    product's resolution check over the same axes already implies each
+    factor's.
+    """
     if spec.dim % 2 != 0:
         raise ValueError(f"partition function needs even dimension, got {spec.dim}")
     resolution = tuple(int(r) for r in resolution)
@@ -522,48 +542,21 @@ def _partition(
         and spec.factors is not None
         and (potential is None or potential.factor_names is not None)
     ):
-        return _partition_factorized(spec, potential, lam, resolution, stiffness)
-
-    grid = quadrature_grid(spec, resolution)
-    chart = spec.quad_chart
-    h = potential.on_chart(chart.name) if potential is not None else None
-    values = _integrand_on_points(chart.metric, grid.points, lam, h)
-    raw, cap_bound = integrate_values(grid, values)
-    norm = (2 * math.pi) ** (-spec.dim / 2)
-    value = norm * raw
-    return PartitionResult(
-        lam=lam,
-        value=value,
-        resolution=resolution,
-        error_bound=norm * cap_bound,
-    )
-
-
-def _partition_factorized(
-    spec: ManifoldSpec,
-    potential: MorseFunction | None,
-    lam: float,
-    resolution: tuple[int, ...],
-    stiffness: float | None,
-) -> PartitionResult:
-    """Blockwise evaluation on a product: the integrand factorizes exactly.
-
-    With block metric, block curvature, and h = h_1 + h_2, the Berezin top
-    coefficient, det g, and the gradient Gaussian all split between the
-    factors, so the full tensor-grid sum equals the product of factor sums.
-    ``stiffness`` is the product's, the max of the factors': the product's
-    resolution check over the same axes already implies each factor's.
-    """
-    f1, f2 = spec.factors
-    n1 = f1.dim
-    r1, r2 = resolution[:n1], resolution[n1:]
-    h1 = h2 = None
-    if potential is not None:
-        h1, h2 = potential.factor_names
-    z1 = _partition(f1, h1, lam, r1, True, stiffness)
-    z2 = _partition(f2, h2, lam, r2, True, stiffness)
-    value = z1.value * z2.value
-    bound = abs(z1.value) * z2.error_bound + abs(z2.value) * z1.error_bound + z1.error_bound * z2.error_bound
+        f1, f2 = spec.factors
+        h1, h2 = (None, None) if potential is None else potential.factor_names
+        z1 = _partition(f1, h1, lam, resolution[: f1.dim], True, stiffness)
+        z2 = _partition(f2, h2, lam, resolution[f1.dim :], True, stiffness)
+        value = z1.value * z2.value
+        bound = abs(z1.value) * z2.error_bound + abs(z2.value) * z1.error_bound + z1.error_bound * z2.error_bound
+    else:
+        grid = quadrature_grid(spec, resolution)
+        chart = spec.quad_chart
+        h = potential.on_chart(chart.name) if potential is not None else None
+        values = _integrand_on_points(chart.metric, grid.points, lam, h)
+        raw, cap_bound = integrate_values(grid, values)
+        norm = (2 * math.pi) ** (-spec.dim / 2)
+        value = norm * raw
+        bound = norm * cap_bound
     return PartitionResult(
         lam=lam,
         value=value,
@@ -605,8 +598,8 @@ def local_index_contribution(cp, lam: float, radius: float | None = None) -> flo
     """
     hessian = np.asarray(cp.hessian, dtype=float)
     det = float(np.linalg.det(hessian))
-    if det == 0.0 or not getattr(cp, "morse_ok", True):
-        raise ValueError("degenerate Hessian has no localization limit")
+    if abs(det) <= TOL_MORSE:
+        raise ValueError(f"degenerate Hessian (|det| = {abs(det):.3e} <= {TOL_MORSE:g}) has no localization limit")
     sign = 1.0 if det > 0 else -1.0
     if radius is None:
         return sign

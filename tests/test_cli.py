@@ -192,6 +192,18 @@ class TestIndexCommand:
         code, _, err = run(capsys, "index", "--manifold", "torus")
         assert code == 2
 
+    def test_manifest_none_matches_flag(self, capsys, tmp_path):
+        # "none" means h = 0 whether a flag or a manifest spells it
+        manifest_path = tmp_path / "m.json"
+        manifest_path.write_text(json.dumps({"manifold": "s2", "morse": "none", "lambdas": [0, 1], "resolution": [16, 32]}))
+        flags = ["--manifold", "s2", "--morse", "none", "--lambda", "0,1", "--resolution", "16,32"]
+        for command in ("sweep", "index"):
+            from_manifest = run(capsys, command, "--manifest", str(manifest_path))
+            assert from_manifest == run(capsys, command, *flags)
+        sweep = run(capsys, "sweep", *flags)
+        assert sweep[0] == 0 and json.loads(sweep[1][sweep[1].index("{") :])["morse"] is None
+        assert from_manifest == (2, "", "error: the index command needs a potential (--morse NAME)\n")
+
 
 class TestSweepCommand:
     def test_sphere_sweep(self, capsys, tmp_path):
@@ -291,6 +303,19 @@ class TestEftsCommand:
         code, stdout, _ = run(capsys, "efts", "delta", "x1^2", "--delta", "2")
         assert code == 0
         assert stdout.strip() == "-2*D1x1*D2x1 + 2*x1*D21x1"
+
+    def test_efts_does_not_import_numpy(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from cgb.cli import main\n"
+            "assert main(['efts', 'concordance', '2*x1*D21x1 - 2*D1x1*D2x1', '0', '--delta', '2']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_cartan_pass(self, capsys):
         code, stdout, _ = run(capsys, "efts", "cartan", "d/dx1", "--delta", "2")

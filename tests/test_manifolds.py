@@ -37,8 +37,10 @@ class TestCatalog:
             get_manifold("klein_bottle")
 
     def test_unknown_potential(self, s2):
-        with pytest.raises(KeyError):
-            s2.potential("saddlepalooza")
+        # the library takes None for h = 0; "none" is a CLI spelling only
+        for h_name in ("saddlepalooza", "none"):
+            with pytest.raises(KeyError):
+                s2.potential(h_name)
 
     def test_every_manifold_has_quad_chart_and_potential(self, full_catalog):
         for spec in full_catalog:

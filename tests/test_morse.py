@@ -11,6 +11,7 @@ from cgb.manifolds import ManifoldSpec, MorseFunction
 from cgb.morse import (
     DegenerateCriticalPointError,
     TOL_GRAD,
+    TOL_MORSE,
     find_critical_points,
     hopf_index,
 )
@@ -24,7 +25,7 @@ class TestCriticalPoints:
         # the poles: embedded z = +-1
         assert sorted(round(cp.embedded[2], 9) for cp in points) == [-1.0, 1.0]
         assert all(cp.gradient_norm < TOL_GRAD for cp in points)
-        assert all(cp.morse_ok for cp in points)
+        assert all(abs(cp.det_hess) > TOL_MORSE for cp in points)
 
     def test_torus_height_classical_picture(self, torus):
         points = find_critical_points(torus, "height")

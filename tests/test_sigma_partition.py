@@ -11,6 +11,9 @@ from cgb.manifolds import (
     ONE,
     SIN,
     COS,
+    Chart,
+    ManifoldSpec,
+    MorseFunction,
     TrigEmbedding,
     embedded_chart,
     flat_chart,
@@ -19,6 +22,7 @@ from cgb.manifolds import (
     product_of_spheres,
     quadrature_grid,
     sphere,
+    trig_field,
 )
 from cgb.morse import find_critical_points
 from cgb.sigma import (
@@ -347,6 +351,42 @@ JETS_ROUTE_BITS = [
 FLAT_ROUTE_BITS = "0x1.27643e37eddb7p-54"
 FLAT_SWEEP_BITS = ["0x0.0p+0", "-0x1.debcf21405e80p-58", "-0x1.0287a5e692011p-54", "-0x1.910b3cff6e590p-55"]
 
+# (manifold, potential, coupling, resolution, use_product_structure, Z.hex(), error_bound.hex()) of
+# the induced route, direct S2xS2 included, as computed while the factorized evaluation was a
+# function of its own
+INDUCED_ROUTE_BITS = [
+    ("s2", None, 0.0, (32, 64), True, "0x1.ffffffd50ce1bp+0", "0x1.a2393d572db8bp-13"),
+    ("s2", "height", 1.0, (32, 64), True, "0x1.ffffffaa19c3fp+0", "0x1.5b0a839b32c44p-13"),
+    ("torus", None, 0.0, (32, 32), True, "0x1.b043cb999196ap-48", "0x0.0p+0"),
+    ("torus", "height", 1.0, (32, 32), True, "0x1.83569f5c73476p-44", "0x0.0p+0"),
+    ("s2xs2", None, 0.0, (8, 10, 8, 10), False, "0x1.ffffffaa19c0cp+1", "0x1.2ecd81cd85e63p-10"),
+    ("s2xs2", "height_sum", 0.13, (8, 10, 8, 10), False, "0x1.ffffff9644af5p+1", "0x1.2af2f92503b84p-10"),
+]
+
+# the factorized S2xS2 sweep with height_sum at (0, 0.5, 1) from base (8, 16, 8, 16):
+# (resolution, Z.hex(), error_bound.hex()) per coupling, computed at the same point
+FACTORIZED_SWEEP_BITS = [
+    ((8, 16, 8, 16), "0x1.ffffffaa19c0cp+1", "0x1.9229200cfd423p-11"),
+    ((13, 26, 13, 26), "0x1.ffffff94a43b2p+1", "0x1.7229905ee9fdap-11"),
+    ((26, 51, 26, 51), "0x1.ffffff543388bp+1", "0x1.5b2b996e0fddep-11"),
+]
+
+
+def constant_metric_spec(diagonal):
+    """A box chart with the constant jets (diag(diagonal), 0, 0), no embedding, and a potential 'h'."""
+    dim = len(diagonal)
+    chart = ChartMetric(
+        dim,
+        [[0.0, 1.0]] * dim,
+        lambda x: np.broadcast_to(np.diag(diagonal), np.shape(x)[:-1] + (dim, dim)).copy(),
+        lambda x: np.zeros(np.shape(x)[:-1] + (dim,) * 3),
+        lambda x: np.zeros(np.shape(x)[:-1] + (dim,) * 4),
+        name="box",
+    )
+    h = trig_field(TrigEmbedding([[(1.0, (SIN,) + (ONE,) * (dim - 1))]]))
+    box = Chart(chart, lambda x: np.asarray(x, dtype=float), quad_domain=np.array([[0.0, 1.0]] * dim))
+    return ManifoldSpec("box", dim, {"box": box}, 0, {"h": MorseFunction(fields={"box": h})})
+
 
 class TestCurvatureRoutes:
     def test_induced_charts_skip_d2_metric(self, monkeypatch):
@@ -359,6 +399,15 @@ class TestCurvatureRoutes:
             z = partition_function(s2xs2, h_name, lam, (8, 16, 8, 16), use_product_structure=False)
             assert abs(z.value - 4.0) < 1e-2
         assert calls == [[], [], [], []]
+
+    @pytest.mark.parametrize("name, h_name, lam, resolution, product, value, bound", INDUCED_ROUTE_BITS)
+    def test_induced_route_bits_unchanged(self, name, h_name, lam, resolution, product, value, bound):
+        result = partition_function(get_manifold(name), h_name, lam, resolution, use_product_structure=product)
+        assert (result.value.hex(), result.error_bound.hex()) == (value, bound)
+
+    def test_factorized_sweep_bits_unchanged(self, s2xs2):
+        sweep = lambda_sweep(s2xs2, "height_sum", (0, 0.5, 1), (8, 16, 8, 16))
+        assert [(r.resolution, r.value.hex(), r.error_bound.hex()) for r in sweep.results] == FACTORIZED_SWEEP_BITS
 
     @pytest.mark.parametrize("name, h_name, lam, resolution, value, bound", JETS_ROUTE_BITS)
     def test_jets_route_bits_unchanged(self, monkeypatch, name, h_name, lam, resolution, value, bound):
@@ -422,6 +471,20 @@ class TestCurvatureRoutes:
         with pytest.raises(ValueError, match=r"not positive definite at the grid point \(0\.5, 0\.1\)"):
             _integrand_on_points(chart, pts, 0.0, None)
 
+    @pytest.mark.parametrize("diagonal", [(-1.0, -2.0), (-1.0, -1.0, 1.0, 1.0)])
+    def test_indefinite_metric_with_positive_det_names_the_point(self, diagonal):
+        # det g > 0 here, so only the leading minors show that g is not positive definite
+        spec = constant_metric_spec(diagonal)
+        dim = len(diagonal)
+        pts = np.array([[0.5] * dim, [0.25] * dim])
+        where = ", ".join(["0\\.5"] * dim)
+        with pytest.raises(ValueError, match=rf"not positive definite at the grid point \({where}\)"):
+            _integrand_on_points(spec.quad_chart.metric, pts, 0.0, None)
+        # a sweep meets the metric first in the stiffness probe, whose first point is the box corner
+        where = ", ".join(["0\\.0"] * dim)
+        with pytest.raises(ValueError, match=rf"not positive definite at the grid point \({where}\)"):
+            lambda_sweep(spec, "h", [0.0, 1.0], (4,) * dim)
+
 
 class TestResolutionPolicy:
     def test_refusal_with_hint(self, s2):
@@ -435,7 +498,7 @@ class TestResolutionPolicy:
         assert potential_stiffness(s2, None) == 1.0
 
     def test_adaptive_resolution_floors_at_base(self, s2):
-        assert adaptive_resolution(s2, 0.0, (64, 128)) == (64, 128)
+        assert adaptive_resolution(s2, 0.0, (64, 128), 1.0) == (64, 128)
         res = adaptive_resolution(s2, 10.0, (64, 128), 1.0)
         assert res[0] >= 8 * 10 * math.pi - 1 and res[1] >= 8 * 10 * 2 * math.pi - 1
 
@@ -522,12 +585,14 @@ class TestLocalization:
         assert abs(value - 1.0) < 1e-6
 
     def test_local_index_degenerate_rejected(self):
-        class Stub:
-            hessian = np.diag([1.0, 0.0])
-            morse_ok = False
+        # the Morse tolerance of find_critical_points, not an exact zero, decides
+        for diagonal in ([1.0, 0.0], [1.0, 1e-9]):
 
-        with pytest.raises(ValueError):
-            local_index_contribution(Stub(), 10.0)
+            class Stub:
+                hessian = np.diag(diagonal)
+
+            with pytest.raises(ValueError, match="degenerate Hessian"):
+                local_index_contribution(Stub(), 10.0)
 
     def test_local_index_numeric_oracle(self):
         # quadrature oracle over the eigen-axis box at moderate coupling
