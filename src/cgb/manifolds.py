@@ -155,7 +155,7 @@ def trig_field(potential: TrigEmbedding) -> ScalarField:
 
 
 def _ambient_sum(charts: dict[str, "Chart"], weights: dict[int, float]) -> dict[str, ScalarField]:
-    """Per chart, the sum of weight * ambient coordinate a of its embedding over ``weights`` = {a: weight}, as a ScalarField."""
+    """Per chart, the ScalarField sum of w * (ambient coordinate a of its embedding) over ``weights`` = {a: w}."""
     fields = {}
     for name, chart in charts.items():
         terms = [(w * c, fs) for a, w in weights.items() for c, fs in chart.embed.components[a]]
@@ -380,7 +380,10 @@ def integrate_values(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, f
 
 
 def _sphere_like(name: str, a: float, b: float, c: float, factor=None, critical_distance=None) -> ManifoldSpec:
-    """x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 with polar and rotated charts and the height z; ``factor`` scales the polar metric."""
+    """x^2/a^2 + y^2/b^2 + z^2/c^2 = 1: polar and rotated charts and the height z.
+
+    ``factor`` scales the polar metric; ``critical_distance`` is the height's.
+    """
     full = [[1e-7, math.pi - 1e-7], [0.0, 2 * math.pi]]
     polar = TrigEmbedding([[(a, (SIN, COS))], [(b, (SIN, SIN))], [(c, (COS, ONE))]])
     rotated = TrigEmbedding([[(a, (COS, ONE))], [(b, (SIN, COS))], [(c, (SIN, SIN))]])

@@ -458,10 +458,8 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     chart = spec.quad_chart
     h = potential.on_chart(chart.name)
     pts = tensor_points([np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain])
-    if chart.metric.flat:
-        g_inv = np.eye(chart.dim)
-    else:
-        g_inv = _inverse_metric(chart.metric.metric(pts), pts, gram=chart.metric.embedding is not None)[1]
+    gram = chart.metric.embedding is not None
+    g_inv = np.eye(chart.dim) if chart.metric.flat else _inverse_metric(chart.metric.metric(pts), pts, gram)[1]
     hess = np.asarray(h.hess(pts), dtype=float)
     form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
     mu_sq = np.linalg.eigvalsh(form)[..., -1]
