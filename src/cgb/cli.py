@@ -9,10 +9,11 @@ manifest and flags produce byte-identical CSV/JSON.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 CSV_HEADER = "# cgb-sweep-v1: lambda,Z,error_bound,resolution"
 
@@ -38,8 +39,8 @@ class RunManifest:
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name in ("morse", "out"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+            if getattr(self, name) == "" or not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a nonempty string or null, got {getattr(self, name)!r}")
         if not isinstance(self.lambdas, list) or not self.lambdas or not all(map(_is_number, self.lambdas)):
             raise ValueError(f"lambdas must be a nonempty list of numbers, got {self.lambdas!r}")
         if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas):
@@ -82,28 +83,13 @@ def _is_number(value) -> bool:
 
 
 def load_manifest(args: argparse.Namespace):
-    """The run manifest with flag overrides applied, and the manifold it names."""
+    """The run manifest with the flags that were given applied, and the manifold it names."""
     data = {}
-    if args.manifest:
+    if args.manifest is not None:
         with open(args.manifest) as fh:
             data = json.load(fh)
-    manifest = RunManifest.from_dict(data)
-    if args.manifold:
-        manifest.manifold = args.manifold
-    if args.manifold_params:
-        manifest.manifold_params = json.loads(args.manifold_params)
-    if args.morse:
-        manifest.morse = args.morse
-    if args.lambdas:
-        manifest.lambdas = [float(v) for v in args.lambdas.split(",")]
-    if args.resolution:
-        manifest.resolution = [int(v) for v in args.resolution.split(",")]
-    if args.tolerance is not None:
-        manifest.tolerance = args.tolerance
-    if args.out:
-        manifest.out = args.out
-    if args.no_adaptive:
-        manifest.adaptive = False
+    flags = {name: value for name, value in vars(args).items() if name in RunManifest.__dataclass_fields__}
+    manifest = replace(RunManifest.from_dict(data), **flags)
     if manifest.morse == "none":  # the one spelling of h = 0, from a flag or a manifest
         manifest.morse = None
     return manifest, manifest.validate()
@@ -152,8 +138,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
     manifest, spec = load_manifest(args)
     if manifest.morse is None:
-        print("error: the index command needs a potential (--morse NAME)", file=sys.stderr)
-        return 2
+        raise ValueError("the index command needs a potential (--morse NAME)")
     points = find_critical_points(spec, manifest.morse, seed_density=args.seed_density)
     print(f"critical points of {manifest.morse!r} on {spec.name}:")
     print(f"{'chart':>16} {'coords':>34} {'sign':>5} {'|grad h|':>10} {'det Hess':>12}")
@@ -380,8 +365,19 @@ def cmd_efts(args: argparse.Namespace) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error leaves through main's one-line refusal
+        raise ValueError(message)
+
+
+def _typed(name: str, convert):
+    """Names ``convert``, a fresh function, so argparse refuses text it cannot convert as 'invalid <name> value'."""
+    convert.__name__ = name
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cgb",
         description="Euler characteristics from curvature Pfaffians, Morse indices, "
         "and their coupling sweep; plus the exact odd-direction function algebra.",
@@ -390,14 +386,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_run_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--manifest", help="JSON manifest path")
-        p.add_argument("--manifold", help="catalog manifold name")
-        p.add_argument("--manifold-params", help="JSON dict of manifold parameters")
-        p.add_argument("--morse", help="potential name ('none' for h = 0)")
-        p.add_argument("--lambda", dest="lambdas", help="comma-separated coupling list")
-        p.add_argument("--resolution", help="comma-separated per-axis grid counts")
-        p.add_argument("--tolerance", type=float, help="acceptance tolerance")
-        p.add_argument("--out", help="output path stem (writes .json / .csv)")
-        p.add_argument("--no-adaptive", action="store_true", help="disable adaptive grids")
+        field = functools.partial(p.add_argument, default=argparse.SUPPRESS)  # sets field <dest> only when given
+        field("--manifold", help="catalog manifold name")
+        params = _typed("JSON", lambda text: json.loads(text))
+        field("--manifold-params", type=params, help="JSON dict of manifold parameters")
+        field("--morse", help="potential name ('none' for h = 0)")
+        floats = _typed("float list", lambda text: [float(v) for v in text.split(",")])
+        field("--lambda", dest="lambdas", type=floats, help="comma-separated coupling list")
+        ints = _typed("integer list", lambda text: [int(v) for v in text.split(",")])
+        field("--resolution", type=ints, help="comma-separated per-axis grid counts")
+        field("--tolerance", type=float, help="acceptance tolerance")
+        field("--out", help="output path stem (writes .json / .csv)")
+        field("--no-adaptive", dest="adaptive", action="store_false", help="disable adaptive grids")
 
     p_pf = sub.add_parser("pfaffian", help="integrate the curvature Pfaffian density")
     add_run_flags(p_pf)
@@ -440,12 +440,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)  # not its repr
         return 2
 
 

@@ -344,12 +344,17 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     return points.reshape(-1, len(axes))
 
 
-def check_point_budget(resolution: Sequence[int]) -> None:
-    """Refuse a grid above ``MAX_AXIS_POINTS`` on an axis or ``MAX_GRID_POINTS`` in all, before any allocation."""
-    total = math.prod(resolution)
-    if max(resolution) > MAX_AXIS_POINTS or total > MAX_GRID_POINTS:
+def check_point_budget(resolution: Sequence[float]) -> None:
+    """Refuse a grid above ``MAX_AXIS_POINTS`` on an axis or ``MAX_GRID_POINTS`` in all, before any allocation.
+
+    A count may be a float not yet rounded up (an adaptive count): one above
+    ``MAX_GRID_POINTS``, infinite too, is refused as it is, never made an integer.
+    """
+    counts = tuple(math.ceil(c) if c <= MAX_GRID_POINTS else float(c) for c in resolution)
+    total = math.prod(counts)
+    if max(counts) > MAX_AXIS_POINTS or total > MAX_GRID_POINTS:
         raise ValueError(
-            f"quadrature grid {tuple(resolution)} has {total} points, above the budget of "
+            f"quadrature grid {counts} has {total} points, above the budget of "
             f"{MAX_AXIS_POINTS} per axis and {MAX_GRID_POINTS} in all"
         )
 
@@ -416,28 +421,27 @@ def _require_above(low: float, **values) -> None:
             raise ValueError(f"{name} must be a finite number above {low:g}, got {value!r}")
 
 
-def _sphere_spec(name: str, radius: float, factor: TrigEmbedding | None = None) -> ManifoldSpec:
+def sphere(radius: float = 1.0) -> ManifoldSpec:
     _require_above(0, radius=radius)
 
     def dist_to_poles(points):
         th = np.asarray(points, dtype=float)[..., 0]
         return radius * np.minimum(th, math.pi - th)
 
-    return _sphere_like(name, radius, radius, radius, factor, {"polar": dist_to_poles})
-
-
-def sphere(radius: float = 1.0) -> ManifoldSpec:
-    return _sphere_spec("s2", radius)
+    return _sphere_like("s2", radius, radius, radius, critical_distance={"polar": dist_to_poles})
 
 
 def sphere_conformal(radius: float = 1.0, amplitude: float = 0.3) -> ManifoldSpec:
     """Round sphere with metric multiplied by (1 + amplitude * sin(theta)).
 
     Same topology, deformed geometry; the partition function must not move.
+    The factor bends the meridians, so the distance to the poles has no
+    closed form and the height declares no ``critical_distance``.
     """
     _require_above(-1, amplitude=amplitude)
+    _require_above(0, radius=radius)
     factor = TrigEmbedding([[(1.0, (ONE, ONE)), (amplitude, (SIN, ONE))]])
-    return _sphere_spec("s2_perturbed", radius, factor)
+    return _sphere_like("s2_perturbed", radius, radius, radius, factor)
 
 
 def ellipsoid(a: float = 1.0, b: float = 1.2, c: float = 0.8) -> ManifoldSpec:

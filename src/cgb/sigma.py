@@ -74,6 +74,7 @@ from .geometry import (
 from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multiply
 from .manifolds import (
     ManifoldSpec,
+    check_point_budget,
     integrate_values,
     pairwise_sum,
     quadrature_grid,
@@ -370,6 +371,14 @@ _CHUNK = 1 << 18
 _STIFFNESS_PROBE = 17  # points per axis of the stiffness probe grid
 
 
+def _refuse_first(bad: np.ndarray, points: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` naming the first point of a chunk where ``bad`` holds."""
+    first = np.flatnonzero(bad)
+    if first.size:
+        where = ", ".join(str(float(c)) for c in points[first[0]])
+        raise ValueError(f"{what} at the grid point ({where})")
+
+
 def _inverse_metric(g: np.ndarray, points: np.ndarray, gram: bool) -> tuple[np.ndarray, np.ndarray]:
     """det g and g^-1 at every point of a chunk; names the first point where g is not positive definite.
 
@@ -383,10 +392,7 @@ def _inverse_metric(g: np.ndarray, points: np.ndarray, gram: bool) -> tuple[np.n
         ok &= g[..., 0, 0] > 0
         for k in range(2, g.shape[-1]):
             ok &= np.linalg.det(g[..., :k, :k]) > 0
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        where = ", ".join(str(float(c)) for c in points[bad[0]])
-        raise ValueError(f"metric not positive definite at the grid point ({where})")
+    _refuse_first(~ok, points, "metric not positive definite")
     return det, np.linalg.inv(g)
 
 
@@ -429,14 +435,16 @@ def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> n
 
 
 def _integrand_on_points(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
+    """Integrand values chunk by chunk; refuses the first point of a chunk whose value is not finite."""
     npts = points.shape[0]
     chunk = max(4096, _CHUNK // chart.dim**2)  # bound the d2g scratch tensors
-    if npts <= chunk:
-        return _integrand_chunk(chart, points, lam, h)
     out = np.empty(npts)
     for start in range(0, npts, chunk):
         stop = min(start + chunk, npts)
-        out[start:stop] = _integrand_chunk(chart, points[start:stop], lam, h)
+        with np.errstate(all="ignore"):  # an overflow shows as a value refused below, not as a warning
+            values = _integrand_chunk(chart, points[start:stop], lam, h)
+        _refuse_first(~np.isfinite(values), points[start:stop], "integrand not finite")
+        out[start:stop] = values
     return out
 
 
@@ -459,10 +467,11 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     h = potential.on_chart(chart.name)
     pts = tensor_points([np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain])
     gram = chart.metric.embedding is not None
-    g_inv = np.eye(chart.dim) if chart.metric.flat else _inverse_metric(chart.metric.metric(pts), pts, gram)[1]
-    hess = np.asarray(h.hess(pts), dtype=float)
-    form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
-    mu_sq = np.linalg.eigvalsh(form)[..., -1]
+    with np.errstate(all="ignore"):  # an overflowing metric is refused by _inverse_metric or the integrand
+        g_inv = np.eye(chart.dim) if chart.metric.flat else _inverse_metric(chart.metric.metric(pts), pts, gram)[1]
+        hess = np.asarray(h.hess(pts), dtype=float)
+        form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
+        mu_sq = np.linalg.eigvalsh(form)[..., -1]
     return float(np.sqrt(np.max(mu_sq)))
 
 
@@ -491,10 +500,10 @@ def check_resolution(
 def adaptive_resolution(
     spec: ManifoldSpec, lam: float, base: Sequence[int], stiffness: float
 ) -> tuple[int, ...]:
-    """Per-axis counts >= max(base, 8 * lambda * axis length * stiffness)."""
-    return tuple(
-        max(int(b), int(math.ceil(count))) for b, count in zip(base, _bump_counts(spec, lam, stiffness, 8))
-    )
+    """Per-axis counts >= max(base, 8 * lambda * axis length * stiffness), refused above the point budget."""
+    counts = [max(b, count) for b, count in zip(base, _bump_counts(spec, lam, stiffness, 8))]
+    check_point_budget(counts)  # on the float counts: an infinite one has no integer
+    return tuple(int(math.ceil(count)) for count in counts)
 
 
 def partition_function(

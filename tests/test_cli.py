@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cgb import manifolds
-from cgb.cli import CSV_HEADER, RunManifest, main
+from cgb.cli import CSV_HEADER, RunManifest, build_parser, main
 
 
 def run(capsys, *argv):
@@ -87,6 +87,32 @@ MALFORMED = {
     "seed-density-zero": (
         ["index", "--manifold", "s2", "--morse", "height", "--seed-density", "0"], None, "seed density"
     ),
+    # argparse's own refusals leave through the same line
+    "no-subcommand": ([], None, "command"),
+    "tolerance-not-a-number": (["pfaffian", "--tolerance", "abc"], None, "--tolerance"),
+    "seed-density-not-an-integer": (
+        ["index", "--manifold", "s2", "--morse", "height", "--seed-density", "x"], None, "--seed-density"
+    ),
+    "efts-delta-choice": (["efts", "delta", "x1", "--delta", "3"], None, "--delta"),
+    "unknown-flag": (["sweep", "--bogus"], None, "--bogus"),
+    "params-not-json": (["pfaffian", "--manifold-params", "{bad"], None, "--manifold-params"),
+    # an empty flag value is a value: it is refused, not ignored
+    "manifold-empty": (["pfaffian", "--manifold", ""], None, "manifold"),
+    "morse-empty": (["sweep", "--manifold", "s2", "--morse", ""], None, "morse"),
+    "lambda-empty": (["sweep", "--manifold", "torus", "--lambda", ""], None, "--lambda"),
+    "resolution-empty": (["pfaffian", "--resolution", ""], None, "--resolution"),
+    "out-empty": (["pfaffian", "--out", ""], None, "out"),
+    "index-without-potential": (["index", "--manifold", "s2"], None, "potential"),
+    # counts and values that overflow are refused before they reach an integer or the JSON
+    "lambda-overflow": (["sweep", "--manifold", "s2", "--morse", "height", "--lambda", "1e308"], None, "budget"),
+    "amplitude-overflow": (
+        ["pfaffian", "--manifold", "s2_perturbed", "--manifold-params", '{"amplitude": 1e308}', "--resolution", "16,32"],
+        None,
+        "integrand not finite",
+    ),
+    "radius-overflow": (
+        ["pfaffian", "--manifold", "s2", "--manifold-params", '{"radius": 1e308}'], None, "metric not positive definite"
+    ),
 }
 
 
@@ -99,6 +125,51 @@ def test_malformed_input_is_usage_error(capsys, tmp_path, argv, manifest, field)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and field in err
     assert "Traceback" not in err and stdout == ""
+
+
+def test_run_flags_are_the_manifest_fields():
+    # each run flag's dest names the manifest field it sets, and only a flag that is given sets one
+    fields = set(RunManifest.__dataclass_fields__)
+    every_flag = [
+        "--manifold", "s2", "--manifold-params", "{}", "--morse", "height", "--lambda", "0,1",
+        "--resolution", "8,16", "--tolerance", "1", "--out", "run", "--no-adaptive",
+    ]
+    for command in ("pfaffian", "index", "sweep"):
+        given = vars(build_parser().parse_args([command, *every_flag]))
+        assert set(given) - fields <= {"command", "func", "manifest", "seed_density"}
+        assert {name: given.get(name) for name in fields} == {
+            "manifold": "s2", "manifold_params": {}, "morse": "height", "lambdas": [0.0, 1.0],
+            "resolution": [8, 16], "tolerance": 1.0, "out": "run", "adaptive": False,
+        }
+        assert not fields & set(vars(build_parser().parse_args([command])))
+
+
+def test_unknown_names_print_unquoted(capsys):
+    # a KeyError prints by its message, not by its repr
+    code, _, err = run(capsys, "pfaffian", "--manifold", "klein")
+    assert code == 2 and err.startswith("error: unknown manifold 'klein'; available: [")
+    code, _, err = run(capsys, "pfaffian", "--manifold", "s2", "--morse", "bogus")
+    assert (code, err) == (2, "error: unknown potential 'bogus' for s2; available: ['height']\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: cgb")
+
+
+def test_overflow_refusals_print_no_warnings():
+    # in a fresh interpreter numpy's RuntimeWarnings reach stderr: the refusal must be its only line
+    import subprocess
+    import sys
+
+    for params, message in (("amplitude", "integrand not finite"), ("radius", "metric not positive definite")):
+        manifold = "s2_perturbed" if params == "amplitude" else "s2"
+        argv = ["pfaffian", "--manifold", manifold, "--manifold-params", f'{{"{params}": 1e308}}', "--resolution", "16,32"]
+        proc = subprocess.run([sys.executable, "-m", "cgb.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {message} at the grid point (") and proc.stderr.count("\n") == 1
 
 
 class TestPfaffianCommand:
@@ -389,16 +460,13 @@ FLAGS = st.fixed_dictionaries(
 
 
 def exit_code_and_stderr(argv):
-    """Run the CLI in-process; argparse's own rejections count by their exit code."""
+    """Run the CLI in-process; argparse's own rejections return from ``main`` like every other refusal."""
     import contextlib
     import io
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, stderr.getvalue()
 
 

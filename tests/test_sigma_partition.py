@@ -1,6 +1,7 @@
 """Euler density, the reduced integrand, and the partition function."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cgb.manifolds import (
     product_of_spheres,
     quadrature_grid,
     sphere,
+    sphere_conformal,
     trig_field,
 )
 from cgb.morse import find_critical_points
@@ -485,6 +487,25 @@ class TestCurvatureRoutes:
         with pytest.raises(ValueError, match=rf"not positive definite at the grid point \({where}\)"):
             lambda_sweep(spec, "h", [0.0, 1.0], (4,) * dim)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # the conformal factor overflows: d2g, and so the curvature, is not finite
+            ({"amplitude": 1e308}, r"integrand not finite at the grid point \(0\.0167479\d*, 0\.0085958\d*\)"),
+            # dX dX^T overflows to inf, and its det to nan
+            ({"radius": 1e308}, r"metric not positive definite at the grid point \("),
+        ],
+        ids=["amplitude", "radius"],
+    )
+    def test_non_finite_value_refused_where_it_appears(self, params, message):
+        # numpy's overflow warnings stay off: the refusal is the whole report
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                partition_function(sphere_conformal(**params), None, 0.0, (16, 32))
+            with pytest.raises(ValueError, match=message):  # the stiffness probe meets the metric first
+                lambda_sweep(sphere_conformal(**params), "height", [0.0, 1.0], (16, 32))
+
 
 class TestResolutionPolicy:
     def test_refusal_with_hint(self, s2):
@@ -501,6 +522,17 @@ class TestResolutionPolicy:
         assert adaptive_resolution(s2, 0.0, (64, 128), 1.0) == (64, 128)
         res = adaptive_resolution(s2, 10.0, (64, 128), 1.0)
         assert res[0] >= 8 * 10 * math.pi - 1 and res[1] >= 8 * 10 * 2 * math.pi - 1
+
+    @pytest.mark.parametrize(
+        "lam, counts",
+        [(1e308, r"\(inf, inf\)"), (1e300, r"\(2\.51\d*e\+301, 5\.02\d*e\+301\)")],
+        ids=["1e308", "1e300"],
+    )
+    def test_adaptive_counts_refused_before_they_become_integers(self, s2, lam, counts):
+        # 8 * 1e308 * pi is inf, which has no integer; 1e301 has one of 302 digits
+        with pytest.raises(ValueError, match=rf"quadrature grid {counts} has inf points, above the budget") as err:
+            adaptive_resolution(s2, lam, (96, 192), 1.0)
+        assert len(str(err.value)) < 150
 
     def test_check_resolution_accepts_adaptive(self, flat_t2):
         mu = potential_stiffness(flat_t2, "coscos")
@@ -624,6 +656,12 @@ class TestLocalization:
     def test_localization_needs_distance_data(self, torus):
         with pytest.raises(ValueError):
             localization_mass(torus, "height", 5.0, 0.5, (64, 64))
+
+    def test_conformal_sphere_declares_no_distance(self, s2_perturbed):
+        # radius * min(theta, pi - theta) reads 0.5 at theta = 0.5, but the meridian
+        # arc under the factor 1 + 0.3 sin is 0.518: no closed form is claimed
+        with pytest.raises(ValueError, match="no critical-set distance available for s2_perturbed/height on polar"):
+            localization_mass(s2_perturbed, "height", 5.0, 0.5, (64, 128))
 
 
 class TestCriticalPointContributions:
