@@ -442,9 +442,8 @@ def _integrand_on_points(chart: ChartMetric, points: np.ndarray, lam: float, h) 
     for start in range(0, npts, chunk):
         stop = min(start + chunk, npts)
         with np.errstate(all="ignore"):  # an overflow shows as a value refused below, not as a warning
-            values = _integrand_chunk(chart, points[start:stop], lam, h)
-        _refuse_first(~np.isfinite(values), points[start:stop], "integrand not finite")
-        out[start:stop] = values
+            out[start:stop] = _integrand_chunk(chart, points[start:stop], lam, h)
+        _refuse_first(~np.isfinite(out[start:stop]), points[start:stop], "integrand not finite")
     return out
 
 
