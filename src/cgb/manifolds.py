@@ -350,7 +350,7 @@ def check_point_budget(resolution: Sequence[float]) -> None:
     A count may be a float not yet rounded up (an adaptive count): one above
     ``MAX_GRID_POINTS``, infinite too, is refused as it is, never made an integer.
     """
-    counts = tuple(math.ceil(c) if c <= MAX_GRID_POINTS else float(c) for c in resolution)
+    counts = tuple(math.ceil(c) if c <= MAX_GRID_POINTS else c for c in resolution)
     total = math.prod(counts)
     if max(counts) > MAX_AXIS_POINTS or total > MAX_GRID_POINTS:
         raise ValueError(

@@ -500,7 +500,7 @@ def adaptive_resolution(
     spec: ManifoldSpec, lam: float, base: Sequence[int], stiffness: float
 ) -> tuple[int, ...]:
     """Per-axis counts >= max(base, 8 * lambda * axis length * stiffness), refused above the point budget."""
-    counts = [max(b, count) for b, count in zip(base, _bump_counts(spec, lam, stiffness, 8))]
+    counts = [max(b, float(count)) for b, count in zip(base, _bump_counts(spec, lam, stiffness, 8))]
     check_point_budget(counts)  # on the float counts: an infinite one has no integer
     return tuple(int(math.ceil(count)) for count in counts)
 

@@ -70,6 +70,8 @@ class TestQuadrature:
             check_point_budget((MAX_AXIS_POINTS + 1, 2))
         with pytest.raises(ValueError, match=f"has {MAX_GRID_POINTS + 4096} points"):
             check_point_budget((16, 16, 16, MAX_GRID_POINTS // 4096 + 1))
+        with pytest.raises(ValueError, match=r"\(2, 100000000000000000000\) has 200000000000000000000 points"):
+            check_point_budget((2, 10**20))  # a given integer is named exactly, however large
 
     def test_point_budget_checked_before_any_rule(self, monkeypatch):
         def unreachable(n):
