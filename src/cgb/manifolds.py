@@ -344,6 +344,14 @@ def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     return points.reshape(-1, len(axes))
 
 
+def refuse_first(bad: np.ndarray, points: np.ndarray, what: str) -> None:
+    """Raise ``ValueError`` "<what> (<coordinates>)" naming the first of ``points`` where ``bad`` holds."""
+    first = np.flatnonzero(bad)
+    if first.size:
+        where = ", ".join(str(float(c)) for c in points[first[0]])
+        raise ValueError(f"{what} ({where})")
+
+
 def check_point_budget(resolution: Sequence[float]) -> None:
     """Refuse a grid above ``MAX_AXIS_POINTS`` on an axis or ``MAX_GRID_POINTS`` in all, before any allocation.
 

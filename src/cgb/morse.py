@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import Chart, ManifoldSpec, tensor_points
+from .manifolds import Chart, ManifoldSpec, refuse_first, tensor_points
 
 TOL_GRAD = 1e-10
 TOL_MORSE = 1e-8
@@ -57,10 +57,16 @@ def _wrap_batch(chart: Chart, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
-    """Damped Newton on grad h for all seeds at once; returns converged points."""
+    """Damped Newton on grad h for all seeds at once; returns converged points.
+
+    Refuses a seed whose gradient norm, or a Newton point whose Hessian
+    determinant, is not finite.  A line-search candidate whose gradient is
+    not finite is only rejected: a shorter step is tried.
+    """
     x = np.array(seeds, dtype=float)
     grad = np.asarray(h.grad(x), dtype=float)
     gnorm = np.linalg.norm(grad, axis=-1)
+    refuse_first(~np.isfinite(gnorm), x, f"gradient norm not finite on chart {chart.name!r} at the seed point")
     active = np.ones(len(x), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
         active &= gnorm >= TOL_GRAD
@@ -69,6 +75,7 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
             break
         hess = np.asarray(h.hess(x[idx]), dtype=float)
         dets = np.linalg.det(hess)
+        refuse_first(~np.isfinite(dets), x[idx], f"Hessian determinant not finite on chart {chart.name!r} at the point")
         solvable = np.abs(dets) > 1e-300
         active[idx[~solvable]] = False
         idx = idx[solvable]
@@ -123,7 +130,9 @@ def find_critical_points(
         h = potential.fields.get(chart_name)
         if h is None:
             continue
-        for x in _newton_batch(chart, h, _seeds(chart, seed_density)):
+        with np.errstate(all="ignore"):  # an overflow shows as a value _newton_batch refuses, not as a warning
+            roots = _newton_batch(chart, h, _seeds(chart, seed_density))
+        for x in roots:
             embedded = np.asarray(chart.embed(x), dtype=float)
             if any(np.linalg.norm(embedded - cp.embedded) < r_dedup for cp in found):
                 continue

@@ -78,6 +78,7 @@ from .manifolds import (
     integrate_values,
     pairwise_sum,
     quadrature_grid,
+    refuse_first,
     tensor_points,
 )
 from .morse import TOL_MORSE
@@ -168,6 +169,20 @@ def _coordinate_generators(n: int) -> tuple[tuple, tuple, dict[tuple[int, int, i
     return phi1, phi2, quartics
 
 
+@functools.lru_cache(maxsize=8)
+def _coordinate_pairs(n: int) -> tuple[tuple[GrassmannElement, ...], ...]:
+    """The jet-free products phi_2^k phi_1^i, indexed [k][i], built once per dimension n."""
+    phi1, phi2, _ = _coordinate_generators(n)
+    return tuple(tuple(multiply(phi2[k], phi1[i]) for i in range(n)) for k in range(n))
+
+
+def _add_scaled(acc: dict, element: GrassmannElement, scale: float) -> None:
+    """acc += scale * element, one coefficient at a time."""
+    for mask, c in element.terms.items():
+        prev = acc.get(mask)
+        acc[mask] = scale * c if prev is None else prev + scale * c
+
+
 def action_coordinate(jets: MetricJets, cf: ComponentField) -> GrassmannElement:
     """Action from raw metric jets: the five-term kinetic expansion.
 
@@ -182,45 +197,47 @@ def action_coordinate(jets: MetricJets, cf: ComponentField) -> GrassmannElement:
     and the potential through E:
 
         S_pot = -lambda (d_k h  E^k + d_k d_l h  phi_1^k phi_2^l).
+
+    Every term is added into one term map in the order written, which gives
+    each coefficient the same float additions as summing the elements.
     """
-    g, dg, d2g = jets.g, jets.dg, jets.d2g
-    n = g.shape[0]
+    n = jets.g.shape[0]
     N = 2 * n
-    gamma2 = christoffel_tensors(np.linalg.inv(g), dg)
-    F = np.asarray(cf.F, dtype=float)
+    gamma2 = christoffel_tensors(np.linalg.inv(jets.g), jets.dg)
+    g, dg, d2g = jets.g.tolist(), jets.dg.tolist(), jets.d2g.tolist()
+    F = np.asarray(cf.F, dtype=float).tolist()
     phi1, phi2, quartics = _coordinate_generators(n)
+    phi2_phi1 = _coordinate_pairs(n)
 
-    E = []
-    for k in range(n):
-        e = GrassmannElement.scalar(N, float(F[k]))
-        e = e - pair_biform(gamma2[k])
-        E.append(e)
+    E = [GrassmannElement.scalar(N, F[k]) - pair_biform(gamma2[k]) for k in range(n)]
+    phi1_E = [[multiply(phi1[k], E[i]) for i in range(n)] for k in range(n)]
+    E_phi1 = [[multiply(E[k], phi1[i]) for i in range(n)] for k in range(n)]
 
-    total = GrassmannElement.zero(N)
+    acc: dict[int, float] = {}
     for i in range(n):
         for j in range(n):
-            total = total + g[i, j] * multiply(E[i], E[j])
+            _add_scaled(acc, multiply(E[i], E[j]), g[i][j])
             for k in range(n):
-                c = dg[k, i, j]
+                c = dg[k][i][j]
                 if c != 0.0:
-                    total = total + c * multiply(multiply(phi1[k], E[i]), phi2[j])
-                    total = total - c * multiply(multiply(phi2[k], phi1[i]), E[j])
-                    total = total - c * multiply(multiply(E[k], phi1[i]), phi2[j])
+                    _add_scaled(acc, multiply(phi1_E[k][i], phi2[j]), c)
+                    _add_scaled(acc, multiply(phi2_phi1[k][i], E[j]), -c)
+                    _add_scaled(acc, multiply(E_phi1[k][i], phi2[j]), -c)
                 for l in range(n):
-                    c2 = d2g[k, l, i, j]
+                    c2 = d2g[k][l][i][j]
                     if c2 != 0.0:
-                        total = total + c2 * quartics[k, l, i, j]
-    total = 0.5 * total
+                        _add_scaled(acc, quartics[k, l, i, j], c2)
+    acc = {mask: 0.5 * c for mask, c in acc.items()}
 
     if cf.lam != 0.0:
         grad, hess = cf.potential_jets(n)
-        pot = GrassmannElement.zero(N)
-        for k in range(n):
-            if grad[k] != 0.0:
-                pot = pot + grad[k] * E[k]
-        pot = pot + pair_biform(hess)
-        total = total - cf.lam * pot
-    return total
+        pot: dict[int, float] = {}
+        for k, dh in enumerate(grad.tolist()):
+            if dh != 0.0:
+                _add_scaled(pot, E[k], dh)
+        _add_scaled(pot, pair_biform(hess), 1.0)
+        _add_scaled(acc, GrassmannElement(N, pot), -cf.lam)
+    return GrassmannElement(N, acc)
 
 
 def check_action_equivalence(
@@ -371,14 +388,6 @@ _CHUNK = 1 << 18
 _STIFFNESS_PROBE = 17  # points per axis of the stiffness probe grid
 
 
-def _refuse_first(bad: np.ndarray, points: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` naming the first point of a chunk where ``bad`` holds."""
-    first = np.flatnonzero(bad)
-    if first.size:
-        where = ", ".join(str(float(c)) for c in points[first[0]])
-        raise ValueError(f"{what} at the grid point ({where})")
-
-
 def _inverse_metric(g: np.ndarray, points: np.ndarray, gram: bool) -> tuple[np.ndarray, np.ndarray]:
     """det g and g^-1 at every point of a chunk; names the first point where g is not positive definite.
 
@@ -392,7 +401,7 @@ def _inverse_metric(g: np.ndarray, points: np.ndarray, gram: bool) -> tuple[np.n
         ok &= g[..., 0, 0] > 0
         for k in range(2, g.shape[-1]):
             ok &= np.linalg.det(g[..., :k, :k]) > 0
-    _refuse_first(~ok, points, "metric not positive definite")
+    refuse_first(~ok, points, "metric not positive definite at the grid point")
     return det, np.linalg.inv(g)
 
 
@@ -443,7 +452,7 @@ def _integrand_on_points(chart: ChartMetric, points: np.ndarray, lam: float, h) 
         stop = min(start + chunk, npts)
         with np.errstate(all="ignore"):  # an overflow shows as a value refused below, not as a warning
             out[start:stop] = _integrand_chunk(chart, points[start:stop], lam, h)
-        _refuse_first(~np.isfinite(out[start:stop]), points[start:stop], "integrand not finite")
+        refuse_first(~np.isfinite(out[start:stop]), points[start:stop], "integrand not finite at the grid point")
     return out
 
 

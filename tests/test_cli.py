@@ -113,6 +113,23 @@ MALFORMED = {
     "radius-overflow": (
         ["pfaffian", "--manifold", "s2", "--manifold-params", '{"radius": 1e308}'], None, "metric not positive definite"
     ),
+    # the Morse route refuses a non-finite gradient norm at the first seed that has one
+    "index-torus-overflow": (
+        ["index", "--manifold", "torus", "--manifold-params", '{"big_radius": 1e308, "small_radius": 1e307}',
+         "--morse", "height"],
+        None,
+        "gradient norm not finite on chart 'torus' at the seed point (",
+    ),
+    "index-radius-overflow": (
+        ["index", "--manifold", "s2", "--manifold-params", '{"radius": 1e308}', "--morse", "height"],
+        None,
+        "gradient norm not finite on chart 'polar' at the seed point (",
+    ),
+    "index-gradient-norm-overflow": (
+        ["index", "--manifold", "s2", "--manifold-params", '{"radius": 1e200}', "--morse", "height"],
+        None,
+        "gradient norm not finite on chart 'polar' at the seed point (",
+    ),
 }
 
 
@@ -170,6 +187,19 @@ def test_overflow_refusals_print_no_warnings():
         proc = subprocess.run([sys.executable, "-m", "cgb.cli", *argv], capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith(f"error: {message} at the grid point (") and proc.stderr.count("\n") == 1
+
+
+def test_morse_overflow_refusal_prints_no_warnings():
+    # the Newton search runs under the same rule: one refusal line, no RuntimeWarning
+    import subprocess
+    import sys
+
+    params = '{"big_radius": 1e308, "small_radius": 1e307}'
+    argv = ["index", "--manifold", "torus", "--manifold-params", params, "--morse", "height"]
+    proc = subprocess.run([sys.executable, "-m", "cgb.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: gradient norm not finite on chart 'torus' at the seed point (")
+    assert proc.stderr.count("\n") == 1
 
 
 class TestPfaffianCommand:

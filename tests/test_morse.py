@@ -1,13 +1,14 @@
 """Critical points and Hopf indices across the catalog."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cgb.geometry import ScalarField
-from cgb.manifolds import ManifoldSpec, MorseFunction
+from cgb.manifolds import ManifoldSpec, MorseFunction, get_manifold
 from cgb.morse import (
     DegenerateCriticalPointError,
     TOL_GRAD,
@@ -88,6 +89,28 @@ class TestCriticalPoints:
     def test_degenerate_point_raises(self, degenerate_patch):
         with pytest.raises(DegenerateCriticalPointError):
             find_critical_points(degenerate_patch, "pinch")
+
+    def test_non_finite_gradient_norm_refused_at_the_seed(self):
+        # the gradient is finite at radius 1e200, its norm is not
+        spec = get_manifold("s2", radius=1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^gradient norm not finite on chart 'polar' at the seed point \("):
+                find_critical_points(spec, "height")
+
+    def test_non_finite_hessian_determinant_refused_at_the_point(self, s2):
+        # a finite gradient and an overflowing Hessian: the polar chart's det Hess is 0 (h depends on
+        # theta alone), so the first chart with a determinant to overflow is the rotated one
+        height = s2.morse_catalog["height"]
+        fields = {
+            name: ScalarField(f.value, f.grad, lambda x, f=f: 1e200 * np.asarray(f.hess(x), dtype=float))
+            for name, f in height.fields.items()
+        }
+        spec = replace(s2, morse_catalog={"height": replace(height, fields=fields)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^Hessian determinant not finite on chart 'rotated' at the point \("):
+                find_critical_points(spec, "height")
 
 
 class TestHopfIndex:

@@ -59,6 +59,11 @@ class TestTwoRouteEquivalence:
         worst = check_action_equivalence(np.random.default_rng(5), dims=(2,), samples=5, fault_flip=True)
         assert worst.hex() == "0x1.6289d52fcf1e7p+0"
 
+    def test_random_jets_four_dimensions(self):
+        # the check at n = 4, where the quartics have four distinct phi_1 indices to pair
+        worst = check_action_equivalence(np.random.default_rng(2024), dims=(4,), samples=10)
+        assert worst < 1e-9
+
     def test_potential_route_matches(self):
         # the raw-jet potential (through E) equals the covariant-Hessian one
         rng = np.random.default_rng(77)
@@ -74,6 +79,67 @@ class TestTwoRouteEquivalence:
         lhs = action_coordinate(jets, cf)
         rhs = action_geometric(CurvatureFrame.from_jets(np.zeros(2), jets), cf)
         assert lhs.isclose(rhs, 1e-10)
+
+
+# action_coordinate's full term map, as (mask, float.hex) pairs, for the jets and
+# fields of pinned_action_inputs(n); a change to the order of its float additions shows here
+COORDINATE_ACTION_BITS = {
+    2: (
+        (0x0000, "0x1.0981b9d74b22cp+3"), (0x0003, "0x1.72e615a29e54ap-3"), (0x0006, "-0x1.b38d813f5e47fp-1"),
+        (0x0009, "0x1.b38d813f5e480p-1"), (0x000c, "-0x1.aff7cd7d7774ep+1"), (0x000f, "0x1.df61b1a7685e0p-1"),
+    ),
+    3: (
+        (0x0000, "0x1.53abe1e585148p+2"), (0x0003, "0x1.abc84d1381facp-2"), (0x0006, "0x1.2eabe8a3bf979p-5"),
+        (0x0009, "-0x1.2eabe8a3bf989p-5"), (0x000c, "0x1.4e3e77cf3b822p+0"), (0x000f, "0x1.dafe4d8e09668p-2"),
+        (0x0012, "-0x1.f380c8e8ae8dfp-3"), (0x0018, "-0x1.a076ebb18b5f2p+0"), (0x001b, "0x1.fcf4a36b106dep-2"),
+        (0x001e, "0x1.64f1f86c020abp-1"), (0x0021, "0x1.f380c8e8ae8e3p-3"), (0x0024, "0x1.a076ebb18b5f2p+0"),
+        (0x0027, "-0x1.fcf4a36b106e0p-2"), (0x002d, "-0x1.64f1f86c020aap-1"), (0x0030, "0x1.340085e84181ep+0"),
+        (0x0033, "0x1.9fd8d6b0807cap-3"), (0x0036, "-0x1.f5ddc171aa7d2p-3"), (0x0039, "0x1.f5ddc171aa7d6p-3"),
+        (0x003c, "-0x1.51f51f8016acap-5"),
+    ),
+    4: (
+        (0x0000, "0x1.c157bb3ffb299p+2"), (0x0003, "-0x1.5057b80a9739bp+0"), (0x0006, "-0x1.1e991e66e665ap-1"),
+        (0x0009, "0x1.1e991e66e665ap-1"), (0x000c, "-0x1.20c1d92db1c4ep+0"), (0x000f, "0x1.bead454bca7c7p-2"),
+        (0x0012, "-0x1.d44efe99977b6p-2"), (0x0018, "0x1.0944be08f6a35p-1"), (0x001b, "0x1.4ffbd2ebfb716p-1"),
+        (0x001e, "-0x1.26c7b500f1d50p+0"), (0x0021, "0x1.d44efe99977b4p-2"), (0x0024, "-0x1.0944be08f6a35p-1"),
+        (0x0027, "-0x1.4ffbd2ebfb712p-1"), (0x002d, "0x1.26c7b500f1d4fp+0"), (0x0030, "0x1.b955d6c77a5d6p-2"),
+        (0x0033, "0x1.f78817900437ap-2"), (0x0036, "-0x1.42fc3646d6d25p+0"), (0x0039, "0x1.42fc3646d6d25p+0"),
+        (0x003c, "-0x1.991ee9c25fbeep-2"), (0x0042, "0x1.a7a7a73129d45p-2"), (0x0048, "0x1.04c1554f7c184p-1"),
+        (0x004b, "0x1.75abacb94937dp-5"), (0x004e, "-0x1.1fc21b89bb2c7p-2"), (0x005a, "-0x1.2a6cf61082d6bp-1"),
+        (0x0060, "-0x1.4e8f08143b0eap-1"), (0x0063, "0x1.f391476f97582p-1"), (0x0066, "0x1.468bcfa560e80p-2"),
+        (0x0069, "0x1.0e4e1c7ba4c56p-2"), (0x006c, "-0x1.57f9e59da8808p+0"), (0x0072, "0x1.b5dff389f527bp-2"),
+        (0x0078, "-0x1.92229d8eb0bbbp-1"), (0x0081, "-0x1.a7a7a73129d44p-2"), (0x0084, "-0x1.04c1554f7c184p-1"),
+        (0x0087, "-0x1.75abacb949382p-5"), (0x008d, "0x1.1fc21b89bb2c6p-2"), (0x0090, "0x1.4e8f08143b0ebp-1"),
+        (0x0093, "-0x1.f391476f97584p-1"), (0x0096, "0x1.0e4e1c7ba4c55p-2"), (0x0099, "0x1.468bcfa560e82p-2"),
+        (0x009c, "0x1.57f9e59da8808p+0"), (0x00a5, "-0x1.2a6cf61082d6cp-1"), (0x00b1, "-0x1.b5dff389f5279p-2"),
+        (0x00b4, "0x1.92229d8eb0bb8p-1"), (0x00c0, "-0x1.6c622c6d151cep+0"), (0x00c3, "-0x1.439354837e082p-1"),
+        (0x00c6, "0x1.feddc0a82d14ap-1"), (0x00c9, "-0x1.feddc0a82d14cp-1"), (0x00cc, "0x1.62f2eaf39c823p-4"),
+        (0x00d2, "-0x1.01c64222d3792p-4"), (0x00d8, "0x1.44715513934eap-1"), (0x00e1, "0x1.01c64222d378ep-4"),
+        (0x00e4, "-0x1.44715513934eap-1"), (0x00f0, "-0x1.8237b2f4e8fddp-1"),
+    ),
+}
+
+
+def pinned_action_inputs(n):
+    rng = np.random.default_rng(1400 + n)
+    jets = random_jets(rng, n)
+    hess = rng.normal(size=(n, n))
+    cf = ComponentField(
+        x=np.zeros(n),
+        F=rng.normal(size=n),
+        lam=-1.3,
+        h_grad=rng.normal(size=n),
+        h_hess=0.5 * (hess + hess.T),
+    )
+    return jets, cf
+
+
+class TestCoordinateActionBits:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_term_map_pinned(self, n):
+        action = action_coordinate(*pinned_action_inputs(n))
+        got = tuple(sorted((mask, float(c).hex()) for mask, c in action.terms.items()))
+        assert got == COORDINATE_ACTION_BITS[n]
 
 
 class TestActionStructure:
