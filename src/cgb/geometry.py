@@ -240,11 +240,17 @@ class CurvatureFrame:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Scalar function on a chart with analytic first and second derivatives."""
+    """Scalar function on a chart with analytic first and second derivatives.
+
+    ``embedding``, as on :class:`ChartMetric`, is set when the field is a
+    one-component ``TrigEmbedding`` that ``grad`` and ``hess`` differentiate;
+    the batched integrand then takes both from one call of its derivatives.
+    """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
+    embedding: object = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))

@@ -24,9 +24,14 @@ ambient axis last.  Besides its charts, each manifold has
 
 Quadrature weights are bare Lebesgue weights on chart coordinates
 (Gauss-Legendre tensor grids); all metric volume factors belong to the
-integrand.  Every tensor grid (quadrature, Newton seeds, stiffness probe) is
-written by ``tensor_points``, axis by axis with no mesh copies.  Grid sums use a fixed-shape pairwise reduction so
-results do not depend on evaluation chunking.
+integrand.  A ``QuadratureGrid`` keeps only its per-axis nodes and weights
+and hands its points out in C-order slabs, each a ``TensorBlock`` of per-axis
+coordinates that broadcast; a ``TrigEmbedding`` evaluates a block with sin
+and cos taken once per axis node.  Every point array of a tensor grid (Newton
+seeds, the stiffness probe, a block's points for any other evaluator) is
+written by ``TensorBlock.points``, with no mesh copies.  Grid sums use a
+fixed-shape pairwise reduction so results do not depend on evaluation
+chunking.
 """
 
 from __future__ import annotations
@@ -113,24 +118,33 @@ class TrigEmbedding:
     def derivatives(self, x, orders: Sequence[int]) -> list[np.ndarray]:
         """[d^d X for d in orders], points first: d^d X has shape batch + (n,) * d + (m,).
 
-        sin and cos of a coordinate are taken only when some term needs them.
+        ``x`` is a point array (batch + (n,)) or a ``TensorBlock`` of P points
+        (batch (P,)), whose per-axis coordinates broadcast: a point array is
+        just its n columns.  sin and cos of a coordinate are taken only when
+        some term needs them, on a block once per axis node.
         """
-        x = np.asarray(x, dtype=float)
+        if isinstance(x, TensorBlock):
+            columns, block, batch = x.axes, x.shape, (len(x),)
+        else:
+            x = np.asarray(x, dtype=float)
+            columns, block = [x[..., k] for k in range(self.dim)], x.shape[:-1]
+            batch = block
         cache = {}
 
         def trig(k: int, kind: int) -> np.ndarray:
             if (k, kind) not in cache:
-                t = x[..., k] if self.freq[k] == 1.0 else self.freq[k] * x[..., k]
+                t = columns[k] if self.freq[k] == 1.0 else self.freq[k] * columns[k]
                 cache[k, kind] = np.cos(t) if kind else np.sin(t)
             return cache[k, kind]
 
         out = []
         for d in orders:
-            arr = np.zeros(x.shape[:-1] + (self.dim,) * d + (len(self.components),))
+            tail = (self.dim,) * d + (len(self.components),)
+            arr = np.zeros(block + tail)
             for index, terms in self._plan(d):
                 products = [functools.reduce(np.multiply, [trig(*f) for f in fs], c) for c, fs in terms]
                 arr[(...,) + index] = functools.reduce(np.add, products)
-            out.append(arr)
+            out.append(arr.reshape(batch + tail))
         return out
 
     def __call__(self, x) -> np.ndarray:
@@ -146,12 +160,12 @@ def _product_embedding(e1: TrigEmbedding, e2: TrigEmbedding) -> TrigEmbedding:
 
 
 def trig_field(potential: TrigEmbedding) -> ScalarField:
-    """Value, gradient and Hessian (points first) of a one-component TrigEmbedding."""
+    """Value, gradient and Hessian (points first) of a one-component TrigEmbedding, which it keeps as ``embedding``."""
 
     def jet(x, order: int) -> np.ndarray:
         return potential.derivatives(x, [order])[0][..., 0]
 
-    return ScalarField(*(functools.partial(jet, order=k) for k in range(3)))
+    return ScalarField(*(functools.partial(jet, order=k) for k in range(3)), embedding=potential)
 
 
 def _ambient_sum(charts: dict[str, "Chart"], weights: dict[int, float]) -> dict[str, ScalarField]:
@@ -303,21 +317,88 @@ class ManifoldSpec:
 
 
 @dataclass(frozen=True)
+class TensorBlock:
+    """A block of a tensor grid, kept as per-axis coordinate arrays that broadcast.
+
+    ``axes[k]`` holds the block's nodes on axis k, shaped to broadcast
+    against the others (``u[:, None]``, ``v[None, :]``, as ``np.ix_`` makes
+    them).  The block stands for the P points of their broadcast in C order:
+    ``points`` builds that (P, n) array, and closed-form evaluators
+    (``TrigEmbedding.derivatives``) take the block in its place.
+    """
+
+    axes: tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return np.broadcast_shapes(*(np.shape(a) for a in self.axes))
+
+    def __len__(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.stack(np.broadcast_arrays(*self.axes), axis=-1).reshape(-1, len(self.axes))
+
+
+@dataclass(frozen=True)
 class QuadratureGrid:
-    """Gauss-Legendre tensor grid on the quadrature chart.
+    """Gauss-Legendre tensor grid on the quadrature chart, kept as its per-axis rules.
+
+    ``nodes[k]`` and ``axis_weights[k]`` are the rule on axis k.  The grid's
+    points are their tensor product in C order, and a point's weight is the
+    product ((w_0 w_1) w_2)... of its axis weights.  ``slabs`` hands the
+    points out as ``TensorBlock``s; ``points`` and ``weights`` build the
+    (N, dim) point array and the N weights on demand.
 
     Weights are bare Lebesgue weights; ``excised_measure`` is the parameter
     measure removed by polar caps, reported so callers can fold
     ``excised_measure * sup|integrand|`` into error bounds.
     """
 
-    points: np.ndarray  # (N, dim)
-    weights: np.ndarray  # (N,)
+    nodes: tuple[np.ndarray, ...]
+    axis_weights: tuple[np.ndarray, ...]
     excised_measure: float
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(a) for a in self.nodes)
+
+    @property
     def size(self) -> int:
-        return self.points.shape[0]
+        return math.prod(self.shape)
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def points(self) -> np.ndarray:
+        return tensor_points(self.nodes)
+
+    @property
+    def weights(self) -> np.ndarray:
+        # ((w_0 w_1) w_2)...: the same products, in the same order, as a running product from 1
+        return functools.reduce(np.multiply.outer, self.axis_weights).ravel()
+
+    def slabs(self, limit: int):
+        """(start, stop, TensorBlock) of C-order slabs of at most ``limit`` points, covering the grid in order.
+
+        A slab fixes the axes before some axis k at one node each, takes a
+        range of axis k and every node of the axes after it; k is the first
+        axis whose trailing block fits in ``limit``.
+        """
+        shape = self.shape
+        k = 0
+        while math.prod(shape[k + 1 :]) > limit:
+            k += 1
+        step = limit // math.prod(shape[k + 1 :])
+        start = 0
+        for lead in np.ndindex(shape[:k]):
+            fixed = [nodes[i : i + 1] for nodes, i in zip(self.nodes, lead)]
+            for i in range(0, shape[k], step):
+                block = TensorBlock(np.ix_(*fixed, self.nodes[k][i : i + step], *self.nodes[k + 1 :]))
+                yield start, start + len(block), block
+                start += len(block)
 
 
 @functools.lru_cache(maxsize=64)
@@ -336,19 +417,20 @@ def gauss_legendre_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.nd
 
 
 def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
-    """(N, dim) points of the tensor grid of the 1-D ``axes`` in C order, written axis by axis with no mesh copies."""
-    shape = tuple(len(a) for a in axes)
-    points = np.empty(shape + (len(axes),))
-    for k, nodes in enumerate(axes):
-        points[..., k] = np.reshape(nodes, (-1,) + (1,) * (len(axes) - 1 - k))
-    return points.reshape(-1, len(axes))
+    """(N, dim) points of the tensor grid of the 1-D ``axes`` in C order, with no mesh copies."""
+    return TensorBlock(np.ix_(*axes)).points
 
 
-def refuse_first(bad: np.ndarray, points: np.ndarray, what: str) -> None:
-    """Raise ``ValueError`` "<what> (<coordinates>)" naming the first of ``points`` where ``bad`` holds."""
+def as_points(x) -> np.ndarray:
+    """A point array as it is; a ``TensorBlock`` as its (P, n) points."""
+    return x.points if isinstance(x, TensorBlock) else np.asarray(x, dtype=float)
+
+
+def refuse_first(bad: np.ndarray, points, what: str) -> None:
+    """Raise ``ValueError`` "<what> (<coordinates>)" naming the first of ``points`` (array or block) where ``bad`` holds."""
     first = np.flatnonzero(bad)
     if first.size:
-        where = ", ".join(str(float(c)) for c in points[first[0]])
+        where = ", ".join(str(float(c)) for c in as_points(points)[first[0]])
         raise ValueError(f"{what} ({where})")
 
 
@@ -375,10 +457,8 @@ def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int]) -> Quadrature
     if any(r < 2 for r in resolution):
         raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
     check_point_budget(resolution)
-    axes = [gauss_legendre_axis(lo, hi, r) for (lo, hi), r in zip(chart.quad_domain, resolution)]
-    # ((w_0 w_1) w_2)...: the same products, in the same order, as a running product from 1
-    weights = functools.reduce(np.multiply.outer, [w for _, w in axes]).ravel()
-    return QuadratureGrid(tensor_points([nodes for nodes, _ in axes]), weights, chart.excised_measure)
+    nodes, weights = zip(*(gauss_legendre_axis(lo, hi, r) for (lo, hi), r in zip(chart.quad_domain, resolution)))
+    return QuadratureGrid(nodes, weights, chart.excised_measure)
 
 
 def integrate_values(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:

@@ -59,14 +59,34 @@ def _wrap_batch(chart: Chart, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
     """Damped Newton on grad h for all seeds at once; returns converged points.
 
-    Refuses a seed whose gradient norm, or a Newton point whose Hessian
-    determinant, is not finite.  A line-search candidate whose gradient is
-    not finite is only rejected: a shorter step is tried.
+    Each step takes, per seed, the first of t = 1, 1/2, ..., 2^-39 whose
+    candidate x + t * step lies in the chart and lowers the gradient norm.
+    The full step is tried for every seed; for the seeds it does not improve,
+    the 39 halvings and their domain test are built in one pass, and h is
+    evaluated only at each seed's next in-domain halving.  Refuses a seed
+    whose gradient norm, or a Newton point whose Hessian determinant, is not
+    finite.  A candidate whose gradient is not finite is only rejected: a
+    shorter step is tried.
     """
     x = np.array(seeds, dtype=float)
     grad = np.asarray(h.grad(x), dtype=float)
     gnorm = np.linalg.norm(grad, axis=-1)
     refuse_first(~np.isfinite(gnorm), x, f"gradient norm not finite on chart {chart.name!r} at the seed point")
+
+    def accept(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Move each of ``rows`` to its candidate where that lowers the gradient norm; returns that mask."""
+        if rows.size == 0:
+            return np.zeros(0, dtype=bool)
+        cg = np.asarray(h.grad(cand), dtype=float)
+        cn = np.linalg.norm(cg, axis=-1)
+        good = cn < gnorm[rows]
+        took = rows[good]
+        x[took] = cand[good]
+        grad[took] = cg[good]
+        gnorm[took] = cn[good]
+        return good
+
+    halvings = np.ldexp(1.0, -np.arange(1, 40))[:, None, None]  # t = 2^-k exactly, k = 1..39
     active = np.ones(len(x), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
         active &= gnorm >= TOL_GRAD
@@ -82,27 +102,29 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
         if idx.size == 0:
             break
         steps = np.linalg.solve(hess[solvable], -grad[idx][..., None])[..., 0]
-        # damped update: shrink the step until the gradient norm decreases
-        t = np.ones(idx.size)
-        pending = np.arange(idx.size)
+        # off-chart candidates are rejected without evaluating h there
+        cand, valid = _wrap_batch(chart, x[idx] + steps)
         improved = np.zeros(idx.size, dtype=bool)
-        for _ in range(40):
-            if pending.size == 0:
-                break
-            rows = idx[pending]
-            cand, valid = _wrap_batch(chart, x[rows] + t[pending, None] * steps[pending])
-            cg = np.zeros_like(cand)
-            if valid.any():  # off-chart rows are rejected without evaluating h there
-                cg[valid] = np.asarray(h.grad(cand[valid]), dtype=float)
-            cn = np.where(valid, np.linalg.norm(cg, axis=-1), np.inf)
-            good = cn < gnorm[rows]
-            took = rows[good]
-            x[took] = cand[good]
-            grad[took] = cg[good]
-            gnorm[took] = cn[good]
-            improved[pending[good]] = True
-            pending = pending[~good]
-            t[pending] *= 0.5
+        improved[valid] = accept(idx[valid], cand[valid])
+        pending = np.flatnonzero(~improved)
+        if pending.size == 0:
+            continue
+        rows = idx[pending]
+        cand, valid = _wrap_batch(chart, (x[rows] + halvings * steps[pending]).reshape(-1, chart.dim))
+        cand = cand.reshape(len(halvings), rows.size, chart.dim)
+        valid = valid.reshape(len(halvings), rows.size)
+        # nxt[k, r]: row r's first in-domain halving at or after k; ``last`` where there is none
+        last = len(halvings)
+        nxt = np.where(valid, np.arange(last)[:, None], last)
+        nxt = np.vstack([np.minimum.accumulate(nxt[::-1])[::-1], np.full(rows.size, last)])
+        k = nxt[0]
+        live = np.flatnonzero(k < last)
+        while live.size:
+            good = accept(rows[live], cand[k[live], live])
+            improved[pending[live[good]]] = True
+            live = live[~good]
+            k[live] = nxt[k[live] + 1, live]
+            live = live[k[live] < last]
         active[idx[~improved]] = False
     return x[gnorm < TOL_GRAD]
 

@@ -43,6 +43,15 @@ chart declares:
 * jets: curvature from the metric jets (the conformally scaled
   s2_perturbed).
 
+It runs over the quadrature grid in C-order slabs of at most
+max(4096, 2^18 / n^2) points.  Each slab is a ``TensorBlock`` of per-axis
+coordinates: the chart's embedding and a potential's ``TrigEmbedding`` read
+them directly, taking sin and cos once per axis node, and only the other
+evaluators (jets-route metrics, user-written fields) get the slab's point
+array.  The grid's point array is never built.  Values are computed point by
+point into one length-N array, which the fixed pairwise sum reduces with the
+grid weights, so Z does not depend on the slab shape.
+
 Sign bookkeeping: the quartic curvature element carries a single frozen
 calibration sign (see ``geometry.curvature_biform``); the action couples
 to it through ``ACTION_CURVATURE_COUPLING`` so that both computation
@@ -74,6 +83,8 @@ from .geometry import (
 from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multiply
 from .manifolds import (
     ManifoldSpec,
+    QuadratureGrid,
+    as_points,
     check_point_budget,
     integrate_values,
     pairwise_sum,
@@ -388,12 +399,13 @@ _CHUNK = 1 << 18
 _STIFFNESS_PROBE = 17  # points per axis of the stiffness probe grid
 
 
-def _inverse_metric(g: np.ndarray, points: np.ndarray, gram: bool) -> tuple[np.ndarray, np.ndarray]:
-    """det g and g^-1 at every point of a chunk; names the first point where g is not positive definite.
+def _inverse_metric(g: np.ndarray, points, gram: bool) -> tuple[np.ndarray, np.ndarray]:
+    """det g and g^-1 at every point of a chunk; names the first point where g is not positive definite or not finite.
 
     A Gram matrix dX dX^T (``gram``: the metric an embedding induces) is
     positive definite exactly where det g > 0.  Any other g must also have
-    positive leading minors (Sylvester's criterion).
+    positive leading minors (Sylvester's criterion).  ``points`` is the
+    chunk's point array or ``TensorBlock``, read only to name a point.
     """
     det = np.linalg.det(g)
     ok = det > 0
@@ -402,12 +414,18 @@ def _inverse_metric(g: np.ndarray, points: np.ndarray, gram: bool) -> tuple[np.n
         for k in range(2, g.shape[-1]):
             ok &= np.linalg.det(g[..., :k, :k]) > 0
     refuse_first(~ok, points, "metric not positive definite at the grid point")
-    return det, np.linalg.inv(g)
+    g_inv = np.linalg.inv(g)
+    finite = np.isfinite(det) & np.all(np.isfinite(g_inv), axis=(-2, -1))
+    refuse_first(~finite, points, "metric determinant or inverse not finite at the grid point")
+    return det, g_inv
 
 
-def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
+def _integrand_chunk(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
     """One chunk of integrand values: vectorized tensors, then Berezin tops.
 
+    ``x`` is a point array (P, n) or a ``TensorBlock`` of P points; a
+    ``TrigEmbedding`` (the chart's, or the potential's) reads a block's
+    per-axis coordinates, and only the other evaluators get its points.
     Three routes, by what the chart declares.  Induced: every tensor comes
     from one pass of embedding derivatives (``induced_curvature``).  Flat: the
     exact jets (I, 0, 0) skip the curvature, the inverse and the determinant,
@@ -417,20 +435,25 @@ def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> n
     n = chart.dim
     riem = None
     if chart.embedding is not None:
-        dx, d2x = chart.embedding.derivatives(points, [1, 2])
-        det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), points, gram=True)
+        dx, d2x = chart.embedding.derivatives(x, [1, 2])
+        det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), x, gram=True)
         gamma2, riem = induced_curvature(dx, d2x, g_inv)
     elif not chart.flat:
+        points = as_points(x)
         g = np.asarray(chart.metric(points), dtype=float)
-        det, g_inv = _inverse_metric(g, points, gram=False)
+        det, g_inv = _inverse_metric(g, x, gram=False)
         gamma2 = christoffel_tensors(g_inv, np.asarray(chart.d_metric(points), dtype=float))
         riem = riemann_tensor(g, np.asarray(chart.d2_metric(points), dtype=float), gamma2)
 
     hcov = None
     aux = 1.0
     if h is not None and lam != 0.0:
-        grad = np.asarray(h.grad(points), dtype=float)
-        hess = np.asarray(h.hess(points), dtype=float)
+        if h.embedding is not None:
+            grad, hess = (d[..., 0] for d in h.embedding.derivatives(x, [1, 2]))
+        else:
+            points = as_points(x)
+            grad = np.asarray(h.grad(points), dtype=float)
+            hess = np.asarray(h.hess(points), dtype=float)
         if chart.flat:
             hcov = hess
             grad_norm_sq = np.einsum("...i,...i->...", grad, grad)
@@ -440,19 +463,26 @@ def _integrand_chunk(chart: ChartMetric, points: np.ndarray, lam: float, h) -> n
         aux = np.exp(-0.5 * lam**2 * grad_norm_sq)
     if not chart.flat:
         aux = aux / np.sqrt(det)
-    return aux * _berezin_top(riem, hcov, lam, n, len(points))
+    return aux * _berezin_top(riem, hcov, lam, n, len(x))
 
 
-def _integrand_on_points(chart: ChartMetric, points: np.ndarray, lam: float, h) -> np.ndarray:
-    """Integrand values chunk by chunk; refuses the first point of a chunk whose value is not finite."""
-    npts = points.shape[0]
+def _integrand_on_points(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
+    """Integrand values at the N points of ``x``, in order; refuses the first point whose value is not finite.
+
+    ``x`` is a point array (N, n), evaluated in chunks of rows, or a
+    ``QuadratureGrid``, evaluated in C-order slabs of the same bound, so its
+    point array is never built.
+    """
     chunk = max(4096, _CHUNK // chart.dim**2)  # bound the d2g scratch tensors
-    out = np.empty(npts)
-    for start in range(0, npts, chunk):
-        stop = min(start + chunk, npts)
+    if isinstance(x, QuadratureGrid):
+        chunks = x.slabs(chunk)
+    else:
+        chunks = ((start, min(start + chunk, len(x)), x[start : start + chunk]) for start in range(0, len(x), chunk))
+    out = np.empty(len(x))
+    for start, stop, block in chunks:
         with np.errstate(all="ignore"):  # an overflow shows as a value refused below, not as a warning
-            out[start:stop] = _integrand_chunk(chart, points[start:stop], lam, h)
-        refuse_first(~np.isfinite(out[start:stop]), points[start:stop], "integrand not finite at the grid point")
+            out[start:stop] = _integrand_chunk(chart, block, lam, h)
+        refuse_first(~np.isfinite(out[start:stop]), block, "integrand not finite at the grid point")
     return out
 
 
@@ -567,7 +597,7 @@ def _partition(
         grid = quadrature_grid(spec, resolution)
         chart = spec.quad_chart
         h = potential.on_chart(chart.name) if potential is not None else None
-        values = _integrand_on_points(chart.metric, grid.points, lam, h)
+        values = _integrand_on_points(chart.metric, grid, lam, h)
         raw, cap_bound = integrate_values(grid, values)
         norm = (2 * math.pi) ** (-spec.dim / 2)
         value = norm * raw
@@ -642,7 +672,7 @@ def localization_mass(
         )
     grid = quadrature_grid(spec, resolution)
     h = potential.on_chart(chart.name)
-    values = np.abs(_integrand_on_points(chart.metric, grid.points, lam, h)) * grid.weights
+    values = np.abs(_integrand_on_points(chart.metric, grid, lam, h)) * grid.weights
     dist = np.asarray(dist_fn(grid.points), dtype=float)
     total = pairwise_sum(values)
     inside = pairwise_sum(np.where(dist <= radius, values, 0.0))

@@ -105,10 +105,11 @@ MALFORMED = {
     "index-without-potential": (["index", "--manifold", "s2"], None, "potential"),
     # counts and values that overflow are refused before they reach an integer or the JSON
     "lambda-overflow": (["sweep", "--manifold", "s2", "--morse", "height", "--lambda", "1e308"], None, "budget"),
+    # the conformal factor overflows det g at the first grid point
     "amplitude-overflow": (
         ["pfaffian", "--manifold", "s2_perturbed", "--manifold-params", '{"amplitude": 1e308}', "--resolution", "16,32"],
         None,
-        "integrand not finite",
+        "metric determinant or inverse not finite",
     ),
     "radius-overflow": (
         ["pfaffian", "--manifold", "s2", "--manifold-params", '{"radius": 1e308}'], None, "metric not positive definite"
@@ -129,6 +130,17 @@ MALFORMED = {
         ["index", "--manifold", "s2", "--manifold-params", '{"radius": 1e200}', "--morse", "height"],
         None,
         "gradient norm not finite on chart 'polar' at the seed point (",
+    ),
+    # g is finite and positive definite but det g ~ r^4 overflows: refused, not read as Z = 0
+    "pfaffian-det-overflow": (
+        ["pfaffian", "--manifold", "s2", "--manifold-params", '{"radius": 1e100}'],
+        None,
+        "metric determinant or inverse not finite at the grid point (0.000587",
+    ),
+    "sweep-det-overflow": (
+        ["sweep", "--manifold", "s2", "--manifold-params", '{"radius": 1e100}', "--morse", "height", "--lambda", "0,1"],
+        None,
+        "metric determinant or inverse not finite at the grid point (0.0001, 0.0)",
     ),
 }
 
@@ -181,7 +193,10 @@ def test_overflow_refusals_print_no_warnings():
     import subprocess
     import sys
 
-    for params, message in (("amplitude", "integrand not finite"), ("radius", "metric not positive definite")):
+    for params, message in (
+        ("amplitude", "metric determinant or inverse not finite"),
+        ("radius", "metric not positive definite"),
+    ):
         manifold = "s2_perturbed" if params == "amplitude" else "s2"
         argv = ["pfaffian", "--manifold", manifold, "--manifold-params", f'{{"{params}": 1e308}}', "--resolution", "16,32"]
         proc = subprocess.run([sys.executable, "-m", "cgb.cli", *argv], capture_output=True, text=True)
@@ -249,6 +264,11 @@ class TestPfaffianCommand:
         code, _, _ = run(capsys, "pfaffian", "--manifold", "s2", "--resolution", "8,16", "--tolerance", "1")
         assert code == 0
         assert len(calls) == 1
+
+    def test_large_finite_metric_is_integrated(self, capsys):
+        # det g ~ 1e200 stays finite: the det overflow refusal leaves this radius alone
+        code, stdout, _ = run(capsys, "pfaffian", "--manifold", "s2", "--manifold-params", '{"radius": 1e50}')
+        assert code == 0 and abs(json.loads(stdout)["chi_computed"] - 2.0) < 1e-3
 
     def test_degenerate_metric_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setitem(manifolds._BUILDERS, "degenerate", flat_circle)

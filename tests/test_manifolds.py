@@ -10,6 +10,8 @@ from cgb import manifolds
 from cgb.manifolds import (
     MAX_AXIS_POINTS,
     MAX_GRID_POINTS,
+    QuadratureGrid,
+    TensorBlock,
     _legendre_rule,
     check_point_budget,
     catalog,
@@ -120,6 +122,32 @@ class TestQuadrature:
         points = tensor_points(axes)
         assert points.shape == oracle.shape and points.flags.c_contiguous
         assert points.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("counts", [(5, 7), (3, 4, 2, 5)])
+    @pytest.mark.parametrize("limit", [1, 3, 9, 12, 40, 1000])
+    def test_slabs_cover_the_grid_in_order(self, counts, limit):
+        # runs of at most ``limit`` points that tile the point array in C order, whichever axis is cut
+        rng = np.random.default_rng(len(counts))
+        nodes, weights = (tuple(draw(size=c) for c in counts) for draw in (rng.normal, rng.uniform))
+        grid = QuadratureGrid(nodes, weights, 0.0)
+        slabs = list(grid.slabs(limit))
+        assert [start for start, _, _ in slabs] == [0] + [stop for _, stop, _ in slabs[:-1]]
+        assert slabs[-1][1] == len(grid) == math.prod(counts)
+        assert all(0 < stop - start == len(block) <= limit for start, stop, block in slabs)
+        assert np.concatenate([block.points for _, _, block in slabs]).tobytes() == grid.points.tobytes()
+
+    def test_grid_memory_is_per_axis(self, flat_t2):
+        # the flat-T2 sweep grid at lambda 10, 3159^2 (about 1e7) points, is kept as its two axis rules
+        import tracemalloc
+
+        quadrature_grid(flat_t2, (3159, 3159))  # fills the cached Legendre rule, an O(n^2) eigensolve
+        tracemalloc.start()
+        try:
+            grid = quadrature_grid(flat_t2, (3159, 3159))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 3159**2 and peak < 1 << 20
 
     @pytest.mark.parametrize("density", [1, 5, 8])
     def test_newton_seeds_match_meshgrid_oracle(self, full_catalog, density):
@@ -329,6 +357,26 @@ def assert_jets_match(metric, coords, g, pts):
 def interior_points(metric, rng, count=64):
     lo, hi = metric.domain[:, 0], metric.domain[:, 1]
     return rng.uniform(lo + 1e-3, hi - 1e-3, size=(count, metric.dim))
+
+
+@pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed"])
+def test_derivatives_on_a_block_match_its_points(name):
+    # a TensorBlock stands for its C-order points: orders 0-3 of every chart embedding and
+    # every potential agree to the bit with the same call on the point array
+    spec = get_manifold(name)
+    rng = np.random.default_rng(11)
+    embeddings = []
+    for chart_name, chart in spec.charts.items():
+        fields = [m.fields[chart_name] for m in spec.morse_catalog.values() if chart_name in m.fields]
+        embeddings += [(chart, chart.embed)] + [(chart, field.embedding) for field in fields]
+    if name == "flat_t2":
+        assert all(e.freq == (2 * math.pi,) * 2 for _, e in embeddings)
+    for chart, embedding in embeddings:
+        axes = [rng.uniform(lo, hi, size=count) for (lo, hi), count in zip(chart.metric.domain, (5, 3, 4, 2))]
+        for block_axes in (axes, [axes[0][2:3]] + axes[1:]):  # a whole grid, and a slab with a fixed first axis
+            got = embedding.derivatives(TensorBlock(np.ix_(*block_axes)), range(4))
+            want = embedding.derivatives(tensor_points(block_axes), range(4))
+            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want)), (name, chart.name)
 
 
 @pytest.mark.parametrize("name, params", JET_CASES.values(), ids=JET_CASES.keys())

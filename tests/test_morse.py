@@ -11,11 +11,57 @@ from cgb.geometry import ScalarField
 from cgb.manifolds import ManifoldSpec, MorseFunction, get_manifold
 from cgb.morse import (
     DegenerateCriticalPointError,
+    MAX_NEWTON_STEPS,
     TOL_GRAD,
     TOL_MORSE,
+    _newton_batch,
+    _seeds,
+    _wrap_batch,
     find_critical_points,
     hopf_index,
 )
+
+
+def serial_newton(chart, h, seeds):
+    """Damped Newton whose line search tries one halving at a time for every pending seed: ``_newton_batch``'s oracle."""
+    x = np.array(seeds, dtype=float)
+    grad = np.asarray(h.grad(x), dtype=float)
+    gnorm = np.linalg.norm(grad, axis=-1)
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(MAX_NEWTON_STEPS):
+        active &= gnorm >= TOL_GRAD
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        hess = np.asarray(h.hess(x[idx]), dtype=float)
+        solvable = np.abs(np.linalg.det(hess)) > 1e-300
+        active[idx[~solvable]] = False
+        idx = idx[solvable]
+        if idx.size == 0:
+            break
+        steps = np.linalg.solve(hess[solvable], -grad[idx][..., None])[..., 0]
+        t = np.ones(idx.size)
+        pending = np.arange(idx.size)
+        improved = np.zeros(idx.size, dtype=bool)
+        for _ in range(40):
+            if pending.size == 0:
+                break
+            rows = idx[pending]
+            cand, valid = _wrap_batch(chart, x[rows] + t[pending, None] * steps[pending])
+            cg = np.zeros_like(cand)
+            if valid.any():
+                cg[valid] = np.asarray(h.grad(cand[valid]), dtype=float)
+            cn = np.where(valid, np.linalg.norm(cg, axis=-1), np.inf)
+            good = cn < gnorm[rows]
+            took = rows[good]
+            x[took] = cand[good]
+            grad[took] = cg[good]
+            gnorm[took] = cn[good]
+            improved[pending[good]] = True
+            pending = pending[~good]
+            t[pending] *= 0.5
+        active[idx[~improved]] = False
+    return x[gnorm < TOL_GRAD]
 
 
 class TestCriticalPoints:
@@ -111,6 +157,21 @@ class TestCriticalPoints:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"^Hessian determinant not finite on chart 'rotated' at the point \("):
                 find_critical_points(spec, "height")
+
+
+@pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed"])
+def test_newton_batch_matches_the_serial_line_search(name):
+    # every chart that carries the potential, its roots in the same order to the bit
+    spec = get_manifold(name)
+    potential = next(iter(spec.morse_catalog.values()))
+    densities = (3, 4, 5) if spec.dim == 4 else (3, 4, 5, 6, 7, 8, 12, 16)
+    for chart_name, chart in spec.charts.items():
+        h = potential.fields[chart_name]
+        for density in densities:
+            seeds = _seeds(chart, density)
+            with np.errstate(all="ignore"):
+                got, want = _newton_batch(chart, h, seeds), serial_newton(chart, h, seeds)
+            assert got.tobytes() == want.tobytes(), (chart_name, density)
 
 
 class TestHopfIndex:

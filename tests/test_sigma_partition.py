@@ -373,6 +373,25 @@ FACTORIZED_SWEEP_BITS = [
     ((26, 51, 26, 51), "0x1.ffffff543388bp+1", "0x1.5b2b996e0fddep-11"),
 ]
 
+# (manifold, potential, coupling, resolution, Z.hex(), error_bound.hex()) of direct evaluations
+# on grids of several integrand slabs -- the jets route, and S2xS2 with its slabs cut along
+# the second axis and along the first -- as computed while the integrand read the grid's
+# point array in fixed chunks
+SLAB_BITS = [
+    ("s2_perturbed", "height", 1.0, (140, 480), "0x1.0000fb7ba07fdp+1", "0x1.5bab100ad9682p-13"),
+    ("s2xs2", None, 0.0, (4, 60, 16, 20), "0x1.fffef7361dc28p+1", "0x1.1862fa89df1fdp-10"),
+    ("s2xs2", "height_sum", 0.13, (4, 60, 16, 20), "0x1.000bfe590307cp+2", "0x1.15a844d1bb209p-10"),
+    ("s2xs2", None, 0.0, (16, 20, 16, 20), "0x1.ffffffaa19c4dp+1", "0x1.421df6ad5c030p-10"),
+]
+
+# the S2 height sweep at (0, 1, 2) from base 48x96: (resolution, Z.hex(), error_bound.hex()),
+# computed at the same point
+SPHERE_SWEEP_BITS = [
+    ((48, 96), "0x1.ffffffd50cdfcp+0", "0x1.a2e3574bb0fbdp-13"),
+    ((48, 96), "0x1.ffffffaa19c22p+0", "0x1.5bfcb5ff22b98p-13"),
+    ((51, 101), "0x1.ffffff29406dap+0", "0x1.09026c88578a9p-12"),
+]
+
 
 def constant_metric_spec(diagonal):
     """A box chart with the constant jets (diag(diagonal), 0, 0), no embedding, and a potential 'h'."""
@@ -410,6 +429,15 @@ class TestCurvatureRoutes:
     def test_factorized_sweep_bits_unchanged(self, s2xs2):
         sweep = lambda_sweep(s2xs2, "height_sum", (0, 0.5, 1), (8, 16, 8, 16))
         assert [(r.resolution, r.value.hex(), r.error_bound.hex()) for r in sweep.results] == FACTORIZED_SWEEP_BITS
+
+    @pytest.mark.parametrize("name, h_name, lam, resolution, value, bound", SLAB_BITS)
+    def test_slab_bits_unchanged(self, name, h_name, lam, resolution, value, bound):
+        result = partition_function(get_manifold(name), h_name, lam, resolution, use_product_structure=False)
+        assert (result.value.hex(), result.error_bound.hex()) == (value, bound)
+
+    def test_sphere_sweep_bits_unchanged(self):
+        sweep = lambda_sweep(get_manifold("s2"), "height", (0, 1, 2), (48, 96))
+        assert [(r.resolution, r.value.hex(), r.error_bound.hex()) for r in sweep.results] == SPHERE_SWEEP_BITS
 
     @pytest.mark.parametrize("name, h_name, lam, resolution, value, bound", JETS_ROUTE_BITS)
     def test_jets_route_bits_unchanged(self, monkeypatch, name, h_name, lam, resolution, value, bound):
@@ -488,22 +516,28 @@ class TestCurvatureRoutes:
             lambda_sweep(spec, "h", [0.0, 1.0], (4,) * dim)
 
     @pytest.mark.parametrize(
-        "params, message",
+        "params, message, where, probe_where",
         [
-            # the conformal factor overflows: d2g, and so the curvature, is not finite
-            ({"amplitude": 1e308}, r"integrand not finite at the grid point \(0\.0167479\d*, 0\.0085958\d*\)"),
+            # the conformal factor overflows det g, first at the first point of either grid
+            (
+                {"amplitude": 1e308},
+                "metric determinant or inverse not finite",
+                r"0\.0167479\d*, 0\.0085958\d*",
+                r"0\.0001, 0\.0",
+            ),
             # dX dX^T overflows to inf, and its det to nan
-            ({"radius": 1e308}, r"metric not positive definite at the grid point \("),
+            ({"radius": 1e308}, "metric not positive definite", "", ""),
         ],
         ids=["amplitude", "radius"],
     )
-    def test_non_finite_value_refused_where_it_appears(self, params, message):
+    def test_non_finite_value_refused_where_it_appears(self, params, message, where, probe_where):
         # numpy's overflow warnings stay off: the refusal is the whole report
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=rf"{message} at the grid point \({where}"):
                 partition_function(sphere_conformal(**params), None, 0.0, (16, 32))
-            with pytest.raises(ValueError, match=message):  # the stiffness probe meets the metric first
+            # the stiffness probe meets the metric first
+            with pytest.raises(ValueError, match=rf"{message} at the grid point \({probe_where}"):
                 lambda_sweep(sphere_conformal(**params), "height", [0.0, 1.0], (16, 32))
 
 

@@ -9,6 +9,7 @@ standard library, so it is executed from its source without importing the
 """
 
 import importlib
+import math
 import types
 from pathlib import Path
 
@@ -65,3 +66,24 @@ def test_riemann_counter_reads_the_chunk_size(tracing, monkeypatch):
     points = manifolds.quadrature_grid(spec, (8, 16)).points
     sigma._integrand_chunk(spec.quad_chart.metric, points, 0.0, None)
     assert counts == [{"geometry.riemann_points": len(points)}]
+
+
+@pytest.mark.parametrize("name, resolution", [("s2", (32, 64)), ("flat_t2", (48, 40)), ("s2xs2", (4, 6, 4, 6))])
+def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolution):
+    # the grid counter reads the size of quadrature_grid's result, the integrand counter the
+    # len() of _integrand_on_points' second argument: on one partition both are the grid's point count
+    from cgb import sigma
+
+    counts = []
+    for attr, counter in (("quadrature_grid", "grid"), ("_integrand_on_points", "integrand")):
+
+        def recording(*args, fn=getattr(sigma, attr), counter=counter):
+            result = fn(*args)
+            counts.append(tracing.COUNTERS[counter](args, result))
+            return result
+
+        monkeypatch.setattr(sigma, attr, recording)
+    spec = manifolds.get_manifold(name)
+    sigma.partition_function(spec, next(iter(spec.morse_catalog)), 0.1, resolution, use_product_structure=False)
+    size = math.prod(resolution)
+    assert counts == [{"manifolds.grid_points": size}, {"sigma.integrand_points": size}]
