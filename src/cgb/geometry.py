@@ -71,8 +71,10 @@ class ChartMetric:
     """A coordinate chart with batched evaluators of g, dg and d2g.
 
     Each evaluator maps points of shape (..., dim) to the jet with the
-    index axes last, as laid out in :class:`MetricJets`.  Two structural
-    attributes let the batched integrand skip the jets:
+    index axes last, as laid out in :class:`MetricJets`; a user-written one
+    reads its batch (the integrand's is a ``manifolds.TensorBlock``) with
+    ``np.asarray``.  Two structural attributes let the batched integrand
+    skip the jets:
 
     * ``embedding`` is set when g is the metric induced by a
       ``TrigEmbedding`` X of the chart; the integrand then takes g,
@@ -242,15 +244,12 @@ class CurvatureFrame:
 class ScalarField:
     """Scalar function on a chart with analytic first and second derivatives.
 
-    ``embedding``, as on :class:`ChartMetric`, is set when the field is a
-    one-component ``TrigEmbedding`` that ``grad`` and ``hess`` differentiate;
-    the batched integrand then takes both from one call of its derivatives.
+    A user-written evaluator reads its batch with ``np.asarray``, as on :class:`ChartMetric`.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
-    embedding: object = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))

@@ -25,13 +25,9 @@ ambient axis last.  Besides its charts, each manifold has
 Quadrature weights are bare Lebesgue weights on chart coordinates
 (Gauss-Legendre tensor grids); all metric volume factors belong to the
 integrand.  A ``QuadratureGrid`` keeps only its per-axis nodes and weights
-and hands its points out in C-order slabs, each a ``TensorBlock`` of per-axis
-coordinates that broadcast; a ``TrigEmbedding`` evaluates a block with sin
-and cos taken once per axis node.  Every point array of a tensor grid (Newton
-seeds, the stiffness probe, a block's points for any other evaluator) is
-written by ``TensorBlock.points``, with no mesh copies.  Grid sums use a
-fixed-shape pairwise reduction so results do not depend on evaluation
-chunking.
+and hands its points out in C-order slabs, each a ``TensorBlock``: the batch
+protocol is stated there.  Grid sums use a fixed-shape pairwise reduction so
+results do not depend on evaluation chunking.
 """
 
 from __future__ import annotations
@@ -59,14 +55,16 @@ MAX_GRID_POINTS = 1 << 24
 
 
 def pairwise_sum(values: np.ndarray) -> float:
-    """Deterministic pairwise summation (fixed reduction shape)."""
+    """Deterministic pairwise summation (fixed reduction shape); an odd pass pairs its last value with 0.0."""
     acc = np.asarray(values, dtype=float).ravel()
     if acc.size == 0:
         return 0.0
     while acc.size > 1:
-        if acc.size % 2:
-            acc = np.concatenate([acc, [0.0]])
-        acc = acc[0::2] + acc[1::2]
+        half = acc.size // 2
+        out = np.empty(acc.size - half)
+        np.add(acc[0 : 2 * half : 2], acc[1::2], out=out[:half])
+        out[half:] = acc[2 * half :] + 0.0  # -0.0 + 0.0 is +0.0
+        acc = out
     return float(acc[0])
 
 
@@ -124,7 +122,7 @@ class TrigEmbedding:
         some term needs them, on a block once per axis node.
         """
         if isinstance(x, TensorBlock):
-            columns, block, batch = x.axes, x.shape, (len(x),)
+            columns, block, batch = x.axes, x.broadcast_shape, (len(x),)
         else:
             x = np.asarray(x, dtype=float)
             columns, block = [x[..., k] for k in range(self.dim)], x.shape[:-1]
@@ -160,12 +158,12 @@ def _product_embedding(e1: TrigEmbedding, e2: TrigEmbedding) -> TrigEmbedding:
 
 
 def trig_field(potential: TrigEmbedding) -> ScalarField:
-    """Value, gradient and Hessian (points first) of a one-component TrigEmbedding, which it keeps as ``embedding``."""
+    """Value, gradient and Hessian (points first) of a one-component TrigEmbedding."""
 
     def jet(x, order: int) -> np.ndarray:
         return potential.derivatives(x, [order])[0][..., 0]
 
-    return ScalarField(*(functools.partial(jet, order=k) for k in range(3)), embedding=potential)
+    return ScalarField(*(functools.partial(jet, order=k) for k in range(3)))
 
 
 def _ambient_sum(charts: dict[str, "Chart"], weights: dict[int, float]) -> dict[str, ScalarField]:
@@ -318,27 +316,30 @@ class ManifoldSpec:
 
 @dataclass(frozen=True)
 class TensorBlock:
-    """A block of a tensor grid, kept as per-axis coordinate arrays that broadcast.
+    """A block of a tensor grid: the batch every chart and field evaluator is handed.
 
     ``axes[k]`` holds the block's nodes on axis k, shaped to broadcast
     against the others (``u[:, None]``, ``v[None, :]``, as ``np.ix_`` makes
-    them).  The block stands for the P points of their broadcast in C order:
-    ``points`` builds that (P, n) array, and closed-form evaluators
-    (``TrigEmbedding.derivatives``) take the block in its place.
+    them).  The block is an array-like of the P points of their broadcast in
+    C order: ``len(block)`` is P, and ``np.asarray(block)`` builds the (P, n)
+    point array (so ``np.shape(block)`` is (P, n)).  This is the batch
+    protocol: a ``TrigEmbedding`` reads the block's axes, taking sin and cos
+    once per axis node, and any other evaluator reads its batch through
+    ``np.asarray``, which takes a point array as it is.
     """
 
     axes: tuple[np.ndarray, ...]
 
     @property
-    def shape(self) -> tuple[int, ...]:
+    def broadcast_shape(self) -> tuple[int, ...]:
         return np.broadcast_shapes(*(np.shape(a) for a in self.axes))
 
     def __len__(self) -> int:
-        return math.prod(self.shape)
+        return math.prod(self.broadcast_shape)
 
-    @property
-    def points(self) -> np.ndarray:
-        return np.stack(np.broadcast_arrays(*self.axes), axis=-1).reshape(-1, len(self.axes))
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        points = np.stack(np.broadcast_arrays(*self.axes), axis=-1).reshape(-1, len(self.axes))
+        return points if dtype is None else points.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -418,19 +419,14 @@ def gauss_legendre_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.nd
 
 def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
     """(N, dim) points of the tensor grid of the 1-D ``axes`` in C order, with no mesh copies."""
-    return TensorBlock(np.ix_(*axes)).points
-
-
-def as_points(x) -> np.ndarray:
-    """A point array as it is; a ``TensorBlock`` as its (P, n) points."""
-    return x.points if isinstance(x, TensorBlock) else np.asarray(x, dtype=float)
+    return np.asarray(TensorBlock(np.ix_(*axes)))
 
 
 def refuse_first(bad: np.ndarray, points, what: str) -> None:
     """Raise ``ValueError`` "<what> (<coordinates>)" naming the first of ``points`` (array or block) where ``bad`` holds."""
     first = np.flatnonzero(bad)
     if first.size:
-        where = ", ".join(str(float(c)) for c in as_points(points)[first[0]])
+        where = ", ".join(str(float(c)) for c in np.asarray(points, dtype=float)[first[0]])
         raise ValueError(f"{what} ({where})")
 
 

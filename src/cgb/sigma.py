@@ -44,13 +44,10 @@ chart declares:
   s2_perturbed).
 
 It runs over the quadrature grid in C-order slabs of at most
-max(4096, 2^18 / n^2) points.  Each slab is a ``TensorBlock`` of per-axis
-coordinates: the chart's embedding and a potential's ``TrigEmbedding`` read
-them directly, taking sin and cos once per axis node, and only the other
-evaluators (jets-route metrics, user-written fields) get the slab's point
-array.  The grid's point array is never built.  Values are computed point by
-point into one length-N array, which the fixed pairwise sum reduces with the
-grid weights, so Z does not depend on the slab shape.
+max(4096, 2^18 / n^2) points, each a ``TensorBlock`` handed to every
+evaluator as it is; the grid's point array is never built.  Values are
+computed point by point into one length-N array, which the fixed pairwise
+sum reduces with the grid weights, so Z does not depend on the slab shape.
 
 Sign bookkeeping: the quartic curvature element carries a single frozen
 calibration sign (see ``geometry.curvature_biform``); the action couples
@@ -83,14 +80,15 @@ from .geometry import (
 from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multiply
 from .manifolds import (
     ManifoldSpec,
+    MAX_AXIS_POINTS,
+    MAX_GRID_POINTS,
     QuadratureGrid,
-    as_points,
+    TensorBlock,
     check_point_budget,
     integrate_values,
     pairwise_sum,
     quadrature_grid,
     refuse_first,
-    tensor_points,
 )
 from .morse import TOL_MORSE
 
@@ -423,10 +421,8 @@ def _inverse_metric(g: np.ndarray, points, gram: bool) -> tuple[np.ndarray, np.n
 def _integrand_chunk(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
     """One chunk of integrand values: vectorized tensors, then Berezin tops.
 
-    ``x`` is a point array (P, n) or a ``TensorBlock`` of P points; a
-    ``TrigEmbedding`` (the chart's, or the potential's) reads a block's
-    per-axis coordinates, and only the other evaluators get its points.
-    Three routes, by what the chart declares.  Induced: every tensor comes
+    ``x`` is a point array (P, n) or a ``TensorBlock`` of P points, handed
+    to every evaluator as it is.  Three routes, by what the chart declares.  Induced: every tensor comes
     from one pass of embedding derivatives (``induced_curvature``).  Flat: the
     exact jets (I, 0, 0) skip the curvature, the inverse and the determinant,
     and no jet is evaluated.  Jets: Christoffel symbols and curvature from the
@@ -439,21 +435,16 @@ def _integrand_chunk(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
         det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), x, gram=True)
         gamma2, riem = induced_curvature(dx, d2x, g_inv)
     elif not chart.flat:
-        points = as_points(x)
-        g = np.asarray(chart.metric(points), dtype=float)
+        g = np.asarray(chart.metric(x), dtype=float)
         det, g_inv = _inverse_metric(g, x, gram=False)
-        gamma2 = christoffel_tensors(g_inv, np.asarray(chart.d_metric(points), dtype=float))
-        riem = riemann_tensor(g, np.asarray(chart.d2_metric(points), dtype=float), gamma2)
+        gamma2 = christoffel_tensors(g_inv, np.asarray(chart.d_metric(x), dtype=float))
+        riem = riemann_tensor(g, np.asarray(chart.d2_metric(x), dtype=float), gamma2)
 
     hcov = None
     aux = 1.0
     if h is not None and lam != 0.0:
-        if h.embedding is not None:
-            grad, hess = (d[..., 0] for d in h.embedding.derivatives(x, [1, 2]))
-        else:
-            points = as_points(x)
-            grad = np.asarray(h.grad(points), dtype=float)
-            hess = np.asarray(h.hess(points), dtype=float)
+        grad = np.asarray(h.grad(x), dtype=float)
+        hess = np.asarray(h.hess(x), dtype=float)
         if chart.flat:
             hcov = hess
             grad_norm_sq = np.einsum("...i,...i->...", grad, grad)
@@ -503,11 +494,11 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
         return max(potential_stiffness(f, name) for f, name in zip(spec.factors, potential.factor_names))
     chart = spec.quad_chart
     h = potential.on_chart(chart.name)
-    pts = tensor_points([np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain])
+    probe = TensorBlock(np.ix_(*(np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain)))
     gram = chart.metric.embedding is not None
     with np.errstate(all="ignore"):  # an overflowing metric is refused by _inverse_metric or the integrand
-        g_inv = np.eye(chart.dim) if chart.metric.flat else _inverse_metric(chart.metric.metric(pts), pts, gram)[1]
-        hess = np.asarray(h.hess(pts), dtype=float)
+        g_inv = np.eye(chart.dim) if chart.metric.flat else _inverse_metric(chart.metric.metric(probe), probe, gram)[1]
+        hess = np.asarray(h.hess(probe), dtype=float)
         form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
         mu_sq = np.linalg.eigvalsh(form)[..., -1]
     return float(np.sqrt(np.max(mu_sq)))
@@ -521,17 +512,25 @@ def _bump_counts(spec: ManifoldSpec, lam: float, stiffness: float, per_width: in
 def check_resolution(
     spec: ManifoldSpec, lam: float, resolution: Sequence[int], stiffness: float
 ) -> None:
-    """Refuse grids with fewer than 4 points per localization-bump width."""
+    """Refuse grids with fewer than 4 points per localization-bump width, naming the adaptive count before any budget."""
     if lam <= 0 or stiffness <= 0:
         return
     lengths = spec.axis_lengths()
+    needs = _bump_counts(spec, lam, stiffness, 8)
     for axis, (count, floor) in enumerate(zip(resolution, _bump_counts(spec, lam, stiffness, 4))):
         if count < floor:
-            needed = adaptive_resolution(spec, lam, resolution, stiffness)[axis]
+            need = math.ceil(needs[axis]) if needs[axis] <= MAX_GRID_POINTS else needs[axis]  # as check_point_budget
+            if need <= MAX_AXIS_POINTS:
+                hint = f"use at least {need} points on that axis"
+            elif math.isfinite(need):
+                hint = f"that axis needs {need} points, above the budget of {MAX_AXIS_POINTS} per axis"
+            else:
+                hint = f"the count that axis needs is not finite, above the budget of {MAX_AXIS_POINTS} per axis"
+            width = 1.0 / (lam * stiffness)  # 0.0 where lam * stiffness overflows
             raise ResolutionError(
-                f"resolution {tuple(resolution)} under-resolves the localization bump of "
-                f"chart width {1.0 / (lam * stiffness):.3g} on an axis of length {lengths[axis]:.3g} "
-                f"(fewer than 4 points per width); use at least {needed} points on that axis"
+                f"resolution {tuple(resolution)} under-resolves the localization bump of chart width "
+                f"{f'{width:.3g}' if width else 'below 1e-308'} on an axis of length {lengths[axis]:.3g} "
+                f"(fewer than 4 points per width); {hint}"
             )
 
 

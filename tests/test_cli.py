@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,27 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--manifold", "flat_t2", "--morse", "coscos", "--lambda", "1000")
         assert code == 2
         assert err.count("\n") == 1 and "315828" in err and "budget" in err
+
+    @pytest.mark.parametrize(
+        "lam, hint",
+        [
+            ("20", "that axis needs 6317 points, above the budget of 4096 per axis"),
+            ("1000", "that axis needs 315828 points, above the budget of 4096 per axis"),
+            ("1e308", "the count that axis needs is not finite, above the budget of 4096 per axis"),
+        ],
+    )
+    def test_under_resolution_names_the_grid_asked_for(self, capsys, lam, hint):
+        # --no-adaptive keeps the 48^2 grid: the refusal is under-resolution, never the budget
+        # of the adaptive grid, and no overflowed width or infinite count is printed
+        argv = ["sweep", "--manifold", "flat_t2", "--morse", "coscos", "--lambda", f"0,{lam}"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--resolution", "48,48", "--no-adaptive")
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith("error: resolution (48, 48) under-resolves the localization bump of chart width ")
+        assert err.endswith(f"; {hint}\n") and "budget of 4096 per axis and" not in err
+        if lam == "1e308":
+            assert "chart width below 1e-308 on an axis" in err
 
     def test_deterministic_output(self, capsys, tmp_path):
         argv = [

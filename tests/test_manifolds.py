@@ -134,7 +134,8 @@ class TestQuadrature:
         assert [start for start, _, _ in slabs] == [0] + [stop for _, stop, _ in slabs[:-1]]
         assert slabs[-1][1] == len(grid) == math.prod(counts)
         assert all(0 < stop - start == len(block) <= limit for start, stop, block in slabs)
-        assert np.concatenate([block.points for _, _, block in slabs]).tobytes() == grid.points.tobytes()
+        assert all(np.shape(block) == (len(block), len(counts)) for _, _, block in slabs)
+        assert np.concatenate([np.asarray(block) for _, _, block in slabs]).tobytes() == grid.points.tobytes()
 
     def test_grid_memory_is_per_axis(self, flat_t2):
         # the flat-T2 sweep grid at lambda 10, 3159^2 (about 1e7) points, is kept as its two axis rules
@@ -258,6 +259,22 @@ class TestPairwiseSum:
     def test_empty(self):
         assert pairwise_sum(np.array([])) == 0.0
 
+    @pytest.mark.parametrize("size", [1, 3, 7, 1001, 2**20 + 1], ids=lambda n: f"n{n}")
+    def test_odd_lengths_match_the_padded_reference(self, size):
+        # each pass of the reference pads an odd length with 0.0 (2^20 + 1 is odd at every
+        # pass), and -0.0 + 0.0 is +0.0 there too
+        def padded(acc):
+            while acc.size > 1:
+                if acc.size % 2:
+                    acc = np.concatenate([acc, [0.0]])
+                acc = acc[0::2] + acc[1::2]
+            return float(acc[0])
+
+        values = np.random.default_rng(size).normal(size=size)
+        assert pairwise_sum(values).hex() == padded(values).hex()
+        zeros = -np.zeros(size)
+        assert pairwise_sum(zeros).hex() == padded(zeros).hex() == ("-0x0.0p+0" if size == 1 else "0x0.0p+0")
+
 
 # -- closed-form jets against the sympy oracle ----------------------------------
 
@@ -361,22 +378,27 @@ def interior_points(metric, rng, count=64):
 
 @pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed"])
 def test_derivatives_on_a_block_match_its_points(name):
-    # a TensorBlock stands for its C-order points: orders 0-3 of every chart embedding and
-    # every potential agree to the bit with the same call on the point array
+    # a TensorBlock stands for its C-order points: orders 0-3 of every chart embedding, the
+    # jets of every chart and the value, gradient and Hessian of every potential agree to the
+    # bit with the same call on the point array
     spec = get_manifold(name)
     rng = np.random.default_rng(11)
-    embeddings = []
+    if name == "flat_t2":
+        assert spec.quad_chart.embed.freq == (2 * math.pi,) * 2
     for chart_name, chart in spec.charts.items():
         fields = [m.fields[chart_name] for m in spec.morse_catalog.values() if chart_name in m.fields]
-        embeddings += [(chart, chart.embed)] + [(chart, field.embedding) for field in fields]
-    if name == "flat_t2":
-        assert all(e.freq == (2 * math.pi,) * 2 for _, e in embeddings)
-    for chart, embedding in embeddings:
+        evaluators = [chart.metric.metric, chart.metric.d_metric, chart.metric.d2_metric]
+        evaluators += [f for field in fields for f in (field.value, field.grad, field.hess)]
         axes = [rng.uniform(lo, hi, size=count) for (lo, hi), count in zip(chart.metric.domain, (5, 3, 4, 2))]
         for block_axes in (axes, [axes[0][2:3]] + axes[1:]):  # a whole grid, and a slab with a fixed first axis
-            got = embedding.derivatives(TensorBlock(np.ix_(*block_axes)), range(4))
-            want = embedding.derivatives(tensor_points(block_axes), range(4))
-            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want)), (name, chart.name)
+            block, points = TensorBlock(np.ix_(*block_axes)), tensor_points(block_axes)
+            got = chart.embed.derivatives(block, range(4))
+            got += [np.asarray(evaluate(block), dtype=float) for evaluate in evaluators]
+            want = chart.embed.derivatives(points, range(4))
+            want += [np.asarray(evaluate(points), dtype=float) for evaluate in evaluators]
+            assert len(got) == 7 + 3 * len(fields)
+            for k, (a, b) in enumerate(zip(got, want)):
+                assert a.shape == b.shape and np.array_equal(a, b), (name, chart.name, k)
 
 
 @pytest.mark.parametrize("name, params", JET_CASES.values(), ids=JET_CASES.keys())

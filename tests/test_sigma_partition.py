@@ -15,6 +15,7 @@ from cgb.manifolds import (
     Chart,
     ManifoldSpec,
     MorseFunction,
+    TensorBlock,
     TrigEmbedding,
     embedded_chart,
     flat_chart,
@@ -456,6 +457,22 @@ class TestCurvatureRoutes:
         assert [r.value.hex() for r in sweep.results] == FLAT_SWEEP_BITS
         assert [r.error_bound for r in sweep.results] == [0.0] * 4
         assert calls == [[], [], []]
+
+    @pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed"])
+    def test_no_catalog_evaluator_builds_a_slab_points(self, monkeypatch, name):
+        # every catalog chart and potential reads a slab, and the stiffness probe, through its axes
+        def refuse(self, dtype=None, copy=None):
+            raise AssertionError("the points of a TensorBlock were built")
+
+        monkeypatch.setattr(TensorBlock, "__array__", refuse)
+        with pytest.raises(AssertionError, match="points of a TensorBlock"):
+            np.asarray(TensorBlock((np.zeros(2),)))
+        spec = get_manifold(name)
+        resolution = (24, 48) if spec.dim == 2 else (8, 16, 8, 16)
+        for h_name in spec.morse_catalog:
+            for product in (True, False) if spec.factors else (True,):
+                assert partition_function(spec, h_name, 0.1, resolution, use_product_structure=product).value
+            assert len(lambda_sweep(spec, h_name, (0.0, 0.1), resolution).results) == 2
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_flat_chart_jets_are_exact(self, dim):
