@@ -80,8 +80,6 @@ from .geometry import (
 from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multiply
 from .manifolds import (
     ManifoldSpec,
-    MAX_AXIS_POINTS,
-    MAX_GRID_POINTS,
     QuadratureGrid,
     TensorBlock,
     check_point_budget,
@@ -89,6 +87,8 @@ from .manifolds import (
     pairwise_sum,
     quadrature_grid,
     refuse_first,
+    MAX_AXIS_POINTS,
+    MAX_GRID_POINTS,
 )
 from .morse import TOL_MORSE
 
@@ -422,11 +422,11 @@ def _integrand_chunk(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
     """One chunk of integrand values: vectorized tensors, then Berezin tops.
 
     ``x`` is a point array (P, n) or a ``TensorBlock`` of P points, handed
-    to every evaluator as it is.  Three routes, by what the chart declares.  Induced: every tensor comes
-    from one pass of embedding derivatives (``induced_curvature``).  Flat: the
-    exact jets (I, 0, 0) skip the curvature, the inverse and the determinant,
-    and no jet is evaluated.  Jets: Christoffel symbols and curvature from the
-    metric jets.
+    to every evaluator as it is.  Three routes, by what the chart declares.
+    Induced: every tensor comes from one pass of embedding derivatives
+    (``induced_curvature``).  Flat: the exact jets (I, 0, 0) skip the
+    curvature, the inverse and the determinant, and no jet is evaluated.
+    Jets: Christoffel symbols and curvature from the metric jets.
     """
     n = chart.dim
     riem = None
