@@ -53,12 +53,6 @@ def plan(workloads: list[str], seeds: range, seconds: int) -> list[tuple[str, st
     return runs
 
 
-def command(workload: str, seed: int, seconds: int, trace: int) -> list[str]:
-    base = json.loads((ROOT / "BENCHMARK.json").read_text())["command"]
-    args = ["--workload", workload, "--seed", seed, "--seconds", seconds, "--trace", trace]
-    return base + [str(a) for a in args]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="paired cgbbench runs of a parent and a change")
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
@@ -75,10 +69,11 @@ def main(argv=None) -> int:
             print(f"error: no cgbbench/run.py in the {side} checkout {checkout}", file=sys.stderr)
             return 2
 
-    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    runs = plan(workloads, args.seeds, args.seconds)
-    for number, (side, *run) in enumerate(runs, start=1):
-        cmd = command(*run)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = plan([w["name"] for w in declared["workloads"]], args.seeds, args.seconds)
+    for number, (side, workload, seed, seconds, trace) in enumerate(runs, start=1):
+        flags = {"--workload": workload, "--seed": seed, "--seconds": seconds, "--trace": trace}
+        cmd = declared["command"] + [str(a) for flag in flags.items() for a in flag]
         print(f"[{number}/{len(runs)}] {side}: {' '.join(cmd)}", flush=True)
         if not args.dry_run and subprocess.run(cmd, cwd=checkouts[side]).returncode != 0:
             print(f"error: run {number} ({side}) failed; earlier reports stay in {OUT_DIR}", file=sys.stderr)
