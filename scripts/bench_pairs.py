@@ -1,16 +1,17 @@
 """Run the paired benchmark of a parent and a change and write BENCH_<label>.json.
 
-    python3 scripts/bench_pairs.py --parent P --change C --label L --seeds A-B \
-        [--seconds 12] [--out BENCH_L.json] [--dry-run]
+    python3 scripts/bench_pairs.py --parent P --change C --label L --seeds A-B [--dry-run]
 
 ``P`` and ``C`` are two cgb checkouts.  For every seed N from A to B and
 every workload of ``BENCHMARK.json``, the benchmark command runs as
 ``<command> --workload W --seed N --seconds S --trace 0`` in each checkout,
-and the side that runs first alternates from one pair to the next.  Then
-each workload runs once a side with ``--trace 1`` at seed B + 1.  The
-reports these runs write under each checkout's ``cgbbench-out`` are
-summarized by ``bench_summary.summarize``; other reports there are left
-out.  ``--dry-run`` prints the runs in order and runs nothing.
+with S the ``run_seconds`` of ``BENCHMARK.json``, and the side that runs
+first alternates from one pair to the next.  Then each workload runs once a
+side with ``--trace 1`` at seed B + 1.  The reports these runs write under
+each checkout's ``cgbbench-out`` are summarized by
+``bench_summary.summarize`` into ``BENCH_L.json`` in the working directory;
+other reports there are left out.  ``--dry-run`` prints the runs in order
+and runs nothing.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def seed_range(text: str) -> range:
     return range(int(match[1]), int(match[2]) + 1)
 
 
-def plan(workloads: list[str], seeds: range, seconds: int) -> list[tuple[str, str, int, int, int]]:
-    """(side, workload, seed, seconds, trace) of every run, in order.
+def plan(workloads: list[str], seeds: range) -> list[tuple[str, str, int, int]]:
+    """(side, workload, seed, trace) of every run, in order.
 
     Timed pairs first, seed by seed.  The side that runs first alternates
     from one workload to the next and, for each workload, from one seed to
@@ -48,8 +49,8 @@ def plan(workloads: list[str], seeds: range, seconds: int) -> list[tuple[str, st
     for i, seed in enumerate(seeds):
         for j, workload in enumerate(workloads):
             order = SIDES if (i + j) % 2 == 0 else SIDES[::-1]
-            runs += [(side, workload, seed, seconds, 0) for side in order]
-    runs += [(side, w, seeds[-1] + 1, seconds, 1) for w in workloads for side in SIDES]
+            runs += [(side, workload, seed, 0) for side in order]
+    runs += [(side, w, seeds[-1] + 1, 1) for w in workloads for side in SIDES]
     return runs
 
 
@@ -59,8 +60,6 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--label", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, help="A-B: seeds A to B inclusive")
-    parser.add_argument("--seconds", type=int, default=12)
-    parser.add_argument("--out", type=Path, help="output file (default BENCH_<label>.json)")
     parser.add_argument("--dry-run", action="store_true", help="print the runs and run nothing")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
@@ -70,15 +69,15 @@ def main(argv=None) -> int:
             return 2
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
-    runs = plan([w["name"] for w in declared["workloads"]], args.seeds, args.seconds)
-    for number, (side, workload, seed, seconds, trace) in enumerate(runs, start=1):
-        flags = {"--workload": workload, "--seed": seed, "--seconds": seconds, "--trace": trace}
+    runs = plan([w["name"] for w in declared["workloads"]], args.seeds)
+    for number, (side, workload, seed, trace) in enumerate(runs, start=1):
+        flags = {"--workload": workload, "--seed": seed, "--seconds": declared["run_seconds"], "--trace": trace}
         cmd = declared["command"] + [str(a) for flag in flags.items() for a in flag]
         print(f"[{number}/{len(runs)}] {side}: {' '.join(cmd)}", flush=True)
         if not args.dry_run and subprocess.run(cmd, cwd=checkouts[side]).returncode != 0:
             print(f"error: run {number} ({side}) failed; earlier reports stay in {OUT_DIR}", file=sys.stderr)
             return 1
-    out = args.out or Path(f"BENCH_{args.label}.json")
+    out = Path(f"BENCH_{args.label}.json")
     if args.dry_run:
         print(f"then: summarize into {out}")
         return 0
@@ -87,7 +86,7 @@ def main(argv=None) -> int:
         dirs = {side: Path(tmp) / side for side in SIDES}
         for side, directory in dirs.items():
             directory.mkdir()
-            for _, workload, seed, _, trace in (run for run in runs if run[0] == side):
+            for _, workload, seed, trace in (run for run in runs if run[0] == side):
                 name = f"{workload}-seed{seed}-trace{trace}.json"
                 shutil.copy(checkouts[side] / OUT_DIR / name, directory / name)
         summary = summarize(dirs["parent"], dirs["change"], args.label)

@@ -122,7 +122,7 @@ class TrigEmbedding:
         some term needs them, on a block once per axis node.
         """
         if isinstance(x, TensorBlock):
-            columns, block, batch = x.axes, x.broadcast_shape, (len(x),)
+            columns, block, batch = x.axes, np.broadcast_shapes(*map(np.shape, x.axes)), (len(x),)
         else:
             x = np.asarray(x, dtype=float)
             columns, block = [x[..., k] for k in range(self.dim)], x.shape[:-1]
@@ -321,25 +321,30 @@ class TensorBlock:
     ``axes[k]`` holds the block's nodes on axis k, shaped to broadcast
     against the others (``u[:, None]``, ``v[None, :]``, as ``np.ix_`` makes
     them).  The block is an array-like of the P points of their broadcast in
-    C order: ``len(block)`` is P, and ``np.asarray(block)`` builds the (P, n)
-    point array (so ``np.shape(block)`` is (P, n)).  This is the batch
-    protocol: a ``TrigEmbedding`` reads the block's axes, taking sin and cos
-    once per axis node, and any other evaluator reads its batch through
-    ``np.asarray``, which takes a point array as it is.
+    C order, of ``np.shape`` (P, n).  This is the batch protocol: a
+    ``TrigEmbedding`` reads the block's axes, taking sin and cos once per axis
+    node, and any other evaluator reads its batch with ``np.asarray``, which
+    builds a block's points (as indexing and iterating it do).
     """
 
     axes: tuple[np.ndarray, ...]
 
     @property
-    def broadcast_shape(self) -> tuple[int, ...]:
-        return np.broadcast_shapes(*(np.shape(a) for a in self.axes))
+    def shape(self) -> tuple[int, int]:
+        return len(self), len(self.axes)
 
     def __len__(self) -> int:
-        return math.prod(self.broadcast_shape)
+        return math.prod(np.broadcast_shapes(*map(np.shape, self.axes)))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         points = np.stack(np.broadcast_arrays(*self.axes), axis=-1).reshape(-1, len(self.axes))
         return points if dtype is None else points.astype(dtype, copy=False)
+
+    def __getitem__(self, key) -> np.ndarray:
+        return np.asarray(self)[key]
+
+    def __iter__(self):
+        return iter(np.asarray(self))
 
 
 @dataclass(frozen=True)
@@ -430,13 +435,14 @@ def refuse_first(bad: np.ndarray, points, what: str) -> None:
         raise ValueError(f"{what} ({where})")
 
 
-def check_point_budget(resolution: Sequence[float]) -> None:
-    """Refuse a grid above ``MAX_AXIS_POINTS`` on an axis or ``MAX_GRID_POINTS`` in all, before any allocation.
+def grid_count(count: float) -> int | float:
+    """An axis count as a refusal prints it: rounded up, or a float left as it is above ``MAX_GRID_POINTS``."""
+    return math.ceil(count) if count <= MAX_GRID_POINTS else count
 
-    A count may be a float not yet rounded up (an adaptive count): one above
-    ``MAX_GRID_POINTS``, infinite too, is refused as it is, never made an integer.
-    """
-    counts = tuple(math.ceil(c) if c <= MAX_GRID_POINTS else c for c in resolution)
+
+def check_point_budget(resolution: Sequence[float]) -> None:
+    """Refuse a grid above ``MAX_AXIS_POINTS`` on an axis or ``MAX_GRID_POINTS`` in all, before any allocation."""
+    counts = tuple(map(grid_count, resolution))
     total = math.prod(counts)
     if max(counts) > MAX_AXIS_POINTS or total > MAX_GRID_POINTS:
         raise ValueError(

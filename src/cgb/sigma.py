@@ -83,12 +83,12 @@ from .manifolds import (
     QuadratureGrid,
     TensorBlock,
     check_point_budget,
+    grid_count,
     integrate_values,
     pairwise_sum,
     quadrature_grid,
     refuse_first,
     MAX_AXIS_POINTS,
-    MAX_GRID_POINTS,
 )
 from .morse import TOL_MORSE
 
@@ -504,9 +504,9 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     return float(np.sqrt(np.max(mu_sq)))
 
 
-def _bump_counts(spec: ManifoldSpec, lam: float, stiffness: float, per_width: int) -> list[float]:
-    """Per-axis point counts that put ``per_width`` points across each bump width 1/(lam * stiffness)."""
-    return [per_width * abs(lam) * length * stiffness for length in spec.axis_lengths()]
+def _bump_counts(spec: ManifoldSpec, lam: float, stiffness: float) -> list[float]:
+    """Per-axis point counts that put 8 points across each bump width 1/(lam * stiffness)."""
+    return [8 * abs(lam) * length * stiffness for length in spec.axis_lengths()]
 
 
 def check_resolution(
@@ -515,11 +515,10 @@ def check_resolution(
     """Refuse grids with fewer than 4 points per localization-bump width, naming the adaptive count before any budget."""
     if lam <= 0 or stiffness <= 0:
         return
-    lengths = spec.axis_lengths()
-    needs = _bump_counts(spec, lam, stiffness, 8)
-    for axis, (count, floor) in enumerate(zip(resolution, _bump_counts(spec, lam, stiffness, 4))):
-        if count < floor:
-            need = math.ceil(needs[axis]) if needs[axis] <= MAX_GRID_POINTS else needs[axis]  # as check_point_budget
+    needs = _bump_counts(spec, lam, stiffness)
+    for axis, count in enumerate(resolution):
+        if count < needs[axis] / 2:
+            need = grid_count(needs[axis])
             if need <= MAX_AXIS_POINTS:
                 hint = f"use at least {need} points on that axis"
             elif math.isfinite(need):
@@ -529,7 +528,7 @@ def check_resolution(
             width = 1.0 / (lam * stiffness)  # 0.0 where lam * stiffness overflows
             raise ResolutionError(
                 f"resolution {tuple(resolution)} under-resolves the localization bump of chart width "
-                f"{f'{width:.3g}' if width else 'below 1e-308'} on an axis of length {lengths[axis]:.3g} "
+                f"{f'{width:.3g}' if width else 'below 1e-308'} on an axis of length {spec.axis_lengths()[axis]:.3g} "
                 f"(fewer than 4 points per width); {hint}"
             )
 
@@ -538,7 +537,7 @@ def adaptive_resolution(
     spec: ManifoldSpec, lam: float, base: Sequence[int], stiffness: float
 ) -> tuple[int, ...]:
     """Per-axis counts >= max(base, 8 * lambda * axis length * stiffness), refused above the point budget."""
-    counts = [max(b, float(count)) for b, count in zip(base, _bump_counts(spec, lam, stiffness, 8))]
+    counts = [max(b, float(count)) for b, count in zip(base, _bump_counts(spec, lam, stiffness))]
     check_point_budget(counts)  # on the float counts: an infinite one has no integer
     return tuple(int(math.ceil(count)) for count in counts)
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-WORKLOADS = [w["name"] for w in json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["workloads"]]
+DECLARED = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
 
 
 @pytest.fixture
@@ -21,8 +22,8 @@ def bench_pairs(monkeypatch):
 
 
 def test_plan_alternates_and_covers_every_pair(bench_pairs):
-    runs = bench_pairs.plan(WORKLOADS, range(101, 111), 12)
-    timed, traced = [r for r in runs if r[4] == 0], [r for r in runs if r[4] == 1]
+    runs = bench_pairs.plan(WORKLOADS, range(101, 111))
+    timed, traced = [r for r in runs if r[3] == 0], [r for r in runs if r[3] == 1]
     assert runs == timed + traced
     # each (workload, seed) pair runs once a side, the two runs next to each other
     pairs = [timed[i : i + 2] for i in range(0, len(timed), 2)]
@@ -39,9 +40,8 @@ def test_plan_alternates_and_covers_every_pair(bench_pairs):
         sides = [first[workload, s] for s in range(101, 111)]
         assert all(x != y for x, y in zip(sides, sides[1:]))
         assert Counter(sides) == {"parent": 5, "change": 5}
-    # then one traced run a side per workload at seed B + 1, all at the given seconds
-    assert Counter((r[0], r[1], r[2]) for r in traced) == {(s, w, 111): 1 for s in ("parent", "change") for w in WORKLOADS}
-    assert {r[3] for r in runs} == {12}
+    # then one traced run a side per workload at seed B + 1
+    assert Counter(r[:3] for r in traced) == {(s, w, 111): 1 for s in ("parent", "change") for w in WORKLOADS}
 
 
 def test_dry_run_prints_the_plan_and_runs_nothing(bench_pairs, monkeypatch, capsys, tmp_path):
@@ -49,15 +49,18 @@ def test_dry_run_prints_the_plan_and_runs_nothing(bench_pairs, monkeypatch, caps
         raise AssertionError("a dry run started a process")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", refuse)
+    monkeypatch.chdir(tmp_path)
     root = SCRIPTS.parent
-    argv = ["--parent", str(root), "--change", str(root), "--label", "toy", "--seeds", "7-8", "--seconds", "3"]
-    assert bench_pairs.main(argv + ["--out", str(tmp_path / "BENCH_toy.json"), "--dry-run"]) == 0
+    argv = ["--parent", str(root), "--change", str(root), "--label", "toy", "--seeds", "7-8", "--dry-run"]
+    assert bench_pairs.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    runs = bench_pairs.plan(WORKLOADS, range(7, 9), 3)
-    assert len(lines) == len(runs) + 1 and lines[-1].startswith("then: summarize into ")
-    assert lines[0] == f"[1/{len(runs)}] parent: python3 cgbbench/run.py --workload {WORKLOADS[0]} --seed 7 --seconds 3 --trace 0"
-    assert lines[-2].endswith(f"--workload {WORKLOADS[-1]} --seed 9 --seconds 3 --trace 1")
-    assert not (tmp_path / "BENCH_toy.json").exists()
+    runs = bench_pairs.plan(WORKLOADS, range(7, 9))
+    assert len(lines) == len(runs) + 1 and lines[-1] == "then: summarize into BENCH_toy.json"
+    # the run length is the benchmark's own
+    seconds = DECLARED["run_seconds"]
+    assert lines[0] == f"[1/{len(runs)}] parent: python3 cgbbench/run.py --workload {WORKLOADS[0]} --seed 7 --seconds {seconds} --trace 0"
+    assert lines[-2].endswith(f"--workload {WORKLOADS[-1]} --seed 9 --seconds {seconds} --trace 1")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("seeds", ["5-4", "5", "a-b", "-1-2"])

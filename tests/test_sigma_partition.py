@@ -467,6 +467,7 @@ class TestCurvatureRoutes:
         monkeypatch.setattr(TensorBlock, "__array__", refuse)
         with pytest.raises(AssertionError, match="points of a TensorBlock"):
             np.asarray(TensorBlock((np.zeros(2),)))
+        assert np.shape(TensorBlock(np.ix_(np.zeros(3), np.zeros(5)))) == (15, 2)  # builds nothing
         spec = get_manifold(name)
         resolution = (24, 48) if spec.dim == 2 else (8, 16, 8, 16)
         for h_name in spec.morse_catalog:
@@ -474,6 +475,22 @@ class TestCurvatureRoutes:
                 z = partition_function(spec, h_name, 0.1, resolution, use_product_structure=product)
                 assert math.isfinite(z.value)
             assert len(lambda_sweep(spec, h_name, (0.0, 0.1), resolution).results) == 2
+
+    def test_evaluators_written_for_point_arrays_take_a_slab(self, degenerate_patch):
+        # the patch's potential indexes its batch (x[..., 0]) and its jets read np.shape(x); on a
+        # slab both act on its points, so Z and the stiffness equal those of the same evaluators
+        # handed np.asarray(x)
+        h = degenerate_patch.morse_catalog["pinch"].fields["flat"]
+        on_points = ScalarField(*(lambda x, f=f: f(np.asarray(x)) for f in (h.value, h.grad, h.hess)))
+        charts = degenerate_patch.charts
+        as_points = ManifoldSpec("as_points", 2, charts, 1, {"pinch": MorseFunction(fields={"flat": on_points})})
+        block = TensorBlock(np.ix_(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 5)))
+        assert block[..., 1].tobytes() == np.asarray(block)[..., 1].tobytes()
+        assert np.array_equal(list(block), np.asarray(block))
+        for lam in (0.5, 2.0):
+            got, want = (partition_function(spec, "pinch", lam, (24, 24)) for spec in (degenerate_patch, as_points))
+            assert math.isfinite(got.value) and got.value.hex() == want.value.hex()
+        assert potential_stiffness(degenerate_patch, "pinch").hex() == potential_stiffness(as_points, "pinch").hex()
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_flat_chart_jets_are_exact(self, dim):
