@@ -245,11 +245,14 @@ class ScalarField:
     """Scalar function on a chart with analytic first and second derivatives.
 
     A user-written evaluator reads its batch with ``np.asarray``, as on :class:`ChartMetric`.
+    ``embedding`` is set when the field is a one-component ``TrigEmbedding``,
+    whose terms bound its derivatives in closed form.
     """
 
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
+    embedding: object = None
 
     def __call__(self, x) -> float:
         return float(self.value(np.asarray(x, dtype=float)))

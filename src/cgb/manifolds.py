@@ -148,6 +148,13 @@ class TrigEmbedding:
     def __call__(self, x) -> np.ndarray:
         return self.derivatives(x, [0])[0]
 
+    def bound(self, d: int) -> np.ndarray:
+        """A closed-form bound on |d^d X| entrywise, shape (n,) * d + (m,): each entry's sum of |coef| over its terms."""
+        out = np.zeros((self.dim,) * d + (len(self.components),))
+        for index, terms in self._plan(d):
+            out[index] = sum(abs(c) for c, _ in terms)
+        return out
+
 
 def _product_embedding(e1: TrigEmbedding, e2: TrigEmbedding) -> TrigEmbedding:
     """x -> (X1(x[:n1]), X2(x[n1:])): each factor's terms, constant in the other's coordinates."""
@@ -163,7 +170,7 @@ def trig_field(potential: TrigEmbedding) -> ScalarField:
     def jet(x, order: int) -> np.ndarray:
         return potential.derivatives(x, [order])[0][..., 0]
 
-    return ScalarField(*(functools.partial(jet, order=k) for k in range(3)))
+    return ScalarField(*(functools.partial(jet, order=k) for k in range(3)), embedding=potential)
 
 
 def _ambient_sum(charts: dict[str, "Chart"], weights: dict[int, float]) -> dict[str, ScalarField]:
@@ -384,7 +391,7 @@ class QuadratureGrid:
     @property
     def weights(self) -> np.ndarray:
         # ((w_0 w_1) w_2)...: the same products, in the same order, as a running product from 1
-        return functools.reduce(np.multiply.outer, self.axis_weights).ravel()
+        return functools.reduce(np.multiply.outer, self.axis_weights, 1.0).ravel()  # a new array, also on one axis
 
     def slabs(self, limit: int):
         """(start, stop, TensorBlock) of C-order slabs of at most ``limit`` points, covering the grid in order.
@@ -407,7 +414,7 @@ class QuadratureGrid:
                 start += len(block)
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=128)
 def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]; leggauss is an O(n^3) eigensolve."""
     rule = np.polynomial.legendre.leggauss(n)
@@ -420,6 +427,23 @@ def gauss_legendre_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.nd
     nodes, weights = _legendre_rule(n)
     half = 0.5 * (hi - lo)
     return lo + half * (nodes + 1.0), half * weights
+
+
+@dataclass(frozen=True)
+class CompositeRule:
+    """A composite Gauss-Legendre rule on one axis: ``counts[i]`` nodes on [edges[i], edges[i + 1]]."""
+
+    edges: tuple[float, ...]
+    counts: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return sum(self.counts)
+
+    def axis(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the panels, in order."""
+        panels = [gauss_legendre_axis(a, b, n) for a, b, n in zip(self.edges, self.edges[1:], self.counts)]
+        return tuple(np.concatenate(part) for part in zip(*panels))
 
 
 def tensor_points(axes: Sequence[np.ndarray]) -> np.ndarray:
@@ -451,22 +475,30 @@ def check_point_budget(resolution: Sequence[float]) -> None:
         )
 
 
-def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int]) -> QuadratureGrid:
+def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int | CompositeRule]) -> QuadratureGrid:
+    """Tensor grid of one rule per axis: a node count for a Gauss-Legendre rule on the whole axis, or a ``CompositeRule``."""
     chart = spec.quad_chart
-    resolution = tuple(int(r) for r in resolution)
-    if len(resolution) != chart.dim:
-        raise ValueError(f"resolution needs {chart.dim} axis counts, got {resolution}")
-    if any(r < 2 for r in resolution):
-        raise ValueError(f"resolution must be >= 2 per axis, got {resolution}")
-    check_point_budget(resolution)
-    nodes, weights = zip(*(gauss_legendre_axis(lo, hi, r) for (lo, hi), r in zip(chart.quad_domain, resolution)))
+    rules = tuple(r if isinstance(r, CompositeRule) else int(r) for r in resolution)
+    counts = tuple(r.size if isinstance(r, CompositeRule) else r for r in rules)
+    if len(counts) != chart.dim:
+        raise ValueError(f"resolution needs {chart.dim} axis counts, got {counts}")
+    if any(r < 2 for r in counts):
+        raise ValueError(f"resolution must be >= 2 per axis, got {counts}")
+    check_point_budget(counts)
+    nodes, weights = zip(
+        *(
+            r.axis() if isinstance(r, CompositeRule) else gauss_legendre_axis(lo, hi, r)
+            for (lo, hi), r in zip(chart.quad_domain, rules)
+        )
+    )
     return QuadratureGrid(nodes, weights, chart.excised_measure)
 
 
 def integrate_values(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, float]:
     """Weighted pairwise-summed integral and its cap-excision error bound."""
     values = np.asarray(values, dtype=float)
-    total = pairwise_sum(grid.weights * values)
+    weighted = grid.weights
+    total = pairwise_sum(np.multiply(weighted, values, out=weighted))  # into the weights' own array
     sup = float(np.max(np.abs(values))) if values.size else 0.0
     return total, grid.excised_measure * sup
 

@@ -57,6 +57,7 @@ routes and both integral limits reproduce chi on the golden catalog.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -79,6 +80,7 @@ from .geometry import (
 )
 from .grassmann import GrassmannElement, _merge_sign, berezin, exp_even, multiply
 from .manifolds import (
+    CompositeRule,
     ManifoldSpec,
     QuadratureGrid,
     TensorBlock,
@@ -395,6 +397,13 @@ def _berezin_top(
 
 _CHUNK = 1 << 18
 _STIFFNESS_PROBE = 17  # points per axis of the stiffness probe grid
+# An adaptive sweep's plan samples cell vertices: at most 2^12 for the bump widths (64^2 in 2-D, 8^4 in
+# 4-D), which need g^-1, and at most 2^16 for the exclusion bound, on cells that cut each of those
+# into equal parts (253^2 in 2-D, 15^4 in 4-D)
+_PLAN_VERTICES = 1 << 12
+_EXCLUSION_VERTICES = 1 << 16
+_PANEL_NODES = 64  # largest Gauss-Legendre rule of a composite axis
+_EXCLUDED = 36.0  # lambda^2 |grad h|^2_g / 2 above which a panel keeps the base density; e^-36 < 2.4e-16
 
 
 def _inverse_metric(g: np.ndarray, points, gram: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -553,6 +562,38 @@ def partition_function(
     return _partition(spec, h_name, lam, resolution, use_product_structure, None)
 
 
+def _splits(spec: ManifoldSpec, h_name: str | None, use_product_structure: bool = True) -> tuple | None:
+    """The factors' potential names when the evaluation splits over a product, else None.
+
+    On a product with h = h_1 + h_2 (or no potential) the evaluation is
+    blockwise: with block metric and block curvature, the Berezin top
+    coefficient, det g and the gradient Gaussian all split between the
+    factors, so the full tensor-grid sum equals the product of factor sums.
+    """
+    potential = spec.potential(h_name)
+    if use_product_structure and spec.factors is not None:
+        if potential is None:
+            return None, None
+        return potential.factor_names
+    return None
+
+
+def _product(z1: PartitionResult, z2: PartitionResult) -> PartitionResult:
+    """The product's Z from its factors' results, the bound propagated through the product."""
+    bound = abs(z1.value) * z2.error_bound + abs(z2.value) * z1.error_bound + z1.error_bound * z2.error_bound
+    return PartitionResult(z1.lam, z1.value * z2.value, z1.resolution + z2.resolution, bound)
+
+
+def _integrate(spec: ManifoldSpec, h_name: str | None, lam: float, grid: QuadratureGrid) -> PartitionResult:
+    potential = spec.potential(h_name)
+    chart = spec.quad_chart
+    h = potential.on_chart(chart.name) if potential is not None else None
+    values = _integrand_on_points(chart.metric, grid, lam, h)
+    raw, cap_bound = integrate_values(grid, values)
+    norm = (2 * math.pi) ** (-spec.dim / 2)
+    return PartitionResult(lam=lam, value=norm * raw, resolution=grid.shape, error_bound=norm * cap_bound)
+
+
 def _partition(
     spec: ManifoldSpec,
     h_name: str | None,
@@ -563,10 +604,7 @@ def _partition(
 ) -> PartitionResult:
     """``partition_function``, given the potential's stiffness or None to compute it when it is needed.
 
-    On a product with h = h_1 + h_2 (or no potential) the evaluation is
-    blockwise: with block metric and block curvature, the Berezin top
-    coefficient, det g and the gradient Gaussian all split between the
-    factors, so the full tensor-grid sum equals the product of factor sums.
+    A product that ``_splits`` is the product of its factor sums.
     ``stiffness`` is then the product's, the max of the factors': the
     product's resolution check over the same axes already implies each
     factor's.
@@ -574,38 +612,199 @@ def _partition(
     if spec.dim % 2 != 0:
         raise ValueError(f"partition function needs even dimension, got {spec.dim}")
     resolution = tuple(int(r) for r in resolution)
-    potential = spec.potential(h_name)
-    if lam > 0 and potential is not None:
+    if lam > 0 and spec.potential(h_name) is not None:
         if stiffness is None:
             stiffness = potential_stiffness(spec, h_name)
         check_resolution(spec, lam, resolution, stiffness)
-
-    if (
-        use_product_structure
-        and spec.factors is not None
-        and (potential is None or potential.factor_names is not None)
-    ):
+    names = _splits(spec, h_name, use_product_structure)
+    if names is not None:
         f1, f2 = spec.factors
-        h1, h2 = (None, None) if potential is None else potential.factor_names
-        z1 = _partition(f1, h1, lam, resolution[: f1.dim], True, stiffness)
-        z2 = _partition(f2, h2, lam, resolution[f1.dim :], True, stiffness)
-        value = z1.value * z2.value
-        bound = abs(z1.value) * z2.error_bound + abs(z2.value) * z1.error_bound + z1.error_bound * z2.error_bound
-    else:
-        grid = quadrature_grid(spec, resolution)
-        chart = spec.quad_chart
-        h = potential.on_chart(chart.name) if potential is not None else None
-        values = _integrand_on_points(chart.metric, grid, lam, h)
-        raw, cap_bound = integrate_values(grid, values)
-        norm = (2 * math.pi) ** (-spec.dim / 2)
-        value = norm * raw
-        bound = norm * cap_bound
-    return PartitionResult(
-        lam=lam,
-        value=value,
-        resolution=resolution,
-        error_bound=bound,
-    )
+        z1 = _partition(f1, names[0], lam, resolution[: f1.dim], True, stiffness)
+        z2 = _partition(f2, names[1], lam, resolution[f1.dim :], True, stiffness)
+        return _product(z1, z2)
+    return _integrate(spec, h_name, lam, quadrature_grid(spec, resolution))
+
+
+# -- adaptive sweeps on graded composite rules ----------------------------------
+
+
+@dataclass(frozen=True)
+class _SweepPlan:
+    """What an adaptive sweep knows of the integrand before its first coupling.
+
+    The quadrature chart's axis k is cut into cells at ``edges[k]``; a cell's
+    slab is the cell times every other axis.  Per cell, ``mu[k]`` is the
+    square root of the sup of the diagonal entry (H g^-1 H)_kk over the
+    sampled vertices of a coarser cell holding it, so the bump width along
+    axis k there is 1 / (lam mu).  ``grad_sq[k]`` is a lower bound on
+    |grad h|^2_g over each slab.  A plan over a product that splits holds
+    one plan per factor instead.
+    """
+
+    spec: ManifoldSpec
+    h_name: str | None
+    base: tuple[int, ...]
+    edges: tuple[np.ndarray, ...] = ()
+    mu: tuple[np.ndarray, ...] = ()
+    factors: tuple["_SweepPlan", "_SweepPlan"] | None = None
+
+    @functools.cached_property
+    def grad_sq(self) -> tuple[np.ndarray, ...]:
+        """Per axis and cell, a closed-form lower bound on |grad h|^2_g over the slab (0 where none is known).
+
+        |grad h|^2_g >= (d_k h)^2 / g_kk for every k (Cauchy-Schwarz).  At
+        each vertex, |d_k h| less its Lipschitz margin, squared, over g_kk
+        plus its own margin, bounds that ratio within a cell's half diagonal
+        r; the margins' slopes are sums of the term bounds of the potential
+        and of the embedding.  Sampled on first use: only a composite axis
+        reads it.
+        """
+        chart = self.spec.quad_chart
+        metric, n = chart.metric, chart.dim
+        h = self.spec.potential(self.h_name).on_chart(chart.name)
+        block = TensorBlock(np.ix_(*self.edges))
+        radius = 0.5 * math.hypot(*(e[1] - e[0] for e in self.edges))
+        with np.errstate(all="ignore"):  # a value that is not finite bounds nothing
+            grad = np.asarray(h.grad(block), dtype=float)
+            slope = np.full(n, math.inf) if h.embedding is None else np.sum(h.embedding.bound(2)[..., 0], axis=1)
+            if metric.flat:
+                g_diag, g_slope = 1.0, 0.0
+            elif metric.embedding is not None:
+                dx = metric.embedding.derivatives(block, [1])[0]
+                g_diag = np.einsum("...ka,...ka->...k", dx, dx)
+                # d_m g_kk = 2 d_k X . d_m d_k X
+                g_slope = 2.0 * np.einsum("ka,mka->k", metric.embedding.bound(1), metric.embedding.bound(2))
+            else:
+                g_diag, g_slope = math.inf, 0.0
+            ratio = np.fmax(np.abs(grad) - slope * radius, 0.0) ** 2 / (g_diag + g_slope * radius)
+        lower = np.max(np.where(np.isnan(ratio), 0.0, ratio), axis=-1).reshape(tuple(map(len, self.edges)))
+        return tuple(_slab_reduce(lower, k, np.minimum) for k in range(n))
+
+
+def _slab_reduce(values: np.ndarray, k: int, reduce: np.ufunc) -> np.ndarray:
+    """``reduce`` of vertex ``values`` (one axis per chart axis) over each cell slab along axis k: its two k-edges, every other vertex."""
+    along = reduce.reduce(values, axis=tuple(a for a in range(values.ndim) if a != k))
+    return reduce(along[:-1], along[1:])
+
+
+def _sweep_plan(spec: ManifoldSpec, h_name: str | None, base: Sequence[int]) -> _SweepPlan:
+    """Sample the potential once for a whole sweep: no sample depends on the coupling."""
+    base = tuple(int(b) for b in base)
+    if len(base) != spec.dim:
+        raise ValueError(f"resolution needs {spec.dim} axis counts, got {base}")
+    names = _splits(spec, h_name)
+    if names is not None:
+        f1, f2 = spec.factors
+        factors = (_sweep_plan(f1, names[0], base[: f1.dim]), _sweep_plan(f2, names[1], base[f1.dim :]))
+        return _SweepPlan(spec, h_name, base, factors=factors)
+    potential = spec.potential(h_name)
+    if potential is None:
+        return _SweepPlan(spec, h_name, base)
+    chart = spec.quad_chart
+    metric, n = chart.metric, chart.dim
+    coarse = int(_PLAN_VERTICES ** (1 / n) + 1e-9)
+    cut = max(1, int((_EXCLUSION_VERTICES ** (1 / n) + 1e-9 - 1) // (coarse - 1)))
+    block = TensorBlock(np.ix_(*(np.linspace(lo, hi, coarse) for lo, hi in chart.quad_domain)))
+    with np.errstate(all="ignore"):  # a value that is not finite is refused by _inverse_metric or the integrand
+        g_inv = np.eye(n) if metric.flat else _inverse_metric(metric.metric(block), block, metric.embedding is not None)[1]
+        hess = np.asarray(potential.on_chart(chart.name).hess(block), dtype=float)
+        diag = np.einsum("...ki,...ki->...k", hess @ g_inv, hess).reshape((coarse,) * n + (n,))  # (H g^-1 H)_kk
+        mu = tuple(np.repeat(np.sqrt(_slab_reduce(diag[..., k], k, np.maximum)), cut) for k in range(n))
+    edges = tuple(np.linspace(lo, hi, cut * (coarse - 1) + 1) for lo, hi in chart.quad_domain)
+    return _SweepPlan(spec, h_name, base, edges, mu)
+
+
+def _composite(edges: np.ndarray, density: np.ndarray) -> CompositeRule:
+    """Panels over runs of cells: a run closes when its densities spread by more than 2 or it would pass 64 nodes.
+
+    A run takes its largest density; a cell that alone needs more than 64
+    nodes is cut into equal panels.
+    """
+    panel_edges, counts = [float(edges[0])], []
+
+    def close(start: int, stop: int, d: float) -> None:
+        a, b = float(edges[start]), float(edges[stop])
+        nodes = (b - a) * d
+        parts = max(1, math.ceil(nodes / _PANEL_NODES))
+        panel_edges.extend(np.linspace(a, b, parts + 1)[1:].tolist())
+        counts.extend([max(1, math.ceil(nodes / parts))] * parts)
+
+    start, low, high = 0, density[0], density[0]
+    for j in range(1, len(density)):
+        lo2, hi2 = min(low, density[j]), max(high, density[j])
+        if hi2 <= 2 * lo2 and (edges[j + 1] - edges[start]) * hi2 <= _PANEL_NODES:
+            low, high = lo2, hi2
+        else:
+            close(start, j, high)
+            start, low, high = j, density[j], density[j]
+    close(start, len(density), high)
+    panel_edges[-1] = float(edges[-1])
+    return CompositeRule(tuple(panel_edges), tuple(counts))
+
+
+def _graded_rules(plan: _SweepPlan, lam: float) -> tuple[tuple[int | CompositeRule, ...], float]:
+    """Per-axis rules at one coupling, and the measure of the excluded slabs whose density they lowered.
+
+    A cell gets 8 nodes per local bump width 1 / (lam mu), or the base
+    density where that is more or where lam^2 grad_sq / 2 exceeds the
+    exclusion threshold.  An axis whose cells all keep the base density
+    keeps the base count; one whose uniform count max(base, 8 lam length
+    max mu) fits in one panel takes that count; any other axis is
+    composite.  The counts are checked against the point budget as floats,
+    before any panel is built.
+    """
+    lengths = plan.spec.axis_lengths()
+    if not plan.edges or lam == 0:
+        return plan.base, 0.0
+    kinds, floats = [], []
+    for k, (base, length) in enumerate(zip(plan.base, lengths)):
+        base_density = base / length
+        with np.errstate(all="ignore"):  # an overflowing count is refused by the budget below
+            need = 8 * abs(lam) * plan.mu[k]
+            uniform = max(base, float(8 * abs(lam) * length * np.fmax.reduce(plan.mu[k])))
+            refined = need > base_density
+            if np.any(refined) and uniform > _PANEL_NODES:
+                excluded = 0.5 * (lam * lam) * plan.grad_sq[k] > _EXCLUDED
+                refined &= ~excluded
+        if not np.any(refined):
+            kinds.append((base, None))
+            floats.append(base)
+        elif uniform <= _PANEL_NODES:
+            kinds.append((math.ceil(uniform), None))
+            floats.append(uniform)
+        else:
+            widths = np.diff(plan.edges[k])
+            density = np.where(refined, need, base_density)
+            kinds.append((density, float(np.sum(widths[excluded & (need > base_density)]))))
+            floats.append(float(np.sum(density * widths)))
+    check_point_budget(floats)  # on the float counts: an infinite one has no panels
+    rules, excluded_measure = [], 0.0
+    for k, (rule, lowered) in enumerate(kinds):
+        if lowered is None:
+            rules.append(rule)
+            continue
+        rules.append(_composite(plan.edges[k], rule))
+        excluded_measure += lowered * float(np.prod(np.delete(lengths, k)))
+    return tuple(rules), excluded_measure
+
+
+def _graded(plan: _SweepPlan, lam: float) -> PartitionResult:
+    """Z at one coupling on the plan's graded grid; a split product's factors are planned and budgeted on their own.
+
+    The excluded slabs keep the base density: their integrand is below
+    e^-36 times the rest of it, so 2 e^-36 times their measure joins the
+    caps' measure in the error bound, both charged at the grid's sup of
+    the integrand.
+    """
+    if plan.spec.dim % 2 != 0:
+        raise ValueError(f"partition function needs even dimension, got {plan.spec.dim}")
+    if plan.factors is not None:
+        return _product(*(_graded(factor, lam) for factor in plan.factors))
+    rules, excluded = _graded_rules(plan, lam)
+    grid = quadrature_grid(plan.spec, rules)
+    if excluded:
+        grid = dataclasses.replace(grid, excised_measure=grid.excised_measure + 2 * math.exp(-_EXCLUDED) * excluded)
+    return _integrate(plan.spec, plan.h_name, lam, grid)
 
 
 def lambda_sweep(
@@ -615,17 +814,12 @@ def lambda_sweep(
     base_resolution: Sequence[int],
     adaptive: bool = True,
 ) -> SweepResult:
-    """Partition function across couplings with per-coupling adaptive grids."""
-    stiffness = potential_stiffness(spec, h_name)
-    results = []
-    for lam in lams:
-        res = (
-            adaptive_resolution(spec, lam, base_resolution, stiffness)
-            if adaptive
-            else tuple(base_resolution)
-        )
-        results.append(_partition(spec, h_name, lam, res, True, stiffness))
-    return SweepResult(tuple(results))
+    """Partition function across couplings: on graded composite grids, or with ``adaptive`` off on the base grid."""
+    if not adaptive:
+        stiffness = potential_stiffness(spec, h_name)
+        return SweepResult(tuple(_partition(spec, h_name, lam, base_resolution, True, stiffness) for lam in lams))
+    plan = _sweep_plan(spec, h_name, base_resolution)
+    return SweepResult(tuple(_graded(plan, lam) for lam in lams))
 
 
 # -- localization diagnostics --------------------------------------------------

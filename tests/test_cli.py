@@ -356,10 +356,10 @@ class TestSweepCommand:
         assert payload["max_deviation"] < 1e-2
 
     def test_grid_above_point_budget_is_usage_error(self, capsys):
-        # lambda 1000 asks for 315828^2 points: refused before any allocation
+        # lambda 1000 asks for graded rules of 5105 x 5199 nodes: refused before any allocation
         code, _, err = run(capsys, "sweep", "--manifold", "flat_t2", "--morse", "coscos", "--lambda", "1000")
         assert code == 2
-        assert err.count("\n") == 1 and "315828" in err and "budget" in err
+        assert err.count("\n") == 1 and "(5105, 5199) has 26540895 points" in err and "budget" in err
 
     @pytest.mark.parametrize(
         "lam, hint",

@@ -348,11 +348,16 @@ JETS_ROUTE_BITS = [
     ("s2_perturbed", "height", 1.0, (32, 64), "0x1.0000fb7ba0819p+1", "0x1.5ba92285d7899p-13"),
 ]
 
-# flat_t2 with coscos: Z.hex() at lambda = 0.25 on 48x48 and along the adaptive sweep
-# (0, 1, 2, 5) from base 48x48, as computed while the flat torus read its jets; every
-# error bound is 0
+# flat_t2 with coscos: Z.hex() at lambda = 0.25 on 48x48, as computed while the flat torus read its
+# jets (error bound 0), and (resolution, Z.hex(), error_bound.hex()) along the adaptive sweep
+# (0, 1, 2, 5) from base 48x48 on graded composite rules; the bound is the excluded panels' term
 FLAT_ROUTE_BITS = "0x1.27643e37eddb7p-54"
-FLAT_SWEEP_BITS = ["0x0.0p+0", "-0x1.debcf21405e80p-58", "-0x1.0287a5e692011p-54", "-0x1.910b3cff6e590p-55"]
+FLAT_SWEEP_BITS = [
+    ((48, 48), "0x0.0p+0", "0x0.0p+0"),
+    ((257, 257), "0x1.168f99b539a64p-55", "0x0.0p+0"),
+    ((334, 334), "0x1.3d28936ebc5d7p-55", "0x1.ed8e0003eb38dp-42"),
+    ((343, 343), "-0x1.341fbc7c8bf8cp-55", "0x1.47c0da8d404bep-38"),
+]
 
 # (manifold, potential, coupling, resolution, use_product_structure, Z.hex(), error_bound.hex()) of
 # the induced route, direct S2xS2 included, as computed while the factorized evaluation was a
@@ -367,11 +372,12 @@ INDUCED_ROUTE_BITS = [
 ]
 
 # the factorized S2xS2 sweep with height_sum at (0, 0.5, 1) from base (8, 16, 8, 16):
-# (resolution, Z.hex(), error_bound.hex()) per coupling, computed at the same point
+# (resolution, Z.hex(), error_bound.hex()) per coupling, each factor on its own graded rule
+# (phi keeps its base count: (H g^-1 H)_phiphi is 0 for the height)
 FACTORIZED_SWEEP_BITS = [
     ((8, 16, 8, 16), "0x1.ffffffaa19c0cp+1", "0x1.9229200cfd423p-11"),
-    ((13, 26, 13, 26), "0x1.ffffff94a43b2p+1", "0x1.7229905ee9fdap-11"),
-    ((26, 51, 26, 51), "0x1.ffffff543388bp+1", "0x1.5b2b996e0fddep-11"),
+    ((13, 16, 13, 16), "0x1.ffffff94a43b0p+1", "0x1.7229905ee9fdbp-11"),
+    ((26, 16, 26, 16), "0x1.ffffff5433887p+1", "0x1.5b2b996e0fdddp-11"),
 ]
 
 # (manifold, potential, coupling, resolution, Z.hex(), error_bound.hex()) of direct evaluations
@@ -386,11 +392,11 @@ SLAB_BITS = [
 ]
 
 # the S2 height sweep at (0, 1, 2) from base 48x96: (resolution, Z.hex(), error_bound.hex()),
-# computed at the same point
+# computed at the same point; at lambda 2 theta takes one 51-node rule and phi keeps its base
 SPHERE_SWEEP_BITS = [
     ((48, 96), "0x1.ffffffd50cdfcp+0", "0x1.a2e3574bb0fbdp-13"),
     ((48, 96), "0x1.ffffffaa19c22p+0", "0x1.5bfcb5ff22b98p-13"),
-    ((51, 101), "0x1.ffffff29406dap+0", "0x1.09026c88578a9p-12"),
+    ((51, 96), "0x1.ffffff29406d5p+0", "0x1.09026c88578a9p-12"),
 ]
 
 
@@ -454,8 +460,7 @@ class TestCurvatureRoutes:
         result = partition_function(spec, "coscos", 0.25, (48, 48))
         assert (result.value.hex(), result.error_bound.hex()) == (FLAT_ROUTE_BITS, "0x0.0p+0")
         sweep = lambda_sweep(spec, "coscos", (0, 1, 2, 5), (48, 48))
-        assert [r.value.hex() for r in sweep.results] == FLAT_SWEEP_BITS
-        assert [r.error_bound for r in sweep.results] == [0.0] * 4
+        assert [(r.resolution, r.value.hex(), r.error_bound.hex()) for r in sweep.results] == FLAT_SWEEP_BITS
         assert calls == [[], [], []]
 
     @pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed"])
@@ -629,34 +634,37 @@ class TestSweep:
         assert sweep.max_deviation_from(2.0) < 1e-2
 
     def test_stiffness_computed_once_per_sweep(self, s2, monkeypatch):
+        # the --no-adaptive sweep takes the stiffness once; the adaptive one its plan once and no stiffness
         from cgb import sigma
 
         calls = []
-        stiffness = sigma.potential_stiffness
-        monkeypatch.setattr(sigma, "potential_stiffness", lambda *args: calls.append(args) or stiffness(*args))
+        for name in ("potential_stiffness", "_sweep_plan"):
+            fn = getattr(sigma, name)
+            monkeypatch.setattr(sigma, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+        fixed = lambda_sweep(s2, "height", [0.0, 1.0, 2.0], (48, 96), adaptive=False)
+        assert calls == ["potential_stiffness"]
         sweep = lambda_sweep(s2, "height", [0.0, 1.0, 2.0], (48, 96))
-        assert len(calls) == 1
+        assert calls == ["potential_stiffness", "_sweep_plan"]
         monkeypatch.undo()
-        for r in sweep.results:
+        for r in fixed.results + sweep.results:
+            # every axis here keeps one Gauss-Legendre rule, so an explicit partition repeats it
             assert r.value == partition_function(s2, "height", r.lam, r.resolution).value
 
     def test_factorized_sweep_reuses_stiffness(self, s2xs2, monkeypatch):
-        # the product's stiffness (one call per factor inside it) serves the factor integrals
+        # each factor is planned once, on its own, and its graded rules serve its factor integrals
         from cgb import sigma
 
         calls = []
-        stiffness = sigma.potential_stiffness
-        monkeypatch.setattr(sigma, "potential_stiffness", lambda *args: calls.append(args) or stiffness(*args))
+        plan = sigma._sweep_plan
+        monkeypatch.setattr(sigma, "_sweep_plan", lambda *args: calls.append(args[0].name) or plan(*args))
         base = (8, 16, 8, 16)
         sweep = lambda_sweep(s2xs2, "height_sum", [0.0, 0.5, 1.0], base)
-        assert len(calls) == 3
+        assert calls == ["s2xs2", "s2", "s2"]
         monkeypatch.undo()
-        mu = potential_stiffness(s2xs2, "height_sum")
         f1, f2 = s2xs2.factors
         for r in sweep.results:
-            assert r.resolution == adaptive_resolution(s2xs2, r.lam, base, mu)
-            z1 = partition_function(f1, "height", r.lam, r.resolution[:2])
-            z2 = partition_function(f2, "height", r.lam, r.resolution[2:])
+            z1, z2 = (lambda_sweep(f, "height", [r.lam], base[:2]).results[0] for f in (f1, f2))
+            assert r.resolution == z1.resolution + z2.resolution
             assert r.value == z1.value * z2.value
 
     def test_perturbed_sphere_with_coupling(self, s2_perturbed):
