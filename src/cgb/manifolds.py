@@ -499,7 +499,7 @@ def integrate_values(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, f
     values = np.asarray(values, dtype=float)
     weighted = grid.weights
     total = pairwise_sum(np.multiply(weighted, values, out=weighted))  # into the weights' own array
-    sup = float(np.max(np.abs(values))) if values.size else 0.0
+    sup = max(abs(float(values.max())), abs(float(values.min()))) if values.size else 0.0  # no |values| array
     return total, grid.excised_measure * sup
 
 

@@ -361,6 +361,15 @@ class TestSweepCommand:
         assert code == 2
         assert err.count("\n") == 1 and "(5105, 5199) has 26540895 points" in err and "budget" in err
 
+    def test_factorized_sweep_is_planned_per_factor(self, capsys):
+        # each S2 factor takes its own graded grid and budget: the 4-D count is never formed
+        argv = ["sweep", "--manifold", "s2xs2", "--morse", "height_sum", "--lambda", "0,5", "--resolution", "8,10,8,10"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines() if line[:1].isdigit()]
+        assert [row[0] for row in rows] == ["0", "5"]
+        assert all(abs(float(row[1]) - 4.0) < 1e-2 for row in rows)
+
     @pytest.mark.parametrize(
         "lam, hint",
         [
@@ -531,7 +540,7 @@ FLAGS = st.fixed_dictionaries(
 )
 
 
-def exit_code_and_stderr(argv):
+def run_in_process(argv):
     """Run the CLI in-process; argparse's own rejections return from ``main`` like every other refusal."""
     import contextlib
     import io
@@ -539,7 +548,12 @@ def exit_code_and_stderr(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    return code, stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def exit_code_and_stderr(argv):
+    code, _, stderr = run_in_process(argv)
+    return code, stderr
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -564,6 +578,26 @@ def test_fuzzed_input_keeps_error_contract(command, manifest, flags):
         code, stderr = exit_code_and_stderr(argv)
     assert code in (0, 1, 2), (argv, manifest, code)
     assert "Traceback" not in stderr
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(["s2", "torus", "flat_t2"]),
+    lam=st.floats(min_value=0.0, max_value=100.0),
+    exponent=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_adaptive_sweep_lands_on_chi_or_names_the_budget(name, lam, exponent):
+    """An adaptive sweep at a coupling up to 100, at radii from 1e-2 to 1e2, lands within 1e-2 of chi or is refused for the budget."""
+    scale = 10.0**exponent
+    params = {"s2": {"radius": scale}, "torus": {"big_radius": 2 * scale, "small_radius": scale}, "flat_t2": {}}[name]
+    argv = ["sweep", "--manifold", name, "--manifold-params", json.dumps(params)]
+    argv += ["--morse", "coscos" if name == "flat_t2" else "height", "--lambda", repr(lam)]
+    code, out, err = run_in_process(argv + ["--resolution", "32,64" if name == "s2" else "32,32"])
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: quadrature grid ") and "budget" in err, err
+    else:
+        assert (code, err) == (0, ""), err
+        assert json.loads(out[out.index("{") :])["max_deviation_from_chi"] < 1e-2, (argv, out)
 
 
 # efts text: sums of the grammar's factors (base variables only, each summand

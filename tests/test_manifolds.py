@@ -1,6 +1,7 @@
 """Catalog manifolds: coverage, quadrature grids, and honest error bounds."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cgb import manifolds
 from cgb.manifolds import (
     MAX_AXIS_POINTS,
     MAX_GRID_POINTS,
+    CompositeRule,
     QuadratureGrid,
     TensorBlock,
     _legendre_rule,
@@ -242,6 +244,43 @@ class TestQuadrature:
     def test_excised_measure_scaling(self, s2, torus):
         assert quadrature_grid(s2, (16, 32)).excised_measure > 0
         assert quadrature_grid(torus, (16, 16)).excised_measure == 0.0
+
+    def test_composite_rule_is_its_panels_in_order(self, torus):
+        two_pi = 2 * math.pi
+        rule = CompositeRule((0.0, 1.0, 2.5, two_pi), (3, 64, 5))
+        nodes, weights = rule.axis()
+        parts = [gauss_legendre_axis(a, b, n) for a, b, n in ((0.0, 1.0, 3), (1.0, 2.5, 64), (2.5, two_pi, 5))]
+        assert nodes.tobytes() == np.concatenate([p[0] for p in parts]).tobytes()
+        assert weights.tobytes() == np.concatenate([p[1] for p in parts]).tobytes()
+        assert rule.size == 72 and math.isclose(weights.sum(), two_pi)
+        # a grid takes a composite rule on one axis and a node count on another
+        grid = quadrature_grid(torus, (rule, 16))
+        assert grid.shape == (72, 16)
+        assert grid.nodes[0].tobytes() == nodes.tobytes()
+        assert grid.nodes[1].tobytes() == quadrature_grid(torus, (16, 16)).nodes[1].tobytes()
+        with pytest.raises(ValueError, match="above the budget"):
+            quadrature_grid(torus, (CompositeRule((0.0, two_pi), (MAX_AXIS_POINTS + 1,)), 16))
+
+    def test_integrate_values_weights_in_place(self):
+        # the weighted values go into the array grid.weights builds, and the sup is taken without a
+        # |values| array: on 3159^2 values the peak is that array and the pairwise sum's halves
+        # (1.75 N floats), where a separate product, or |values|, made it 2 N
+        n = 3159
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.0, 1.0, n)
+        grid = QuadratureGrid((np.linspace(0.0, 1.0, n),) * 2, (w, w), 0.5)
+        values = rng.normal(size=n * n)
+        tracemalloc.start()
+        try:
+            total, bound = integrate_values(grid, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.8 * values.nbytes
+        assert total.hex() == pairwise_sum(grid.weights * values).hex()
+        assert bound.hex() == (0.5 * float(np.max(np.abs(values)))).hex()
+        small = QuadratureGrid((np.zeros(2),) * 2, (np.ones(2),) * 2, 1.0)
+        assert integrate_values(small, -np.zeros(4))[1].hex() == "0x0.0p+0"  # as max |values| reads -0.0
 
 
 class TestPairwiseSum:

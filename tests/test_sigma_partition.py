@@ -1,11 +1,13 @@
 """Euler density, the reduced integrand, and the partition function."""
 
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from cgb import manifolds, sigma
 from cgb.geometry import ChartMetric, CurvatureFrame, ScalarField, curvature_biform, pair_biform
 from cgb.grassmann import berezin, exp_even
 from cgb.manifolds import (
@@ -671,6 +673,112 @@ class TestSweep:
         # both the metric and the potential deformed away from round: still flat
         sweep = lambda_sweep(s2_perturbed, "height", [0.0, 2.0], (96, 192))
         assert sweep.max_deviation_from(2.0) < 1e-2
+
+
+# (manifold, potential, factor index or None): every catalog potential, s2_perturbed and each s2xs2 factor
+GRADED_CASES = [
+    ("s2", "height", None),
+    ("ellipsoid", "height", None),
+    ("torus", "height", None),
+    ("flat_t2", "coscos", None),
+    ("s2_perturbed", "height", None),
+    ("s2xs2", "height_sum", 0),
+    ("s2xs2", "height_sum", 1),
+]
+
+
+def graded_case(name, h_name, factor):
+    spec = get_manifold(name)
+    if factor is not None:
+        spec, h_name = spec.factors[factor], spec.potential(h_name).factor_names[factor]
+    return spec, h_name, (48, 48) if spec.name in ("torus", "flat_t2") else (48, 96)
+
+
+def exact_grad_sq(spec, h_name, axes):
+    """|grad h|^2_g on the tensor grid of 1-D ``axes`` (2-D charts), with the closed-form 2x2 inverse, as an array."""
+    chart = spec.quad_chart
+    h = spec.potential(h_name).on_chart(chart.name)
+    rows = []
+    for start in range(0, len(axes[0]), 64):
+        block = TensorBlock(np.ix_(axes[0][start : start + 64], axes[1]))
+        a, b = np.moveaxis(np.asarray(h.grad(block)), -1, 0)
+        g = np.asarray(chart.metric.metric(block))
+        g11, g12, g22 = g[:, 0, 0], g[:, 0, 1], g[:, 1, 1]
+        rows.append(((g22 * a * a - 2 * g12 * a * b + g11 * b * b) / (g11 * g22 - g12 * g12)).reshape(-1, len(axes[1])))
+    return np.concatenate(rows)
+
+
+class TestGradedRules:
+    @pytest.mark.parametrize("name, h_name, factor", GRADED_CASES)
+    def test_graded_sweep_matches_the_uniform_rule(self, name, h_name, factor):
+        # Z_uniform: partition_function at adaptive_resolution's counts, the uniform reference rule
+        spec, h_name, base = graded_case(name, h_name, factor)
+        mu = potential_stiffness(spec, h_name)
+        for r in lambda_sweep(spec, h_name, (1, 2, 5, 10), base).results:
+            uniform = partition_function(spec, h_name, r.lam, adaptive_resolution(spec, r.lam, base, mu))
+            assert abs(r.value - uniform.value) <= 1e-6, (r.lam, r.resolution, uniform.resolution)
+
+    @pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2_perturbed"])
+    def test_exclusion_bound_holds_on_a_denser_sample(self, name):
+        # a reference sample 8 times denser than the plan's, with |grad h|^2_g computed exactly,
+        # finds no point of a cell slab below the plan's bound, so none of an excluded one below the threshold
+        spec = get_manifold(name)
+        h_name = next(iter(spec.morse_catalog))
+        plan = sigma._sweep_plan(spec, h_name, (48, 96))
+        dense = [np.linspace(e[0], e[-1], 8 * (len(e) - 1) + 1) for e in plan.edges]
+        with np.errstate(divide="ignore"):
+            exact = exact_grad_sq(spec, h_name, dense)
+        excluded_somewhere = False
+        for k in range(2):
+            along = exact.min(axis=1 - k)
+            cell_min = np.minimum(along[:-1].reshape(-1, 8).min(axis=1), along[8::8])
+            assert np.all(plan.grad_sq[k] <= cell_min)
+            for lam in (5.0, 10.0, 50.0, 100.0):
+                excluded = 0.5 * lam**2 * plan.grad_sq[k] > sigma._EXCLUDED
+                assert np.all(0.5 * lam**2 * cell_min[excluded] > sigma._EXCLUDED)
+                excluded_somewhere |= bool(np.any(excluded))
+        # the jets route (s2_perturbed) has no closed-form bound on its metric, so it excludes nothing
+        assert excluded_somewhere == (name != "s2_perturbed")
+
+    def test_refined_axes_take_rules_of_at_most_64_nodes(self, monkeypatch):
+        sizes = []
+        rule = manifolds._legendre_rule
+        monkeypatch.setattr(manifolds, "_legendre_rule", lambda n: sizes.append(n) or rule(n))
+        for name, h_name, lams, base in (
+            ("flat_t2", "coscos", (0, 1, 2, 5, 10), (48, 48)),
+            ("s2", "height", (5, 10, 50, 100), (96, 192)),
+        ):
+            sizes.clear()
+            sweep = lambda_sweep(get_manifold(name), h_name, lams, base)
+            # some axis is refined past one panel
+            assert any(count > max(64, b) for r in sweep.results for count, b in zip(r.resolution, base))
+            assert sizes and all(n <= 64 or n in base for n in sizes), sorted(set(sizes))
+
+    def test_factorized_sweep_plans_each_factor_within_the_budget(self, s2xs2):
+        # the product's 4-D adaptive grid (51, 101, 51, 101) would be above the point budget;
+        # each factor's own grid is not
+        sweep = lambda_sweep(s2xs2, "height_sum", (0, 1, 2), (16, 20, 16, 20))
+        assert sweep.max_deviation_from(4.0) < 1e-2
+        assert [r.resolution for r in sweep.results] == [(16, 20, 16, 20), (26, 20, 26, 20), (51, 20, 51, 20)]
+
+    def test_unsplit_potential_keeps_the_4d_budget(self, s2xs2):
+        # the same height sum declared without its factors is planned and budgeted on the 4-D grid
+        joint = dataclasses.replace(s2xs2.potential("height_sum"), factor_names=None)
+        spec = dataclasses.replace(s2xs2, morse_catalog={"joint": joint})
+        with pytest.raises(ValueError, match=r"quadrature grid \(\d+, 20, \d+, 20\) has \d+ points, above the budget"):
+            lambda_sweep(spec, "joint", (0.0, 10.0), (16, 20, 16, 20))
+        assert lambda_sweep(s2xs2, "height_sum", (10.0,), (16, 20, 16, 20)).max_deviation_from(4.0) < 1e-2
+
+    @pytest.mark.parametrize("name, h_name", [("s2", "height"), ("torus", "height")])
+    def test_sweeps_to_lambda_100_land_on_chi(self, name, h_name):
+        spec = get_manifold(name)
+        sweep = lambda_sweep(spec, h_name, (50.0, 100.0), (48, 96) if name == "s2" else (48, 48))
+        assert sweep.max_deviation_from(spec.euler_char) < 1e-2
+
+    def test_no_potential_keeps_the_base_grid(self, s2):
+        # with h = 0 the integrand has no bump: every coupling takes the base grid and the lambda-0 value
+        sweep = lambda_sweep(s2, None, (0.0, 5.0, 50.0), (48, 96))
+        assert {(r.resolution, r.value) for r in sweep.results} == {((48, 96), partition_function(s2, None, 0.0, (48, 96)).value)}
 
 
 class TestLocalization:

@@ -68,8 +68,19 @@ def test_riemann_counter_reads_the_chunk_size(tracing, monkeypatch):
     assert counts == [{"geometry.riemann_points": len(points)}]
 
 
-@pytest.mark.parametrize("name, resolution", [("s2", (32, 64)), ("flat_t2", (48, 40)), ("s2xs2", (4, 6, 4, 6))])
-def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolution):
+@pytest.mark.parametrize(
+    "name, resolution, lams",
+    [
+        ("s2", (32, 64), None),
+        ("flat_t2", (48, 40), None),
+        ("s2xs2", (4, 6, 4, 6), None),
+        # an adaptive sweep builds its graded composite grids through quadrature_grid as well
+        ("flat_t2", (48, 40), (0.0, 1.0, 5.0)),
+        ("s2", (32, 64), (2.0, 10.0)),
+    ],
+    ids=["s2-resolution0", "flat_t2-resolution1", "s2xs2-resolution2", "flat_t2-sweep", "s2-sweep"],
+)
+def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolution, lams):
     # the grid counter reads the size of quadrature_grid's result, the integrand counter the
     # len() of _integrand_on_points' second argument: on one partition both are the grid's point count
     from cgb import sigma
@@ -84,6 +95,11 @@ def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolutio
 
         monkeypatch.setattr(sigma, attr, recording)
     spec = manifolds.get_manifold(name)
-    sigma.partition_function(spec, next(iter(spec.morse_catalog)), 0.1, resolution, use_product_structure=False)
-    size = math.prod(resolution)
-    assert counts == [{"manifolds.grid_points": size}, {"sigma.integrand_points": size}]
+    h_name = next(iter(spec.morse_catalog))
+    if lams is None:
+        sigma.partition_function(spec, h_name, 0.1, resolution, use_product_structure=False)
+        sizes = [math.prod(resolution)]
+    else:
+        sizes = [math.prod(r.resolution) for r in sigma.lambda_sweep(spec, h_name, lams, resolution).results]
+        assert max(sizes) > math.prod(resolution)  # the sweep refined its grid
+    assert counts == [c for size in sizes for c in ({"manifolds.grid_points": size}, {"sigma.integrand_points": size})]
