@@ -49,6 +49,13 @@ evaluator as it is; the grid's point array is never built.  Values are
 computed point by point into one length-N array, which the fixed pairwise
 sum reduces with the grid weights, so Z does not depend on the slab shape.
 
+An adaptive ``lambda_sweep`` samples the potential once (``_sweep_plan``)
+and gives each axis, per coupling, a rule that follows the localization
+bump: composite Gauss-Legendre panels of at most 64 nodes at 8 nodes per
+local bump width, the base density on slabs that a closed-form bound
+shows the bump does not reach, and the base rule on an axis that needs no
+more (``_graded_rules``).
+
 Sign bookkeeping: the quartic curvature element carries a single frozen
 calibration sign (see ``geometry.curvature_biform``); the action couples
 to it through ``ACTION_CURVATURE_COUPLING`` so that both computation
@@ -585,6 +592,7 @@ def _product(z1: PartitionResult, z2: PartitionResult) -> PartitionResult:
 
 
 def _integrate(spec: ManifoldSpec, h_name: str | None, lam: float, grid: QuadratureGrid) -> PartitionResult:
+    """Z on one grid of the quadrature chart, the resolution read as the grid's nodes per axis."""
     potential = spec.potential(h_name)
     chart = spec.quad_chart
     h = potential.on_chart(chart.name) if potential is not None else None
