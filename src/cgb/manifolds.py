@@ -48,8 +48,9 @@ POLAR_CAP = 1e-4  # half-angle excised around each spherical pole
 
 # Largest quadrature grid ``quadrature_grid`` builds.  A Gauss-Legendre rule
 # of n nodes solves an n x n companion matrix, so each axis is bounded as well
-# as the total; the largest grid of the tests, the README and the benchmark
-# is the flat-torus sweep at lambda 10, 3159^2 (about 1e7) points.
+# as the total; the largest grid of the tests is the uniform reference rule of
+# the flat-torus sweep at lambda 10, 3159^2 (about 1e7) points.  A composite
+# axis of an adaptive sweep is bounded by its node total.
 MAX_AXIS_POINTS = 4096
 MAX_GRID_POINTS = 1 << 24
 
