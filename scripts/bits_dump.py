@@ -7,9 +7,10 @@ so two dumps are equal exactly where the results agree bit for bit.  The
 lines cover, per manifold of the catalog and ``s2_perturbed`` (all of them,
 or the ones named):
 
-* ``partition``: Z and its error bound at couplings 0, 0.3 and 1 on an
-  explicit grid, with no potential and with each one (on ``s2xs2`` both
-  direct and factorized);
+* ``partition``: Z and its error bound at couplings 0, 0.3, 1 and -10 on
+  an explicit grid, and at coupling 1 on a resolution one count too long,
+  with no potential and with each one (on ``s2xs2`` both direct and
+  factorized);
 * ``sweep``: one adaptive and one ``--no-adaptive`` sweep per potential;
 * ``root``: every critical point ``find_critical_points`` returns;
 * ``cli``: exit code, standard output and standard error of fixed ``cgb``
@@ -29,7 +30,7 @@ import sys
 from cgb import cli, manifolds, morse, sigma
 
 NAMES = ("s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed")
-LAMBDAS = (0.0, 0.3, 1.0)
+LAMBDAS = (0.0, 0.3, 1.0, -10.0)
 ADAPTIVE_LAMBDAS = (0.0, 1.0, 2.0, 5.0, 10.0)
 FIXED_LAMBDAS = (0.0, 1.0, 2.0)
 
@@ -71,15 +72,18 @@ def _refused(error: Exception) -> str:
 
 def _partition_lines(spec) -> list[str]:
     resolution = (32, 64) if spec.dim == 2 else (8, 10, 8, 10)
+    too_long = resolution + (4,)
+    cases = [(f"lam={lam}", lam, resolution) for lam in LAMBDAS]
+    cases.append((f"lam=1.0 asked={'x'.join(map(str, too_long))}", 1.0, too_long))
     lines = []
     for h_name in (None, *spec.morse_catalog):
         for product in (True, False) if spec.factors else (True,):
-            for lam in LAMBDAS:
-                head = f"partition {spec.name} h={h_name} product={int(product)} lam={lam}"
+            head = f"partition {spec.name} h={h_name} product={int(product)}"
+            for label, lam, asked in cases:
                 try:
-                    lines.append(f"{head} {_result(sigma.partition_function(spec, h_name, lam, resolution, product))}")
-                except ValueError as error:
-                    lines.append(f"{head} {_refused(error)}")
+                    lines.append(f"{head} {label} {_result(sigma.partition_function(spec, h_name, lam, asked, product))}")
+                except (ValueError, IndexError) as error:  # older checkouts refused a too-long resolution by IndexError
+                    lines.append(f"{head} {label} {_refused(error)}")
     return lines
 
 

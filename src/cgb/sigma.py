@@ -49,12 +49,15 @@ evaluator as it is; the grid's point array is never built.  Values are
 computed point by point into one length-N array, which the fixed pairwise
 sum reduces with the grid weights, so Z does not depend on the slab shape.
 
-An adaptive ``lambda_sweep`` samples the potential once (``_sweep_plan``)
-and gives each axis, per coupling, a rule that follows the localization
-bump: composite Gauss-Legendre panels of at most 64 nodes at 8 nodes per
-local bump width, the base density on slabs that a closed-form bound
-shows the bump does not reach, and the base rule on an axis that needs no
-more (``_graded_rules``).
+Every Z takes one path: ``_sweep_plan`` checks the resolution and splits
+it over a product, and ``_graded`` makes the grid and integrates it.  An
+explicit grid is a plan that samples nothing, checked against the
+potential's stiffness.  An adaptive ``lambda_sweep`` samples the potential
+once and gives each axis, per coupling, a rule that follows the
+localization bump: composite Gauss-Legendre panels of at most 64 nodes at
+8 nodes per local bump width, the base density on slabs that a
+closed-form bound shows the bump does not reach, and the base rule on an
+axis that needs no more (``_graded_rules``).
 
 Sign bookkeeping: the quartic curvature element carries a single frozen
 calibration sign (see ``geometry.curvature_biform``); the action couples
@@ -493,6 +496,15 @@ def _integrand_on_points(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
     return out
 
 
+def _probe(spec: ManifoldSpec, h_name: str, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """g^-1, then the potential's raw Hessian, on ``count`` points per axis of the quadrature box."""
+    chart = spec.quad_chart
+    metric = chart.metric
+    block = TensorBlock(np.ix_(*(np.linspace(lo, hi, count) for lo, hi in chart.quad_domain)))
+    g_inv = np.eye(chart.dim) if metric.flat else _inverse_metric(metric.metric(block), block, metric.embedding is not None)[1]
+    return g_inv, np.asarray(spec.potential(h_name).on_chart(chart.name).hess(block), dtype=float)
+
+
 def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     """Chart-coordinate steepness of the localization Gaussian.
 
@@ -500,21 +512,17 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     of grad h the exponent is lam^2 (H dx)^T g^-1 (H dx) / 2 with H the raw
     Hessian, so the bump width along chart axes is 1 / (lam * mu) with
     mu^2 = lambda_max(H g^-1 H).  Returns the sup of mu over a coarse probe
-    grid of the quadrature chart (1.0 when there is no potential, so the
-    plain 1/lambda width rule is recovered).
+    grid of the quadrature chart, the max of the factors' on a product that
+    ``_splits`` (1.0 when there is no potential, so the plain 1/lambda width
+    rule is recovered).
     """
-    potential = spec.potential(h_name)
-    if potential is None:
+    if spec.potential(h_name) is None:
         return 1.0
-    if spec.factors is not None and potential.factor_names is not None:
-        return max(potential_stiffness(f, name) for f, name in zip(spec.factors, potential.factor_names))
-    chart = spec.quad_chart
-    h = potential.on_chart(chart.name)
-    probe = TensorBlock(np.ix_(*(np.linspace(lo, hi, _STIFFNESS_PROBE) for lo, hi in chart.quad_domain)))
-    gram = chart.metric.embedding is not None
+    names = _splits(spec, h_name)
+    if names is not None:
+        return max(potential_stiffness(f, name) for f, name in zip(spec.factors, names))
     with np.errstate(all="ignore"):  # an overflowing metric is refused by _inverse_metric or the integrand
-        g_inv = np.eye(chart.dim) if chart.metric.flat else _inverse_metric(chart.metric.metric(probe), probe, gram)[1]
-        hess = np.asarray(h.hess(probe), dtype=float)
+        g_inv, hess = _probe(spec, h_name, _STIFFNESS_PROBE)
         form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
         mu_sq = np.linalg.eigvalsh(form)[..., -1]
     return float(np.sqrt(np.max(mu_sq)))
@@ -529,7 +537,8 @@ def check_resolution(
     spec: ManifoldSpec, lam: float, resolution: Sequence[int], stiffness: float
 ) -> None:
     """Refuse grids with fewer than 4 points per localization-bump width, naming the adaptive count before any budget."""
-    if lam <= 0 or stiffness <= 0:
+    lam = abs(lam)  # the integrand is even in lambda
+    if lam == 0 or stiffness <= 0:
         return
     needs = _bump_counts(spec, lam, stiffness)
     for axis, count in enumerate(resolution):
@@ -565,8 +574,9 @@ def partition_function(
     resolution: Sequence[int],
     use_product_structure: bool = True,
 ) -> PartitionResult:
-    """(2 pi)^(-n/2) times the quadrature sum of the partition integrand."""
-    return _partition(spec, h_name, lam, resolution, use_product_structure, None)
+    """(2 pi)^(-n/2) times the quadrature sum of the partition integrand on the grid of ``resolution``."""
+    plan = _sweep_plan(spec, h_name, resolution, use_product_structure, False)
+    return _graded(plan, lam, potential_stiffness(spec, h_name) if lam else None)
 
 
 def _splits(spec: ManifoldSpec, h_name: str | None, use_product_structure: bool = True) -> tuple | None:
@@ -591,56 +601,15 @@ def _product(z1: PartitionResult, z2: PartitionResult) -> PartitionResult:
     return PartitionResult(z1.lam, z1.value * z2.value, z1.resolution + z2.resolution, bound)
 
 
-def _integrate(spec: ManifoldSpec, h_name: str | None, lam: float, grid: QuadratureGrid) -> PartitionResult:
-    """Z on one grid of the quadrature chart, the resolution read as the grid's nodes per axis."""
-    potential = spec.potential(h_name)
-    chart = spec.quad_chart
-    h = potential.on_chart(chart.name) if potential is not None else None
-    values = _integrand_on_points(chart.metric, grid, lam, h)
-    raw, cap_bound = integrate_values(grid, values)
-    norm = (2 * math.pi) ** (-spec.dim / 2)
-    return PartitionResult(lam=lam, value=norm * raw, resolution=grid.shape, error_bound=norm * cap_bound)
-
-
-def _partition(
-    spec: ManifoldSpec,
-    h_name: str | None,
-    lam: float,
-    resolution: Sequence[int],
-    use_product_structure: bool,
-    stiffness: float | None,
-) -> PartitionResult:
-    """``partition_function``, given the potential's stiffness or None to compute it when it is needed.
-
-    A product that ``_splits`` is the product of its factor sums.
-    ``stiffness`` is then the product's, the max of the factors': the
-    product's resolution check over the same axes already implies each
-    factor's.
-    """
-    if spec.dim % 2 != 0:
-        raise ValueError(f"partition function needs even dimension, got {spec.dim}")
-    resolution = tuple(int(r) for r in resolution)
-    if lam > 0 and spec.potential(h_name) is not None:
-        if stiffness is None:
-            stiffness = potential_stiffness(spec, h_name)
-        check_resolution(spec, lam, resolution, stiffness)
-    names = _splits(spec, h_name, use_product_structure)
-    if names is not None:
-        f1, f2 = spec.factors
-        z1 = _partition(f1, names[0], lam, resolution[: f1.dim], True, stiffness)
-        z2 = _partition(f2, names[1], lam, resolution[f1.dim :], True, stiffness)
-        return _product(z1, z2)
-    return _integrate(spec, h_name, lam, quadrature_grid(spec, resolution))
-
-
-# -- adaptive sweeps on graded composite rules ----------------------------------
+# -- plans and graded composite rules --------------------------------------------
 
 
 @dataclass(frozen=True)
 class _SweepPlan:
-    """What an adaptive sweep knows of the integrand before its first coupling.
+    """A checked base resolution and what a sweep knows of the integrand before its first coupling.
 
-    The quadrature chart's axis k is cut into cells at ``edges[k]``; a cell's
+    A plan that samples nothing keeps the base grid.  Otherwise the
+    quadrature chart's axis k is cut into cells at ``edges[k]``; a cell's
     slab is the cell times every other axis.  Per cell, ``mu[k]`` is the
     square root of the sup of the diagonal entry (H g^-1 H)_kk over the
     sampled vertices of a coarser cell holding it, so the bump width along
@@ -695,27 +664,29 @@ def _slab_reduce(values: np.ndarray, k: int, reduce: np.ufunc) -> np.ndarray:
     return reduce(along[:-1], along[1:])
 
 
-def _sweep_plan(spec: ManifoldSpec, h_name: str | None, base: Sequence[int]) -> _SweepPlan:
-    """Sample the potential once for a whole sweep: no sample depends on the coupling."""
+def _sweep_plan(
+    spec: ManifoldSpec, h_name: str | None, base: Sequence[int], use_product_structure: bool = True, sample: bool = True
+) -> _SweepPlan:
+    """Check ``base`` and split it over a product that ``_splits``; with ``sample``, sample the potential for a whole sweep."""
+    if spec.dim % 2 != 0:
+        raise ValueError(f"partition function needs even dimension, got {spec.dim}")
     base = tuple(int(b) for b in base)
     if len(base) != spec.dim:
         raise ValueError(f"resolution needs {spec.dim} axis counts, got {base}")
-    names = _splits(spec, h_name)
+    names = _splits(spec, h_name, use_product_structure)
     if names is not None:
         f1, f2 = spec.factors
-        factors = (_sweep_plan(f1, names[0], base[: f1.dim]), _sweep_plan(f2, names[1], base[f1.dim :]))
+        f1_plan = _sweep_plan(f1, names[0], base[: f1.dim], True, sample)
+        factors = (f1_plan, _sweep_plan(f2, names[1], base[f1.dim :], True, sample))
         return _SweepPlan(spec, h_name, base, factors=factors)
-    potential = spec.potential(h_name)
-    if potential is None:
+    if not sample or spec.potential(h_name) is None:
         return _SweepPlan(spec, h_name, base)
     chart = spec.quad_chart
-    metric, n = chart.metric, chart.dim
+    n = chart.dim
     coarse = int(_PLAN_VERTICES ** (1 / n) + 1e-9)
     cut = max(1, int((_EXCLUSION_VERTICES ** (1 / n) + 1e-9 - 1) // (coarse - 1)))
-    block = TensorBlock(np.ix_(*(np.linspace(lo, hi, coarse) for lo, hi in chart.quad_domain)))
     with np.errstate(all="ignore"):  # a value that is not finite is refused by _inverse_metric or the integrand
-        g_inv = np.eye(n) if metric.flat else _inverse_metric(metric.metric(block), block, metric.embedding is not None)[1]
-        hess = np.asarray(potential.on_chart(chart.name).hess(block), dtype=float)
+        g_inv, hess = _probe(spec, h_name, coarse)
         diag = np.einsum("...ki,...ki->...k", hess @ g_inv, hess).reshape((coarse,) * n + (n,))  # (H g^-1 H)_kk
         mu = tuple(np.repeat(np.sqrt(_slab_reduce(diag[..., k], k, np.maximum)), cut) for k in range(n))
     edges = tuple(np.linspace(lo, hi, cut * (coarse - 1) + 1) for lo, hi in chart.quad_domain)
@@ -796,23 +767,30 @@ def _graded_rules(plan: _SweepPlan, lam: float) -> tuple[tuple[int | CompositeRu
     return tuple(rules), excluded_measure
 
 
-def _graded(plan: _SweepPlan, lam: float) -> PartitionResult:
-    """Z at one coupling on the plan's graded grid; a split product's factors are planned and budgeted on their own.
+def _graded(plan: _SweepPlan, lam: float, stiffness: float | None = None) -> PartitionResult:
+    """Z at one coupling on the plan's grid; a split product's factors are graded and budgeted on their own.
 
-    The excluded slabs keep the base density: their integrand is below
-    e^-36 times the rest of it, so 2 e^-36 times their measure joins the
-    caps' measure in the error bound, both charged at the grid's sup of
-    the integrand.
+    Given a ``stiffness``, the base grid is checked once, on all its axes:
+    a product's stiffness is the max of its factors'.  The excluded slabs
+    keep the base density: their integrand is below e^-36 times the rest
+    of it, so 2 e^-36 times their measure joins the caps' measure in the
+    error bound, both charged at the grid's sup of the integrand.
     """
-    if plan.spec.dim % 2 != 0:
-        raise ValueError(f"partition function needs even dimension, got {plan.spec.dim}")
+    spec = plan.spec
+    potential = spec.potential(plan.h_name)
+    if stiffness is not None and potential is not None:
+        check_resolution(spec, lam, plan.base, stiffness)
     if plan.factors is not None:
         return _product(*(_graded(factor, lam) for factor in plan.factors))
     rules, excluded = _graded_rules(plan, lam)
-    grid = quadrature_grid(plan.spec, rules)
+    grid = quadrature_grid(spec, rules)
     if excluded:
         grid = dataclasses.replace(grid, excised_measure=grid.excised_measure + 2 * math.exp(-_EXCLUDED) * excluded)
-    return _integrate(plan.spec, plan.h_name, lam, grid)
+    chart = spec.quad_chart
+    h = potential.on_chart(chart.name) if potential is not None else None
+    raw, cap_bound = integrate_values(grid, _integrand_on_points(chart.metric, grid, lam, h))
+    norm = (2 * math.pi) ** (-spec.dim / 2)
+    return PartitionResult(lam=lam, value=norm * raw, resolution=grid.shape, error_bound=norm * cap_bound)
 
 
 def lambda_sweep(
@@ -822,12 +800,12 @@ def lambda_sweep(
     base_resolution: Sequence[int],
     adaptive: bool = True,
 ) -> SweepResult:
-    """Partition function across couplings: on graded composite grids, or with ``adaptive`` off on the base grid."""
-    if not adaptive:
-        stiffness = potential_stiffness(spec, h_name)
-        return SweepResult(tuple(_partition(spec, h_name, lam, base_resolution, True, stiffness) for lam in lams))
-    plan = _sweep_plan(spec, h_name, base_resolution)
-    return SweepResult(tuple(_graded(plan, lam) for lam in lams))
+    """Partition function across couplings: on graded composite grids, or with ``adaptive`` off on the checked base grid."""
+    if len(lams) == 0:
+        raise ValueError("lambda_sweep needs at least one coupling")
+    plan = _sweep_plan(spec, h_name, base_resolution, True, adaptive)
+    stiffness = None if adaptive else potential_stiffness(spec, h_name)
+    return SweepResult(tuple(_graded(plan, lam, stiffness) for lam in lams))
 
 
 # -- localization diagnostics --------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -610,6 +611,42 @@ class TestResolutionPolicy:
             adaptive_resolution(s2, lam, (96, 192), 1.0)
         assert len(str(err.value)) < 150
 
+    @pytest.mark.parametrize(
+        "name, h_name, coarse, fine, product",
+        [
+            ("s2", "height", (16, 32), (48, 96), True),
+            ("s2xs2", "height_sum", (8, 10, 8, 10), (16, 32, 16, 32), True),
+            ("s2xs2", "height_sum", (8, 10, 8, 10), (16, 32, 16, 32), False),
+        ],
+    )
+    def test_negative_coupling_checked_as_its_magnitude(self, name, h_name, coarse, fine, product):
+        # the integrand is even in lambda: -lambda is refused where lambda is, and agrees with it bit for bit
+        spec = get_manifold(name)
+        refusals = []
+        for lam in (50.0, -50.0):
+            with pytest.raises(ResolutionError) as err:
+                partition_function(spec, h_name, lam, coarse, product)
+            refusals.append(str(err.value))
+        assert refusals[0] == refusals[1]
+        plus, minus = (partition_function(spec, h_name, lam, fine, product) for lam in (1.0, -1.0))
+        assert (plus.value.hex(), plus.error_bound.hex()) == (minus.value.hex(), minus.error_bound.hex())
+
+    @pytest.mark.parametrize(
+        "name, h_name, resolution",
+        [("s2", "height", (16, 32, 8)), ("s2xs2", "height_sum", (8, 10, 8, 10, 4)), ("s2xs2", "height_sum", (8, 10, 8))],
+    )
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_wrong_length_resolution_refused_whole(self, name, h_name, resolution, lam):
+        # refused once, naming the whole tuple, directly, split over the factors and in both sweeps
+        spec = get_manifold(name)
+        message = re.escape(f"resolution needs {spec.dim} axis counts, got {resolution}")
+        for product in (True, False):
+            with pytest.raises(ValueError, match=message):
+                partition_function(spec, h_name, lam, resolution, product)
+        for adaptive in (True, False):
+            with pytest.raises(ValueError, match=message):
+                lambda_sweep(spec, h_name, [lam], resolution, adaptive)
+
     def test_check_resolution_accepts_adaptive(self, flat_t2):
         mu = potential_stiffness(flat_t2, "coscos")
         res = adaptive_resolution(flat_t2, 5.0, (48, 48), mu)
@@ -636,7 +673,8 @@ class TestSweep:
         assert sweep.max_deviation_from(2.0) < 1e-2
 
     def test_stiffness_computed_once_per_sweep(self, s2, monkeypatch):
-        # the --no-adaptive sweep takes the stiffness once; the adaptive one its plan once and no stiffness
+        # the --no-adaptive sweep builds its unsampled plan once and takes the stiffness once;
+        # the adaptive one its plan once and no stiffness
         from cgb import sigma
 
         calls = []
@@ -644,13 +682,29 @@ class TestSweep:
             fn = getattr(sigma, name)
             monkeypatch.setattr(sigma, name, lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
         fixed = lambda_sweep(s2, "height", [0.0, 1.0, 2.0], (48, 96), adaptive=False)
-        assert calls == ["potential_stiffness"]
+        assert calls == ["_sweep_plan", "potential_stiffness"]
         sweep = lambda_sweep(s2, "height", [0.0, 1.0, 2.0], (48, 96))
-        assert calls == ["potential_stiffness", "_sweep_plan"]
+        assert calls == ["_sweep_plan", "potential_stiffness", "_sweep_plan"]
         monkeypatch.undo()
         for r in fixed.results + sweep.results:
             # every axis here keeps one Gauss-Legendre rule, so an explicit partition repeats it
             assert r.value == partition_function(s2, "height", r.lam, r.resolution).value
+
+    def test_fixed_sweep_checks_each_coupling_once_on_a_split_product(self, s2xs2, monkeypatch):
+        # the product's check over all four axes implies each factor's, so the factors are not checked again
+        from cgb import sigma
+
+        calls = []
+        check = sigma.check_resolution
+        monkeypatch.setattr(sigma, "check_resolution", lambda *args: calls.append(args[0].name) or check(*args))
+        sweep = lambda_sweep(s2xs2, "height_sum", [0.0, 0.25, 0.5], (8, 16, 8, 16), adaptive=False)
+        assert calls == ["s2xs2"] * 3
+        assert all(r.resolution == (8, 16, 8, 16) for r in sweep.results)
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_empty_coupling_list_refused(self, s2, adaptive):
+        with pytest.raises(ValueError, match="lambda_sweep needs at least one coupling"):
+            lambda_sweep(s2, "height", [], (16, 32), adaptive)
 
     def test_factorized_sweep_reuses_stiffness(self, s2xs2, monkeypatch):
         # each factor is planned once, on its own, and its graded rules serve its factor integrals
