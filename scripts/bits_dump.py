@@ -11,7 +11,10 @@ or the ones named):
   an explicit grid, and at coupling 1 on a resolution one count too long,
   with no potential and with each one (on ``s2xs2`` both direct and
   factorized);
-* ``sweep``: one adaptive and one ``--no-adaptive`` sweep per potential;
+* ``sweep``: one adaptive sweep with no potential, and one adaptive, one
+  ``--no-adaptive`` and one adaptive sweep at the unsorted couplings
+  2, 0, 1, 0 (``unsorted``) per potential, so that runs of couplings on one
+  grid close and open again;
 * ``root``: every critical point ``find_critical_points`` returns;
 * ``cli``: exit code, standard output and standard error of fixed ``cgb``
   commands, run in process through ``cli.main`` (the ``efts`` commands only
@@ -33,6 +36,7 @@ NAMES = ("s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed")
 LAMBDAS = (0.0, 0.3, 1.0, -10.0)
 ADAPTIVE_LAMBDAS = (0.0, 1.0, 2.0, 5.0, 10.0)
 FIXED_LAMBDAS = (0.0, 1.0, 2.0)
+UNSORTED_LAMBDAS = (2.0, 0.0, 1.0, 0.0)
 
 # (manifold or None, argv)
 COMMANDS = (
@@ -89,15 +93,18 @@ def _partition_lines(spec) -> list[str]:
 
 def _sweep_lines(spec) -> list[str]:
     base = (48, 96) if spec.dim == 2 else (8, 10, 8, 10)
-    lines = []
+    cases = [(None, True, ADAPTIVE_LAMBDAS, "")]
     for h_name in spec.morse_catalog:
-        for adaptive, lams in ((True, ADAPTIVE_LAMBDAS), (False, FIXED_LAMBDAS)):
-            head = f"sweep {spec.name} h={h_name} adaptive={int(adaptive)}"
-            try:
-                sweep = sigma.lambda_sweep(spec, h_name, lams, base, adaptive)
-                lines.extend(f"{head} {_result(r)}" for r in sweep.results)
-            except ValueError as error:
-                lines.append(f"{head} {_refused(error)}")
+        cases += [(h_name, True, ADAPTIVE_LAMBDAS, ""), (h_name, False, FIXED_LAMBDAS, ""),
+                  (h_name, True, UNSORTED_LAMBDAS, " unsorted")]
+    lines = []
+    for h_name, adaptive, lams, label in cases:
+        head = f"sweep {spec.name} h={h_name} adaptive={int(adaptive)}{label}"
+        try:
+            sweep = sigma.lambda_sweep(spec, h_name, lams, base, adaptive)
+            lines.extend(f"{head} {_result(r)}" for r in sweep.results)
+        except ValueError as error:
+            lines.append(f"{head} {_refused(error)}")
     return lines
 
 

@@ -62,8 +62,9 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
     Each step takes, per seed, the first of t = 1, 1/2, ..., 2^-39 whose
     candidate x + t * step lies in the chart and lowers the gradient norm.
     The full step is tried for every seed; for the seeds it does not improve,
-    the 39 halvings and their domain test are built in one pass, and h is
-    evaluated only at each seed's next in-domain halving.  Refuses a seed
+    the first in-domain halving is found by bisection (the in-domain
+    halvings are a suffix), and h is evaluated only at each seed's next
+    in-domain halving, built when it is tried.  Refuses a seed
     whose gradient norm, or a Newton point whose Hessian determinant, is not
     finite.  A candidate whose gradient is not finite is only rejected: a
     shorter step is tried.
@@ -86,7 +87,7 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
         gnorm[took] = cn[good]
         return good
 
-    halvings = np.ldexp(1.0, -np.arange(1, 40))[:, None, None]  # t = 2^-k exactly, k = 1..39
+    halvings = np.ldexp(1.0, -np.arange(1, 40))  # t = 2^-k exactly, k = 1..39
     active = np.ones(len(x), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
         active &= gnorm >= TOL_GRAD
@@ -110,20 +111,28 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
         if pending.size == 0:
             continue
         rows = idx[pending]
-        cand, valid = _wrap_batch(chart, (x[rows] + halvings * steps[pending]).reshape(-1, chart.dim))
-        cand = cand.reshape(len(halvings), rows.size, chart.dim)
-        valid = valid.reshape(len(halvings), rows.size)
-        # nxt[k, r]: row r's first in-domain halving at or after k; ``last`` where there is none
+
+        def candidates(live: np.ndarray, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return _wrap_batch(chart, x[rows[live]] + halvings[level][:, None] * steps[pending[live]])
+
+        # a row's in-domain halvings are a suffix k >= k0 (x is in the box, a shorter step stays between
+        # x and a longer one, a wrapped axis is always in it): bisect for k0, ``last`` where there is none
         last = len(halvings)
-        nxt = np.where(valid, np.arange(last)[:, None], last)
-        nxt = np.vstack([np.minimum.accumulate(nxt[::-1])[::-1], np.full(rows.size, last)])
-        k = nxt[0]
+        lo, hi = np.zeros(rows.size, dtype=int), np.full(rows.size, last)
+        searching = np.arange(rows.size)
+        while searching.size:
+            mid = (lo[searching] + hi[searching]) // 2
+            inside = candidates(searching, mid)[1]
+            hi[searching[inside]] = mid[inside]
+            lo[searching[~inside]] = mid[~inside] + 1
+            searching = searching[lo[searching] < hi[searching]]
+        k = lo
         live = np.flatnonzero(k < last)
         while live.size:
-            good = accept(rows[live], cand[k[live], live])
+            good = accept(rows[live], candidates(live, k[live])[0])
             improved[pending[live[good]]] = True
             live = live[~good]
-            k[live] = nxt[k[live] + 1, live]
+            k[live] += 1
             live = live[k[live] < last]
         active[idx[~improved]] = False
     return x[gnorm < TOL_GRAD]

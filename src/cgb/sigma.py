@@ -45,9 +45,17 @@ chart declares:
 
 It runs over the quadrature grid in C-order slabs of at most
 max(4096, 2^18 / n^2) points, each a ``TensorBlock`` handed to every
-evaluator as it is; the grid's point array is never built.  Values are
-computed point by point into one length-N array, which the fixed pairwise
-sum reduces with the grid weights, so Z does not depend on the slab shape.
+evaluator as it is; the grid's point array is never built.  Consecutive
+couplings of a sweep that get the same grid form a run, evaluated in one
+pass: per slab the tensors that do not depend on the coupling (jets, det g,
+g^-1, curvature, the potential's gradient and covariant Hessian,
+|grad h|^2_g) are computed once, and each coupling of the run takes its
+own Gaussian and Berezin top into its own row of N values.  A run holds
+at most ``MAX_GRID_POINTS`` values in all, so a longer one is split.  The
+fixed pairwise sum reduces each row with the grid weights, so Z does not
+depend on the slab shape or on the run.  Refusals come where evaluating
+one coupling at a time would raise them: the first row is checked slab by
+slab and the others after the pass, in order.
 
 Every Z takes one path: ``_sweep_plan`` checks the resolution and splits
 it over a product, and ``_graded`` makes the grid and integrates it.  An
@@ -71,7 +79,7 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,6 +109,7 @@ from .manifolds import (
     quadrature_grid,
     refuse_first,
     MAX_AXIS_POINTS,
+    MAX_GRID_POINTS,
 )
 from .morse import TOL_MORSE
 
@@ -437,15 +446,17 @@ def _inverse_metric(g: np.ndarray, points, gram: bool) -> tuple[np.ndarray, np.n
     return det, g_inv
 
 
-def _integrand_chunk(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
-    """One chunk of integrand values: vectorized tensors, then Berezin tops.
+def _integrand_chunk(chart: ChartMetric, x, lams: Sequence[float], h) -> np.ndarray:
+    """One chunk of integrand values, one row per coupling of ``lams``: the tensors once, then each row.
 
     ``x`` is a point array (P, n) or a ``TensorBlock`` of P points, handed
     to every evaluator as it is.  Three routes, by what the chart declares.
     Induced: every tensor comes from one pass of embedding derivatives
     (``induced_curvature``).  Flat: the exact jets (I, 0, 0) skip the
     curvature, the inverse and the determinant, and no jet is evaluated.
-    Jets: Christoffel symbols and curvature from the metric jets.
+    Jets: Christoffel symbols and curvature from the metric jets.  The
+    potential's covariant Hessian and |grad h|^2_g do not depend on the
+    coupling either; a row takes only its Gaussian and its Berezin top.
     """
     n = chart.dim
     riem = None
@@ -460,8 +471,7 @@ def _integrand_chunk(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
         riem = riemann_tensor(g, np.asarray(chart.d2_metric(x), dtype=float), gamma2)
 
     hcov = None
-    aux = 1.0
-    if h is not None and lam != 0.0:
+    if h is not None and any(lam != 0.0 for lam in lams):
         grad = np.asarray(h.grad(x), dtype=float)
         hess = np.asarray(h.hess(x), dtype=float)
         if chart.flat:
@@ -470,29 +480,44 @@ def _integrand_chunk(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
         else:
             hcov = hess - np.einsum("...kij,...k->...ij", gamma2, grad)
             grad_norm_sq = np.einsum("...i,...ij,...j->...", grad, g_inv, grad)
-        aux = np.exp(-0.5 * lam**2 * grad_norm_sq)
-    if not chart.flat:
-        aux = aux / np.sqrt(det)
-    return aux * _berezin_top(riem, hcov, lam, n, len(x))
+    root_det = None if chart.flat else np.sqrt(det)
+    out = np.empty((len(lams), len(x)))
+    for row, lam in zip(out, lams):
+        coupled = hcov is not None and lam != 0.0
+        aux = np.exp(-0.5 * lam**2 * grad_norm_sq) if coupled else 1.0
+        if root_det is not None:
+            aux = aux / root_det
+        row[:] = aux * _berezin_top(riem, hcov if coupled else None, lam, n, len(x))
+    return out
 
 
-def _integrand_on_points(chart: ChartMetric, x, lam: float, h) -> np.ndarray:
-    """Integrand values at the N points of ``x``, in order; refuses the first point whose value is not finite.
+def _integrand_on_points(chart: ChartMetric, x, lams: Sequence[float], h) -> np.ndarray:
+    """Integrand values at the N points of ``x``, one row per coupling of ``lams``, in order.
 
     ``x`` is a point array (N, n), evaluated in chunks of rows, or a
     ``QuadratureGrid``, evaluated in C-order slabs of the same bound, so its
-    point array is never built.
+    point array is never built.  Refuses the first point whose value is not
+    finite as evaluating one coupling at a time would: the first row slab by
+    slab, so the pass stops where that coupling's would, and the other rows
+    after the pass, in order, each at its first such point.
     """
     chunk = max(4096, _CHUNK // chart.dim**2)  # bound the d2g scratch tensors
     if isinstance(x, QuadratureGrid):
         chunks = x.slabs(chunk)
     else:
         chunks = ((start, min(start + chunk, len(x)), x[start : start + chunk]) for start in range(0, len(x), chunk))
-    out = np.empty(len(x))
+    what = "integrand not finite at the grid point"
+    out = np.empty((len(lams), len(x)))
+    later: dict[int, tuple[np.ndarray, object]] = {}  # row -> (mask, block) of its first slab that is not finite
     for start, stop, block in chunks:
         with np.errstate(all="ignore"):  # an overflow shows as a value refused below, not as a warning
-            out[start:stop] = _integrand_chunk(chart, block, lam, h)
-        refuse_first(~np.isfinite(out[start:stop]), block, "integrand not finite at the grid point")
+            out[:, start:stop] = _integrand_chunk(chart, block, lams, h)
+        bad = ~np.isfinite(out[:, start:stop])
+        refuse_first(bad[0], block, what)
+        for row in np.flatnonzero(bad.any(axis=1)):
+            later.setdefault(int(row), (bad[row], block))
+    for row in sorted(later):
+        refuse_first(*later[row], what)
     return out
 
 
@@ -537,6 +562,7 @@ def check_resolution(
     spec: ManifoldSpec, lam: float, resolution: Sequence[int], stiffness: float
 ) -> None:
     """Refuse grids with fewer than 4 points per localization-bump width, naming the adaptive count before any budget."""
+    resolution = _axis_counts(spec, resolution)
     lam = abs(lam)  # the integrand is even in lambda
     if lam == 0 or stiffness <= 0:
         return
@@ -552,7 +578,7 @@ def check_resolution(
                 hint = f"the count that axis needs is not finite, above the budget of {MAX_AXIS_POINTS} per axis"
             width = 1.0 / (lam * stiffness)  # 0.0 where lam * stiffness overflows
             raise ResolutionError(
-                f"resolution {tuple(resolution)} under-resolves the localization bump of chart width "
+                f"resolution {resolution} under-resolves the localization bump of chart width "
                 f"{f'{width:.3g}' if width else 'below 1e-308'} on an axis of length {spec.axis_lengths()[axis]:.3g} "
                 f"(fewer than 4 points per width); {hint}"
             )
@@ -576,7 +602,7 @@ def partition_function(
 ) -> PartitionResult:
     """(2 pi)^(-n/2) times the quadrature sum of the partition integrand on the grid of ``resolution``."""
     plan = _sweep_plan(spec, h_name, resolution, use_product_structure, False)
-    return _graded(plan, lam, potential_stiffness(spec, h_name) if lam else None)
+    return next(_graded(plan, (lam,), potential_stiffness(spec, h_name) if lam else None))
 
 
 def _splits(spec: ManifoldSpec, h_name: str | None, use_product_structure: bool = True) -> tuple | None:
@@ -664,15 +690,21 @@ def _slab_reduce(values: np.ndarray, k: int, reduce: np.ufunc) -> np.ndarray:
     return reduce(along[:-1], along[1:])
 
 
+def _axis_counts(spec: ManifoldSpec, resolution: Sequence[int]) -> tuple[int, ...]:
+    """``resolution`` as integer counts, refused unless it has one count per axis of ``spec``."""
+    counts = tuple(int(c) for c in resolution)
+    if len(counts) != spec.dim:
+        raise ValueError(f"resolution needs {spec.dim} axis counts, got {counts}")
+    return counts
+
+
 def _sweep_plan(
     spec: ManifoldSpec, h_name: str | None, base: Sequence[int], use_product_structure: bool = True, sample: bool = True
 ) -> _SweepPlan:
     """Check ``base`` and split it over a product that ``_splits``; with ``sample``, sample the potential for a whole sweep."""
     if spec.dim % 2 != 0:
         raise ValueError(f"partition function needs even dimension, got {spec.dim}")
-    base = tuple(int(b) for b in base)
-    if len(base) != spec.dim:
-        raise ValueError(f"resolution needs {spec.dim} axis counts, got {base}")
+    base = _axis_counts(spec, base)
     names = _splits(spec, h_name, use_product_structure)
     if names is not None:
         f1, f2 = spec.factors
@@ -767,30 +799,76 @@ def _graded_rules(plan: _SweepPlan, lam: float) -> tuple[tuple[int | CompositeRu
     return tuple(rules), excluded_measure
 
 
-def _graded(plan: _SweepPlan, lam: float, stiffness: float | None = None) -> PartitionResult:
-    """Z at one coupling on the plan's grid; a split product's factors are graded and budgeted on their own.
+def _graded(plan: _SweepPlan, lams: Sequence[float], stiffness: float | None = None) -> Iterator[PartitionResult]:
+    """Z at each coupling of ``lams`` in order on the plan's grids; a split product's factors are graded on their own.
 
-    Given a ``stiffness``, the base grid is checked once, on all its axes:
-    a product's stiffness is the max of its factors'.  The excluded slabs
-    keep the base density: their integrand is below e^-36 times the rest
-    of it, so 2 e^-36 times their measure joins the caps' measure in the
-    error bound, both charged at the grid's sup of the integrand.
+    Given a ``stiffness``, the base grid is checked at each coupling, on all
+    its axes: a product's stiffness is the max of its factors'.  The
+    excluded slabs keep the base density: their integrand is below e^-36
+    times the rest of it, so 2 e^-36 times their measure joins the caps'
+    measure in the error bound, both charged at the grid's sup of the
+    integrand.
+
+    Consecutive couplings whose rules (and excluded measure) agree form a
+    run, integrated in one pass over its grid; a run is closed before it
+    would hold more than ``MAX_GRID_POINTS`` values.  A refusal is raised
+    where grading the couplings one at a time would raise it: the checks
+    and rules stop at the first coupling they refuse, the runs before it are
+    integrated first, and a refused run of several couplings is graded again
+    one coupling at a time, so a product's factors, zipped coupling by
+    coupling, also refuse in that order.
     """
     spec = plan.spec
     potential = spec.potential(plan.h_name)
-    if stiffness is not None and potential is not None:
-        check_resolution(spec, lam, plan.base, stiffness)
+    ruled, refusal = [], None
+    for lam in lams:
+        try:
+            if stiffness is not None and potential is not None:
+                check_resolution(spec, lam, plan.base, stiffness)
+            ruled.append((lam, None if plan.factors is not None else _graded_rules(plan, lam)))
+        except ValueError as error:
+            refusal = error
+            break
     if plan.factors is not None:
-        return _product(*(_graded(factor, lam) for factor in plan.factors))
-    rules, excluded = _graded_rules(plan, lam)
-    grid = quadrature_grid(spec, rules)
-    if excluded:
-        grid = dataclasses.replace(grid, excised_measure=grid.excised_measure + 2 * math.exp(-_EXCLUDED) * excluded)
-    chart = spec.quad_chart
-    h = potential.on_chart(chart.name) if potential is not None else None
-    raw, cap_bound = integrate_values(grid, _integrand_on_points(chart.metric, grid, lam, h))
+        checked = tuple(lam for lam, _ in ruled)
+        yield from map(_product, *(_graded(factor, checked) for factor in plan.factors))
+    else:
+        chart = spec.quad_chart
+        h = potential.on_chart(chart.name) if potential is not None else None
+        run, key, grid = [], None, None
+        for lam, graded in ruled:
+            if run and graded == key and (len(run) + 1) * grid.size <= MAX_GRID_POINTS:
+                run.append(lam)
+                continue
+            if run:
+                yield from _integrated(spec, grid, tuple(run), h)
+            run, key = [lam], graded
+            rules, excluded = graded
+            grid = quadrature_grid(spec, rules)
+            if excluded:
+                grid = dataclasses.replace(grid, excised_measure=grid.excised_measure + 2 * math.exp(-_EXCLUDED) * excluded)
+        if run:
+            yield from _integrated(spec, grid, tuple(run), h)
+    if refusal is not None:
+        raise refusal
+
+
+def _integrated(spec: ManifoldSpec, grid: QuadratureGrid, lams: tuple[float, ...], h) -> Iterator[PartitionResult]:
+    """Z at each coupling of a run on ``grid``, from one pass of the integrand."""
+    try:
+        values = _integrand_on_points(spec.quad_chart.metric, grid, lams, h)
+    except ValueError:
+        if len(lams) == 1:
+            raise
+        values = None
+    if values is None:  # the results before the refused coupling come first
+        for lam in lams:
+            yield from _integrated(spec, grid, (lam,), h)
+        return
     norm = (2 * math.pi) ** (-spec.dim / 2)
-    return PartitionResult(lam=lam, value=norm * raw, resolution=grid.shape, error_bound=norm * cap_bound)
+    for lam, row in zip(lams, values):
+        raw, cap_bound = integrate_values(grid, row)
+        yield PartitionResult(lam=lam, value=norm * raw, resolution=grid.shape, error_bound=norm * cap_bound)
 
 
 def lambda_sweep(
@@ -805,7 +883,7 @@ def lambda_sweep(
         raise ValueError("lambda_sweep needs at least one coupling")
     plan = _sweep_plan(spec, h_name, base_resolution, True, adaptive)
     stiffness = None if adaptive else potential_stiffness(spec, h_name)
-    return SweepResult(tuple(_graded(plan, lam, stiffness) for lam in lams))
+    return SweepResult(tuple(_graded(plan, lams, stiffness)))
 
 
 # -- localization diagnostics --------------------------------------------------
@@ -840,7 +918,11 @@ def localization_mass(
     radius: float,
     resolution: Sequence[int],
 ) -> float:
-    """Fraction of integrand mass within geodesic ``radius`` of the critical set."""
+    """Fraction of integrand mass within geodesic ``radius`` of the critical set.
+
+    The resolution is checked as ``partition_function`` checks it: one count
+    per axis, and at lambda != 0 enough points per localization-bump width.
+    """
     potential = spec.potential(h_name)
     chart = spec.quad_chart
     dist_fn = potential.critical_distance.get(chart.name)
@@ -848,9 +930,12 @@ def localization_mass(
         raise ValueError(
             f"no critical-set distance available for {spec.name}/{h_name} on {chart.name}"
         )
-    grid = quadrature_grid(spec, resolution)
+    plan = _sweep_plan(spec, h_name, resolution, False, False)
+    if lam:
+        check_resolution(spec, lam, plan.base, potential_stiffness(spec, h_name))
+    grid = quadrature_grid(spec, plan.base)
     h = potential.on_chart(chart.name)
-    values = np.abs(_integrand_on_points(chart.metric, grid, lam, h)) * grid.weights
+    values = np.abs(_integrand_on_points(chart.metric, grid, (lam,), h)[0]) * grid.weights
     dist = np.asarray(dist_fn(grid.points), dtype=float)
     total = pairwise_sum(values)
     inside = pairwise_sum(np.where(dist <= radius, values, 0.0))

@@ -159,6 +159,17 @@ class TestCriticalPoints:
                 find_critical_points(spec, "height")
 
 
+def test_line_search_builds_no_more_candidates_than_seeds(monkeypatch):
+    # the halvings are built level by level for the rows that need them, not 39 per pending seed
+    from cgb import morse
+
+    rows = []
+    wrap = morse._wrap_batch
+    monkeypatch.setattr(morse, "_wrap_batch", lambda chart, pts: rows.append(len(pts)) or wrap(chart, pts))
+    find_critical_points(get_manifold("s2xs2"), "height_sum", 8)
+    assert rows and max(rows) <= 8**4
+
+
 @pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed"])
 def test_newton_batch_matches_the_serial_line_search(name):
     # every chart that carries the potential, its roots in the same order to the bit

@@ -77,9 +77,9 @@ class TestEulerDensity:
             [euler_density(CurvatureFrame.from_chart(chart, x)) for x in grid.points[::7]]
         )
         # spot samples match the batched evaluator
-        batch = _integrand_on_points(chart, grid.points[::7], 0.0, None)
+        batch = _integrand_on_points(chart, grid.points[::7], (0.0,), None)[0]
         assert np.allclose(vals, batch, atol=1e-13)
-        total, _ = integrate_values(grid, _integrand_on_points(chart, grid.points, 0.0, None))
+        total, _ = integrate_values(grid, _integrand_on_points(chart, grid.points, (0.0,), None)[0])
         assert abs(total) < 1e-8
 
     def test_odd_dimension_rejected(self):
@@ -225,7 +225,7 @@ class TestPartitionIntegrand:
 
 def assert_kernel_matches_engine(chart, h, pts, lam):
     """The batched cover kernel against the pointwise Grassmann engine."""
-    fast = _integrand_on_points(chart, pts, lam, h)
+    fast = _integrand_on_points(chart, pts, (lam,), h)[0]
     slow = np.array(
         [partition_integrand(CurvatureFrame.from_chart(chart, x), lam, h.grad(x), h.hess(x)) for x in pts]
     )
@@ -537,12 +537,12 @@ class TestCurvatureRoutes:
         )
         pts = np.array([[0.5, 0.1], [-0.25, 0.3], [-0.5, 0.2]])
         with pytest.raises(ValueError, match=r"not positive definite at the grid point \(-0\.25, 0\.3\)"):
-            _integrand_on_points(chart, pts, 0.0, None)
+            _integrand_on_points(chart, pts, (0.0,), None)
         # induced route: X = (cos x_0, sin x_0) does not move along x_1, so g_11 = 0
         circle = TrigEmbedding([[(1.0, (COS, ONE))], [(1.0, (SIN, ONE))]])
         chart = embedded_chart("degenerate", circle, [[-1.0, 1.0], [-1.0, 1.0]])
         with pytest.raises(ValueError, match=r"not positive definite at the grid point \(0\.5, 0\.1\)"):
-            _integrand_on_points(chart, pts, 0.0, None)
+            _integrand_on_points(chart, pts, (0.0,), None)
 
     @pytest.mark.parametrize("diagonal", [(-1.0, -2.0), (-1.0, -1.0, 1.0, 1.0)])
     def test_indefinite_metric_with_positive_det_names_the_point(self, diagonal):
@@ -552,7 +552,7 @@ class TestCurvatureRoutes:
         pts = np.array([[0.5] * dim, [0.25] * dim])
         where = ", ".join(["0\\.5"] * dim)
         with pytest.raises(ValueError, match=rf"not positive definite at the grid point \({where}\)"):
-            _integrand_on_points(spec.quad_chart.metric, pts, 0.0, None)
+            _integrand_on_points(spec.quad_chart.metric, pts, (0.0,), None)
         # a sweep meets the metric first in the stiffness probe, whose first point is the box corner
         where = ", ".join(["0\\.0"] * dim)
         with pytest.raises(ValueError, match=rf"not positive definite at the grid point \({where}\)"):
@@ -647,6 +647,12 @@ class TestResolutionPolicy:
             with pytest.raises(ValueError, match=message):
                 lambda_sweep(spec, h_name, [lam], resolution, adaptive)
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_check_resolution_refuses_a_wrong_length(self, s2, lam):
+        # the plan's refusal, not an IndexError from the axis loop
+        with pytest.raises(ValueError, match=re.escape("resolution needs 2 axis counts, got (16, 32, 8)")):
+            check_resolution(s2, lam, (16, 32, 8), 1.0)
+
     def test_check_resolution_accepts_adaptive(self, flat_t2):
         mu = potential_stiffness(flat_t2, "coscos")
         res = adaptive_resolution(flat_t2, 5.0, (48, 48), mu)
@@ -700,6 +706,47 @@ class TestSweep:
         sweep = lambda_sweep(s2xs2, "height_sum", [0.0, 0.25, 0.5], (8, 16, 8, 16), adaptive=False)
         assert calls == ["s2xs2"] * 3
         assert all(r.resolution == (8, 16, 8, 16) for r in sweep.results)
+
+    def test_long_run_is_split_at_the_point_budget(self, s2, monkeypatch):
+        # a run holds at most MAX_GRID_POINTS values: five couplings on one 48 x 96 grid, at two grids' worth, go 2, 2, 1
+        from cgb import sigma
+
+        lams = (0.0, 0.5, 1.0, 1.5, 2.0)
+        whole = lambda_sweep(s2, "height", lams, (48, 96), adaptive=False)
+        runs = []
+        integrand = sigma._integrand_on_points
+        monkeypatch.setattr(sigma, "_integrand_on_points", lambda *args: runs.append(len(args[2])) or integrand(*args))
+        monkeypatch.setattr(sigma, "MAX_GRID_POINTS", 2 * 48 * 96)
+        split = lambda_sweep(s2, "height", lams, (48, 96), adaptive=False)
+        assert runs == [2, 2, 1]
+        assert [(r.value.hex(), r.error_bound.hex()) for r in split.results] == [
+            (r.value.hex(), r.error_bound.hex()) for r in whole.results
+        ]
+
+    def test_budget_refusal_comes_after_the_runs_before_it(self, flat_t2, monkeypatch):
+        # lambda = 1000 is refused for the point budget once lambda = 0 and 1 are integrated, each on its own grid
+        from cgb import sigma
+
+        runs = []
+        integrand = sigma._integrand_on_points
+        monkeypatch.setattr(sigma, "_integrand_on_points", lambda *args: runs.append(args[2]) or integrand(*args))
+        message = "quadrature grid (5058, 5058) has 25583364 points, above the budget of 4096 per axis and 16777216 in all"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lambda_sweep(flat_t2, "coscos", (0.0, 1.0, 1000.0), (48, 48))
+        assert runs == [(0.0,), (1.0,)]
+
+    def test_split_product_refuses_at_the_first_coupling_that_fails(self, s2xs2):
+        # the S^2 factor integrates lambda = 0 and nan in one run, and nan is not finite; the box factor's
+        # curvature is not finite at lambda = 0, so one coupling at a time the box's refusal comes first
+        box = constant_metric_spec((1.0, 1.0))
+        box.quad_chart.metric.d2_metric = lambda x: np.full(np.shape(x)[:-1] + (2,) * 4, np.inf)
+        box = dataclasses.replace(box, morse_catalog={"height": box.morse_catalog["h"]})
+        product = dataclasses.replace(s2xs2, factors=(s2xs2.factors[0], box))
+        with pytest.raises(ValueError) as alone:
+            partition_function(box, "height", 0.0, (4, 4))
+        with pytest.raises(ValueError) as err:
+            lambda_sweep(product, "height_sum", (0.0, math.nan), (8, 10, 4, 4))
+        assert str(err.value) == str(alone.value)
 
     @pytest.mark.parametrize("adaptive", [True, False])
     def test_empty_coupling_list_refused(self, s2, adaptive):
@@ -843,6 +890,16 @@ class TestLocalization:
         # at lambda = 0 the density is spread over the whole sphere
         spread = localization_mass(s2, "height", 0.0, 0.5, (96, 192))
         assert spread < 0.5
+
+    def test_mass_refuses_an_under_resolved_grid(self, s2):
+        # 16 x 32 cannot resolve the bump at lambda = 50: the mass is refused as the partition function is
+        refusals = []
+        for integrate in (lambda: localization_mass(s2, "height", 50.0, 0.05, (16, 32)),
+                          lambda: partition_function(s2, "height", 50.0, (16, 32))):
+            with pytest.raises(ResolutionError) as err:
+                integrate()
+            refusals.append(str(err.value))
+        assert refusals[0] == refusals[1]
 
     def test_local_index_limits(self):
         class Stub:

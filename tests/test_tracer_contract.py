@@ -64,7 +64,7 @@ def test_riemann_counter_reads_the_chunk_size(tracing, monkeypatch):
     monkeypatch.setattr(sigma, "riemann_tensor", recording)
     spec = manifolds.sphere_conformal()
     points = manifolds.quadrature_grid(spec, (8, 16)).points
-    sigma._integrand_chunk(spec.quad_chart.metric, points, 0.0, None)
+    sigma._integrand_chunk(spec.quad_chart.metric, points, (0.0,), None)
     assert counts == [{"geometry.riemann_points": len(points)}]
 
 
@@ -77,8 +77,10 @@ def test_riemann_counter_reads_the_chunk_size(tracing, monkeypatch):
         # an adaptive sweep builds its graded composite grids through quadrature_grid as well
         ("flat_t2", (48, 40), (0.0, 1.0, 5.0)),
         ("s2", (32, 64), (2.0, 10.0)),
+        # the base grid resolves S^2 to lambda = 2: the three couplings share one grid and one integrand pass
+        ("s2", (96, 192), (0.0, 1.0, 2.0)),
     ],
-    ids=["s2-resolution0", "flat_t2-resolution1", "s2xs2-resolution2", "flat_t2-sweep", "s2-sweep"],
+    ids=["s2-resolution0", "flat_t2-resolution1", "s2xs2-resolution2", "flat_t2-sweep", "s2-sweep", "s2-shared-grid"],
 )
 def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolution, lams):
     # the grid counter reads the size of quadrature_grid's result, the integrand counter the
@@ -100,6 +102,11 @@ def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolutio
         sigma.partition_function(spec, h_name, 0.1, resolution, use_product_structure=False)
         sizes = [math.prod(resolution)]
     else:
-        sizes = [math.prod(r.resolution) for r in sigma.lambda_sweep(spec, h_name, lams, resolution).results]
-        assert max(sizes) > math.prod(resolution)  # the sweep refined its grid
+        results = sigma.lambda_sweep(spec, h_name, lams, resolution).results
+        # one grid and one integrand pass per run of couplings on the same grid
+        sizes = [math.prod(r.resolution) for r, prev in zip(results, (None,) + results) if r.resolution != getattr(prev, "resolution", None)]
+        if len(sizes) == 1:
+            assert len(results) == 3 and sizes == [math.prod(resolution)]
+        else:
+            assert max(sizes) > math.prod(resolution)  # the sweep refined its grid
     assert counts == [c for size in sizes for c in ({"manifolds.grid_points": size}, {"sigma.integrand_points": size})]
