@@ -104,7 +104,7 @@ def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolutio
     else:
         results = sigma.lambda_sweep(spec, h_name, lams, resolution).results
         # one grid and one integrand pass per run of couplings on the same grid
-        sizes = [math.prod(r.resolution) for r, prev in zip(results, (None,) + results) if r.resolution != getattr(prev, "resolution", None)]
+        sizes = [math.prod(r.resolution) for i, r in enumerate(results) if i == 0 or r.resolution != results[i - 1].resolution]
         if len(sizes) == 1:
             assert len(results) == 3 and sizes == [math.prod(resolution)]
         else:
