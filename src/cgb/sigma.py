@@ -54,8 +54,9 @@ own Gaussian and Berezin top into its own row of N values.  A run holds
 at most ``MAX_GRID_POINTS`` values in all, so a longer one is split.  The
 fixed pairwise sum reduces each row with the grid weights, so Z does not
 depend on the slab shape or on the run.  Refusals come where evaluating
-one coupling at a time would raise them: the first row is checked slab by
-slab and the others after the pass, in order.
+one coupling at a time would raise them: a pass stops at the first slab
+that is not finite in any row, and a refused run of several couplings is
+graded again one coupling at a time.
 
 Every Z takes one path: ``_sweep_plan`` checks the resolution and splits
 it over a product, and ``_graded`` makes the grid and integrates it.  An
@@ -496,28 +497,20 @@ def _integrand_on_points(chart: ChartMetric, x, lams: Sequence[float], h) -> np.
 
     ``x`` is a point array (N, n), evaluated in chunks of rows, or a
     ``QuadratureGrid``, evaluated in C-order slabs of the same bound, so its
-    point array is never built.  Refuses the first point whose value is not
-    finite as evaluating one coupling at a time would: the first row slab by
-    slab, so the pass stops where that coupling's would, and the other rows
-    after the pass, in order, each at its first such point.
+    point array is never built.  Refuses the first point of the first slab
+    where any row is not finite; ``_integrated`` grades a refused run of
+    several couplings again one at a time, for the order of its refusals.
     """
     chunk = max(4096, _CHUNK // chart.dim**2)  # bound the d2g scratch tensors
     if isinstance(x, QuadratureGrid):
         chunks = x.slabs(chunk)
     else:
         chunks = ((start, min(start + chunk, len(x)), x[start : start + chunk]) for start in range(0, len(x), chunk))
-    what = "integrand not finite at the grid point"
     out = np.empty((len(lams), len(x)))
-    later: dict[int, tuple[np.ndarray, object]] = {}  # row -> (mask, block) of its first slab that is not finite
     for start, stop, block in chunks:
         with np.errstate(all="ignore"):  # an overflow shows as a value refused below, not as a warning
             out[:, start:stop] = _integrand_chunk(chart, block, lams, h)
-        bad = ~np.isfinite(out[:, start:stop])
-        refuse_first(bad[0], block, what)
-        for row in np.flatnonzero(bad.any(axis=1)):
-            later.setdefault(int(row), (bad[row], block))
-    for row in sorted(later):
-        refuse_first(*later[row], what)
+        refuse_first((~np.isfinite(out[:, start:stop])).any(axis=0), block, "integrand not finite at the grid point")
     return out
 
 

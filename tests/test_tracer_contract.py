@@ -69,20 +69,20 @@ def test_riemann_counter_reads_the_chunk_size(tracing, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, resolution, lams",
+    "name, resolution, lams, shared",
     [
-        ("s2", (32, 64), None),
-        ("flat_t2", (48, 40), None),
-        ("s2xs2", (4, 6, 4, 6), None),
+        ("s2", (32, 64), None, False),
+        ("flat_t2", (48, 40), None, False),
+        ("s2xs2", (4, 6, 4, 6), None, False),
         # an adaptive sweep builds its graded composite grids through quadrature_grid as well
-        ("flat_t2", (48, 40), (0.0, 1.0, 5.0)),
-        ("s2", (32, 64), (2.0, 10.0)),
+        ("flat_t2", (48, 40), (0.0, 1.0, 5.0), False),
+        ("s2", (32, 64), (2.0, 10.0), False),
         # the base grid resolves S^2 to lambda = 2: the three couplings share one grid and one integrand pass
-        ("s2", (96, 192), (0.0, 1.0, 2.0)),
+        ("s2", (96, 192), (0.0, 1.0, 2.0), True),
     ],
     ids=["s2-resolution0", "flat_t2-resolution1", "s2xs2-resolution2", "flat_t2-sweep", "s2-sweep", "s2-shared-grid"],
 )
-def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolution, lams):
+def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolution, lams, shared):
     # the grid counter reads the size of quadrature_grid's result, the integrand counter the
     # len() of _integrand_on_points' second argument: on one partition both are the grid's point count
     from cgb import sigma
@@ -103,10 +103,10 @@ def test_point_counters_read_the_grid_size(tracing, monkeypatch, name, resolutio
         sizes = [math.prod(resolution)]
     else:
         results = sigma.lambda_sweep(spec, h_name, lams, resolution).results
-        # one grid and one integrand pass per run of couplings on the same grid
-        sizes = [math.prod(r.resolution) for i, r in enumerate(results) if i == 0 or r.resolution != results[i - 1].resolution]
-        if len(sizes) == 1:
-            assert len(results) == 3 and sizes == [math.prod(resolution)]
+        if shared:  # every coupling keeps the base grid: one grid and one integrand pass for them all
+            assert [r.resolution for r in results] == [resolution] * len(lams)
+            sizes = [math.prod(resolution)]
         else:
+            sizes = [math.prod(r.resolution) for r in results]
             assert max(sizes) > math.prod(resolution)  # the sweep refined its grid
     assert counts == [c for size in sizes for c in ({"manifolds.grid_points": size}, {"sigma.integrand_points": size})]
