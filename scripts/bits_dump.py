@@ -7,6 +7,9 @@ so two dumps are equal exactly where the results agree bit for bit.  The
 lines cover, per manifold of the catalog and ``s2_perturbed`` (all of them,
 or the ones named):
 
+* ``width``: per potential, ``potential_stiffness`` and the largest mu per
+  axis of the adaptive plan at the sweep base (one set per factor of a
+  product that splits, separated by ``;``);
 * ``partition``: Z and its error bound at couplings 0, 0.3, 1 and -10 on
   an explicit grid, and at coupling 1 on a resolution one count too long,
   with no potential and with each one (on ``s2xs2`` both direct and
@@ -37,6 +40,7 @@ LAMBDAS = (0.0, 0.3, 1.0, -10.0)
 ADAPTIVE_LAMBDAS = (0.0, 1.0, 2.0, 5.0, 10.0)
 FIXED_LAMBDAS = (0.0, 1.0, 2.0)
 UNSORTED_LAMBDAS = (2.0, 0.0, 1.0, 0.0)
+SWEEP_BASE = {2: (48, 96), 4: (8, 10, 8, 10)}
 
 # (manifold or None, argv)
 COMMANDS = (
@@ -74,6 +78,24 @@ def _refused(error: Exception) -> str:
     return f"refused {type(error).__name__}: {error}"
 
 
+def _plan_mu(plan) -> str:
+    if plan.factors is not None:
+        return ";".join(_plan_mu(factor) for factor in plan.factors)
+    return ",".join(float(mu.max()).hex() for mu in plan.mu)
+
+
+def _width_lines(spec) -> list[str]:
+    lines = []
+    for h_name in spec.morse_catalog:
+        head = f"width {spec.name} h={h_name}"
+        try:
+            stiffness = sigma.potential_stiffness(spec, h_name).hex()
+            lines.append(f"{head} stiffness={stiffness} mu={_plan_mu(sigma._sweep_plan(spec, h_name, SWEEP_BASE[spec.dim]))}")
+        except ValueError as error:
+            lines.append(f"{head} {_refused(error)}")
+    return lines
+
+
 def _partition_lines(spec) -> list[str]:
     resolution = (32, 64) if spec.dim == 2 else (8, 10, 8, 10)
     too_long = resolution + (4,)
@@ -92,7 +114,7 @@ def _partition_lines(spec) -> list[str]:
 
 
 def _sweep_lines(spec) -> list[str]:
-    base = (48, 96) if spec.dim == 2 else (8, 10, 8, 10)
+    base = SWEEP_BASE[spec.dim]
     cases = [(None, True, ADAPTIVE_LAMBDAS, "")]
     for h_name in spec.morse_catalog:
         cases += [(h_name, True, ADAPTIVE_LAMBDAS, ""), (h_name, False, FIXED_LAMBDAS, ""),
@@ -130,7 +152,7 @@ def dump(names=None) -> list[str]:
     lines = []
     for name in chosen:
         spec = manifolds.get_manifold(name)
-        lines += _partition_lines(spec) + _sweep_lines(spec) + _root_lines(spec)
+        lines += _width_lines(spec) + _partition_lines(spec) + _sweep_lines(spec) + _root_lines(spec)
     for manifold, argv in COMMANDS:
         if manifold in chosen or (manifold is None and names is None):
             lines.append(_cli_line(argv))

@@ -59,14 +59,15 @@ that is not finite in any row, and a refused run of several couplings is
 graded again one coupling at a time.
 
 Every Z takes one path: ``_sweep_plan`` checks the resolution and splits
-it over a product, and ``_graded`` makes the grid and integrates it.  An
-explicit grid is a plan that samples nothing, checked against the
-potential's stiffness.  An adaptive ``lambda_sweep`` samples the potential
-once and gives each axis, per coupling, a rule that follows the
-localization bump: composite Gauss-Legendre panels of at most 64 nodes at
-8 nodes per local bump width, the base density on slabs that a
-closed-form bound shows the bump does not reach, and the base rule on an
-axis that needs no more (``_graded_rules``).
+it over a product, and ``_graded`` makes the grid and integrates it.  The
+bump width along axis k is 1 / (lam mu), mu^2 = (H g^-1 H)_kk from one
+table (``_probe``).  An explicit grid samples nothing and is checked
+against the table's largest mu.  An adaptive ``lambda_sweep`` samples the
+table once and gives each axis, per coupling, a rule that follows the bump:
+composite Gauss-Legendre panels of at most 64 nodes at 8 nodes per local
+width, the base density on slabs that a closed-form bound shows the bump
+does not reach, and the base rule on an axis that needs no more
+(``_graded_rules``).
 
 Sign bookkeeping: the quartic curvature element carries a single frozen
 calibration sign (see ``geometry.curvature_biform``); the action couples
@@ -514,13 +515,14 @@ def _integrand_on_points(chart: ChartMetric, x, lams: Sequence[float], h) -> np.
     return out
 
 
-def _probe(spec: ManifoldSpec, h_name: str, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """g^-1, then the potential's raw Hessian, on ``count`` points per axis of the quadrature box."""
+def _probe(spec: ManifoldSpec, h_name: str, count: int) -> np.ndarray:
+    """The bump widths (H g^-1 H)_kk, H the potential's raw Hessian, at count^n vertices of the quadrature box: (count,)^n + (n,)."""
     chart = spec.quad_chart
     metric = chart.metric
     block = TensorBlock(np.ix_(*(np.linspace(lo, hi, count) for lo, hi in chart.quad_domain)))
     g_inv = np.eye(chart.dim) if metric.flat else _inverse_metric(metric.metric(block), block, metric.embedding is not None)[1]
-    return g_inv, np.asarray(spec.potential(h_name).on_chart(chart.name).hess(block), dtype=float)
+    hess = np.asarray(spec.potential(h_name).on_chart(chart.name).hess(block), dtype=float)
+    return np.einsum("...ki,...ki->...k", hess @ g_inv, hess).reshape((count,) * chart.dim + (chart.dim,))
 
 
 def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
@@ -528,11 +530,11 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
 
     The reduced integrand carries exp(-lam^2 |grad h|^2_g / 2); near a zero
     of grad h the exponent is lam^2 (H dx)^T g^-1 (H dx) / 2 with H the raw
-    Hessian, so the bump width along chart axes is 1 / (lam * mu) with
-    mu^2 = lambda_max(H g^-1 H).  Returns the sup of mu over a coarse probe
-    grid of the quadrature chart, the max of the factors' on a product that
-    ``_splits`` (1.0 when there is no potential, so the plain 1/lambda width
-    rule is recovered).
+    Hessian, so along chart axis k the bump width is 1 / (lam * mu) with
+    mu^2 = (H g^-1 H)_kk, the adaptive plan's own width.  Returns the sup
+    of mu over the axes of a coarse ``_probe`` of the quadrature chart, the
+    max of the factors' on a product that ``_splits`` (1.0 when there is no
+    potential, so the plain 1/lambda width rule is recovered).
     """
     if spec.potential(h_name) is None:
         return 1.0
@@ -540,10 +542,8 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     if names is not None:
         return max(potential_stiffness(f, name) for f, name in zip(spec.factors, names))
     with np.errstate(all="ignore"):  # an overflowing metric is refused by _inverse_metric or the integrand
-        g_inv, hess = _probe(spec, h_name, _STIFFNESS_PROBE)
-        form = np.einsum("...ij,...jk,...kl->...il", hess, g_inv, hess)
-        mu_sq = np.linalg.eigvalsh(form)[..., -1]
-    return float(np.sqrt(np.max(mu_sq)))
+        widths = _probe(spec, h_name, _STIFFNESS_PROBE)
+    return float(np.sqrt(np.max(widths)))
 
 
 def _bump_counts(spec: ManifoldSpec, lam: float, stiffness: float) -> list[float]:
@@ -711,9 +711,8 @@ def _sweep_plan(
     coarse = int(_PLAN_VERTICES ** (1 / n) + 1e-9)
     cut = max(1, int((_EXCLUSION_VERTICES ** (1 / n) + 1e-9 - 1) // (coarse - 1)))
     with np.errstate(all="ignore"):  # a value that is not finite is refused by _inverse_metric or the integrand
-        g_inv, hess = _probe(spec, h_name, coarse)
-        diag = np.einsum("...ki,...ki->...k", hess @ g_inv, hess).reshape((coarse,) * n + (n,))  # (H g^-1 H)_kk
-        mu = tuple(np.repeat(np.sqrt(_slab_reduce(diag[..., k], k, np.maximum)), cut) for k in range(n))
+        widths = _probe(spec, h_name, coarse)
+        mu = tuple(np.repeat(np.sqrt(_slab_reduce(widths[..., k], k, np.maximum)), cut) for k in range(n))
     edges = tuple(np.linspace(lo, hi, cut * (coarse - 1) + 1) for lo, hi in chart.quad_domain)
     return _SweepPlan(spec, h_name, base, edges, mu)
 

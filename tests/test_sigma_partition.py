@@ -584,6 +584,18 @@ class TestCurvatureRoutes:
                 lambda_sweep(sphere_conformal(**params), "height", [0.0, 1.0], (16, 32))
 
 
+# potential_stiffness: the largest diagonal width (H g^-1 H)_kk, the one the adaptive plan grades by; on the
+# torus height, whose form is not diagonal, lambda_max(H g^-1 H) gave 0x1.096e47264df90p+0
+STIFFNESS_BITS = [
+    ("s2", "height", "0x1.ffffffd50ce24p-1"),
+    ("ellipsoid", "height", "0x1.999999839c19cp-1"),
+    ("torus", "height", "0x1.0000000000000p+0"),
+    ("flat_t2", "coscos", "0x1.3bd3cc9be45dep+5"),
+    ("s2xs2", "height_sum", "0x1.ffffffd50ce24p-1"),
+    ("s2_perturbed", "height", "0x1.fffe0886ee6c1p-1"),
+]
+
+
 class TestResolutionPolicy:
     def test_refusal_with_hint(self, s2):
         with pytest.raises(ResolutionError) as err:
@@ -594,6 +606,10 @@ class TestResolutionPolicy:
         assert potential_stiffness(s2, "height") == pytest.approx(1.0, abs=1e-6)
         assert potential_stiffness(flat_t2, "coscos") == pytest.approx(4 * math.pi**2, rel=1e-6)
         assert potential_stiffness(s2, None) == 1.0
+
+    @pytest.mark.parametrize("name, h_name, bits", STIFFNESS_BITS)
+    def test_stiffness_is_the_largest_axis_width(self, name, h_name, bits):
+        assert potential_stiffness(get_manifold(name), h_name).hex() == bits
 
     def test_adaptive_resolution_floors_at_base(self, s2):
         assert adaptive_resolution(s2, 0.0, (64, 128), 1.0) == (64, 128)
