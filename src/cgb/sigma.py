@@ -516,7 +516,7 @@ def _integrand_on_points(chart: ChartMetric, x, lams: Sequence[float], h) -> np.
 
 
 def _probe(spec: ManifoldSpec, h_name: str, count: int) -> np.ndarray:
-    """The bump widths (H g^-1 H)_kk, H the potential's raw Hessian, at count^n vertices of the quadrature box: (count,)^n + (n,)."""
+    """The bump-width table mu^2 = (H g^-1 H)_kk, H the raw Hessian of h, at count^n vertices of the quadrature box."""
     chart = spec.quad_chart
     metric = chart.metric
     block = TensorBlock(np.ix_(*(np.linspace(lo, hi, count) for lo, hi in chart.quad_domain)))
@@ -542,8 +542,8 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     if names is not None:
         return max(potential_stiffness(f, name) for f, name in zip(spec.factors, names))
     with np.errstate(all="ignore"):  # an overflowing metric is refused by _inverse_metric or the integrand
-        widths = _probe(spec, h_name, _STIFFNESS_PROBE)
-    return float(np.sqrt(np.max(widths)))
+        mu_sq = _probe(spec, h_name, _STIFFNESS_PROBE)
+    return float(np.sqrt(np.max(mu_sq)))
 
 
 def _bump_counts(spec: ManifoldSpec, lam: float, stiffness: float) -> list[float]:
@@ -711,8 +711,8 @@ def _sweep_plan(
     coarse = int(_PLAN_VERTICES ** (1 / n) + 1e-9)
     cut = max(1, int((_EXCLUSION_VERTICES ** (1 / n) + 1e-9 - 1) // (coarse - 1)))
     with np.errstate(all="ignore"):  # a value that is not finite is refused by _inverse_metric or the integrand
-        widths = _probe(spec, h_name, coarse)
-        mu = tuple(np.repeat(np.sqrt(_slab_reduce(widths[..., k], k, np.maximum)), cut) for k in range(n))
+        mu_sq = _probe(spec, h_name, coarse)
+        mu = tuple(np.repeat(np.sqrt(_slab_reduce(mu_sq[..., k], k, np.maximum)), cut) for k in range(n))
     edges = tuple(np.linspace(lo, hi, cut * (coarse - 1) + 1) for lo, hi in chart.quad_domain)
     return _SweepPlan(spec, h_name, base, edges, mu)
 

@@ -584,8 +584,8 @@ class TestCurvatureRoutes:
                 lambda_sweep(sphere_conformal(**params), "height", [0.0, 1.0], (16, 32))
 
 
-# potential_stiffness: the largest diagonal width (H g^-1 H)_kk, the one the adaptive plan grades by; on the
-# torus height, whose form is not diagonal, lambda_max(H g^-1 H) gave 0x1.096e47264df90p+0
+# potential_stiffness: sqrt of the largest diagonal entry (H g^-1 H)_kk, the width the adaptive plan grades by.
+# The torus height's form is not diagonal: its largest eigenvalue, 0x1.096e47264df90p+0, is not that width.
 STIFFNESS_BITS = [
     ("s2", "height", "0x1.ffffffd50ce24p-1"),
     ("ellipsoid", "height", "0x1.999999839c19cp-1"),
