@@ -21,19 +21,29 @@ or the ones named):
 * ``root``: every critical point ``find_critical_points`` returns;
 * ``cli``: exit code, standard output and standard error of fixed ``cgb``
   commands, run in process through ``cli.main`` (the ``efts`` commands only
-  when no manifold is named).
+  when no manifold is named);
+* ``algebra`` (only when no manifold is named): ``fermionic_gaussian`` and
+  ``pfaffian_combinatorial`` of seeded float (numpy array), int and
+  ``Fraction`` skew forms of sizes 2 to 12, ``exp_even`` of seeded float
+  and ``Fraction`` elements, and the term maps of ``action_coordinate``
+  and ``action_geometric`` at seeded jets for n = 2, 3 and 4.  Term maps
+  print every term in order, as ``mask:coefficient``.
 
-A refusal is printed in place of the result it stops.  Only the standard
-library and cgb are used.
+A refusal is printed in place of the result it stops.  Only numpy, the
+standard library and cgb are used.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import random
 import sys
+from fractions import Fraction
 
-from cgb import cli, manifolds, morse, sigma
+import numpy as np
+
+from cgb import cli, geometry, grassmann, manifolds, morse, sigma
 
 NAMES = ("s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed")
 LAMBDAS = (0.0, 0.3, 1.0, -10.0)
@@ -146,6 +156,61 @@ def _cli_line(argv: list[str]) -> str:
     return f"cli {argv!r} exit={code} stdout={out.getvalue()!r} stderr={err.getvalue()!r}"
 
 
+def _value(x) -> str:
+    return float.hex(x) if isinstance(x, float) else str(x)
+
+
+def _terms(element) -> str:
+    return " ".join(f"{mask:x}:{_value(c)}" for mask, c in element.terms.items()) or "0"
+
+
+def _skew(rng: random.Random, m: int, kind: str):
+    draw = {"float": lambda: rng.gauss(0.0, 1.0), "int": lambda: rng.randint(-4, 4),
+            "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))}[kind]
+    q = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            q[i][j] = draw()
+            q[j][i] = -q[i][j]
+    return np.array(q) if kind == "float" else q
+
+
+def _algebra_lines() -> list[str]:
+    rng = random.Random(2022)
+    lines = []
+    for kind in ("float", "int", "fraction"):
+        for m in range(2, 13, 2):
+            q = _skew(rng, m, kind)
+            values = []
+            for route in (grassmann.fermionic_gaussian, grassmann.pfaffian_combinatorial):
+                try:
+                    values.append(_value(route(q)))
+                except ValueError as error:
+                    values.append(_refused(error))
+            lines.append(f"algebra pfaffian {kind} m={m} gaussian={values[0]} laplace={values[1]}")
+    for kind, draw in (("float", lambda: rng.uniform(-2.0, 2.0)), ("fraction", lambda: Fraction(rng.randint(-9, 9), 4))):
+        for m in (4, 8, 12):
+            even = [mask for mask in range(1, 1 << m) if mask.bit_count() in (2, 4)]
+            terms = {mask: draw() for mask in rng.sample(even, min(3 * m, len(even)))}
+            if kind == "float":
+                terms[0] = draw()  # exp of the scalar part scales the series
+            element = grassmann.GrassmannElement(m, terms)
+            lines.append(f"algebra exp_even {kind} m={m} {_terms(grassmann.exp_even(element))}")
+    arrays = np.random.default_rng(2022)
+    for n in (2, 3, 4):
+        a = arrays.normal(size=(n, n))
+        dg = arrays.normal(size=(n, n, n))
+        d2g = arrays.normal(size=(n, n, n, n))
+        d2g = 0.5 * (d2g + d2g.transpose(0, 1, 3, 2))
+        jets = geometry.MetricJets(a @ a.T + n * np.eye(n), 0.5 * (dg + dg.transpose(0, 2, 1)), 0.5 * (d2g + d2g.transpose(1, 0, 2, 3)))
+        hess = arrays.normal(size=(n, n))
+        cf = sigma.ComponentField(np.zeros(n), arrays.normal(size=n), float(arrays.normal()), arrays.normal(size=n), hess + hess.T)
+        frame = geometry.CurvatureFrame.from_jets(np.zeros(n), jets)
+        lines.append(f"algebra action_coordinate n={n} {_terms(sigma.action_coordinate(jets, cf))}")
+        lines.append(f"algebra action_geometric n={n} {_terms(sigma.action_geometric(frame, cf))}")
+    return lines
+
+
 def dump(names=None) -> list[str]:
     """The lines for the manifolds ``names`` (all of ``NAMES`` when None)."""
     chosen = NAMES if names is None else tuple(names)
@@ -156,6 +221,8 @@ def dump(names=None) -> list[str]:
     for manifold, argv in COMMANDS:
         if manifold in chosen or (manifold is None and names is None):
             lines.append(_cli_line(argv))
+    if names is None:
+        lines += _algebra_lines()
     return lines
 
 

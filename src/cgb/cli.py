@@ -342,6 +342,8 @@ def cmd_efts(args: argparse.Namespace) -> int:
     )
 
     delta, m = args.delta, args.vars
+    if args.element_b is not None and args.efts_command != "concordance":
+        raise ValueError(f"efts {args.efts_command} takes one element, got a second: {args.element_b!r}")
     if args.efts_command == "delta":
         poly = parse_polynomial(args.element, delta, m)
         print(format_polynomial(apply_Delta(poly)))
@@ -356,7 +358,7 @@ def cmd_efts(args: argparse.Namespace) -> int:
         return 1
     # argparse's choices leave "concordance"
     e_plus = parse_polynomial(args.element, delta, m)
-    e_minus = parse_polynomial(args.element_b or "0", delta, m)
+    e_minus = parse_polynomial("0" if args.element_b is None else args.element_b, delta, m)
     result = concordance_solve(e_plus, e_minus)
     if result.feasible:
         print(f"WITNESS: {format_polynomial(result.witness)}")

@@ -368,9 +368,12 @@ def _summands(text: str, delta: int, m: int):
 
 
 def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
-    """Parse the canonical text syntax, e.g. ``2*x1*D21x1 - 2*D1x1*D2x1``."""
+    """Parse the canonical text syntax, e.g. ``2*x1*D21x1 - 2*D1x1*D2x1``; zero is written ``0``."""
+    summands = list(_summands(text, delta, m))
+    if not summands:
+        raise ParseError("empty polynomial")
     result = SuperPolynomial.zero(delta, m)
-    for term, direction in _summands(text, delta, m):
+    for term, direction in summands:
         if direction is not None:
             raise ParseError(f"unexpected token 'd/dx{direction + 1}' in a polynomial")
         result = result + term

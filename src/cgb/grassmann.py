@@ -8,6 +8,15 @@ coefficients.  Coefficients are ordinary floats by default, but any field
 that supports +, *, / and exact zero tests works -- ``fractions.Fraction``
 gives an exact backend for validating sign conventions.
 
+``multiply`` has two backends.  The dict loop runs every product of exact
+(``int``, ``Fraction``) or mixed coefficients and every product of fewer
+than ``KERNEL_MIN_PAIRS`` term pairs, the measured crossover.  A float
+product at or above it runs a numpy kernel that takes the loop's pairs in
+the loop's order and adds each coefficient in the loop's order, so the
+two agree bit for bit, term order included; the dict loop is the oracle
+the kernel is tested against.  Float inputs reach the engine as plain
+floats (``numpy.float64`` works too, with the same bits).
+
 The two payload operations are
 
 * ``berezin``: projection onto the coefficient of the full top monomial
@@ -38,6 +47,16 @@ class ParityError(ValueError):
 
 
 MAX_GENERATORS = 64
+# Float products of at least this many term pairs (len(a) * len(b)) run on
+# the numpy kernel.  Measured over 16 shapes (8 to 64 generators, sparse to
+# dense masks): at 1,536 and 2,048 pairs the kernel won on all 16, by 1.0-3.5x;
+# at 1,024 the dict loop won on 5 of them, at 512 on 12.
+KERNEL_MIN_PAIRS = 1536
+# Term pairs per block of the kernel; this bounds its temporaries.
+KERNEL_BLOCK_PAIRS = 8192
+# fermionic_gaussian pairs its half powers in numpy from this many float terms
+# (measured: the loop wins at 70 terms by 1.4x, numpy at 210 by 1.3x and at 924 by 2x).
+PAIRING_MIN_TERMS = 128
 
 
 def _parity_word(mask: int) -> int:
@@ -109,6 +128,14 @@ class GrassmannElement:
                 if coeff != 0:
                     clean[mask] = coeff
         self.terms = clean
+
+    @classmethod
+    def _from_clean(cls, generator_count: int, terms: dict) -> "GrassmannElement":
+        """An element over ``terms`` as given: in-range masks, nonzero coefficients."""
+        element = object.__new__(cls)
+        element.generator_count = generator_count
+        element.terms = terms
+        return element
 
     # -- constructors ------------------------------------------------------
 
@@ -213,8 +240,15 @@ class GrassmannElement:
 
 
 def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
-    """Bilinear product; monomials merge with the permutation-sorting sign."""
+    """Bilinear product; monomials merge with the permutation-sorting sign.
+
+    Float products of at least ``KERNEL_MIN_PAIRS`` term pairs run on
+    :func:`_multiply_floats`; every other product runs the dict loop below,
+    the kernel's oracle.
+    """
     a._check_compatible(b)
+    if len(a.terms) * len(b.terms) >= KERNEL_MIN_PAIRS and _all_float(a) and _all_float(b):
+        return _multiply_floats(a, b)
     acc: dict[int, object] = {}
     for mask_a, ca in a.terms.items():
         word = _parity_word(mask_a)  # the merge sign of mask_a, for every mask_b
@@ -226,6 +260,107 @@ def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
             prev = acc.get(mask)
             acc[mask] = val if prev is None else prev + val
     return GrassmannElement(a.generator_count, acc)
+
+
+def _all_float(a: GrassmannElement) -> bool:
+    """Whether every coefficient is a float (``numpy.float64`` included)."""
+    return all(issubclass(kind, float) for kind in set(map(type, a.terms.values())))
+
+
+def _parity_words(masks, generator_count: int):
+    """``_parity_word`` of each entry of a uint64 array of masks below ``1 << generator_count``."""
+    import numpy as np
+
+    word = masks >> np.uint64(1)
+    for shift in _shifts(generator_count)[::-1]:
+        word ^= word >> shift
+    return word
+
+
+def _odd(words, generator_count: int):
+    """Whether each uint64 word below ``1 << generator_count`` has an odd number of bits; folds ``words``."""
+    import numpy as np
+
+    for shift in _shifts(generator_count):
+        words ^= words >> shift
+    return (words & np.uint64(1)).astype(bool)
+
+
+def _shifts(generator_count: int) -> list:
+    """The xor-fold shifts 32, 16, ..., 1 below ``generator_count``, as uint64."""
+    import numpy as np
+
+    return [np.uint64(1 << k) for k in range(5, -1, -1) if 1 << k < generator_count]
+
+
+def _multiply_floats(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
+    """The dict loop of :func:`multiply` on float coefficients, in numpy, bit for bit.
+
+    The term pairs are taken a-major then b, as in the loop, in blocks of
+    a's terms of about ``KERNEL_BLOCK_PAIRS`` pairs.  Each result mask gets
+    a slot in the order the loop first meets it: from a table indexed by
+    mask when that has no more entries than there are pairs (and at most
+    8 * ``KERNEL_BLOCK_PAIRS``), else from a dict.  A sequential
+    ``np.bincount`` then adds each slot's sum so far and the block's
+    products in loop order, so every coefficient is the loop's sum of the
+    same products in the same order.  Exact zeros are pruned.  The sign
+    parities are the xor-fold of ``_parity_word`` on uint64.
+    """
+    import numpy as np
+
+    m = a.generator_count
+    masks_a = np.fromiter(a.terms, np.uint64, len(a.terms))
+    coeffs_a = np.fromiter(a.terms.values(), np.float64, len(a.terms))
+    masks_b = np.fromiter(b.terms, np.uint64, len(b.terms))
+    coeffs_b = np.fromiter(b.terms.values(), np.float64, len(b.terms))
+    words_a = _parity_words(masks_a, m)
+    dense = 1 << m <= min(len(masks_a) * len(masks_b), 8 * KERNEL_BLOCK_PAIRS)
+    table = np.full(1 << m, -1) if dense else None  # slot by mask, -1 until met
+    slot_of: dict[int, int] = {}  # slot by mask, without a table
+    slot_masks = []  # the masks of each block's new slots, in slot order
+    sums = np.empty(0)
+    rows = max(1, KERNEL_BLOCK_PAIRS // len(masks_b))
+    with np.errstate(all="ignore"):  # overflow to inf and nan as the loop's float arithmetic gives them
+        for start in range(0, len(masks_a), rows):
+            disjoint = np.flatnonzero((masks_a[start : start + rows, None] & masks_b) == 0)
+            ia, ib = np.divmod(disjoint, len(masks_b))  # the loop's pairs, a-major then b
+            ia += start
+            masks = masks_a[ia] | masks_b[ib]
+            values = coeffs_a[ia] * coeffs_b[ib]
+            np.negative(values, out=values, where=_odd(words_a[ia] & masks_b[ib], m))
+            if table is not None:
+                masks = masks.astype(np.intp)
+                fresh = np.flatnonzero(table[masks] < 0)
+                new = _first_met(masks[fresh], fresh, 1 << m)
+                table[new] = np.arange(len(sums), len(sums) + len(new))
+                slots = table[masks]
+            else:
+                unique, inverse = np.unique(masks, return_inverse=True)
+                met = _first_met(inverse, np.arange(len(masks)), len(unique))
+                found = np.array([slot_of.setdefault(mask, len(slot_of)) for mask in unique[met].tolist()], np.intp)
+                new = unique[met[found >= len(sums)]]
+                slots = np.empty(len(unique), np.intp)
+                slots[met] = found
+                slots = slots[inverse]
+            slot_masks.append(new)
+            sums = np.bincount(
+                np.concatenate((np.arange(len(sums)), slots)),
+                weights=np.concatenate((sums, values)),
+                minlength=len(sums) + len(new),
+            )
+    nonzero = sums != 0
+    return GrassmannElement._from_clean(
+        m, dict(zip(np.concatenate(slot_masks)[nonzero].tolist(), sums[nonzero].tolist()))
+    )
+
+
+def _first_met(keys, positions, size: int):
+    """The distinct ``keys`` (each below ``size``) in the order of their first of the ascending ``positions``."""
+    import numpy as np
+
+    first = np.full(size, np.iinfo(np.intp).max)
+    np.minimum.at(first, keys, positions)
+    return keys[first[keys] == positions]
 
 
 def exp_even(a: GrassmannElement) -> GrassmannElement:
@@ -283,10 +418,15 @@ def berezin(a: GrassmannElement, ordering: Sequence[int]) -> object:
 
 
 def _as_rows(q) -> list[list]:
-    rows = [list(row) for row in q]
+    """The entries of q as lists; a float64 array gives plain floats, the same values."""
+    rows = q.tolist() if getattr(q, "dtype", None) == "float64" else [list(row) for row in q]
     m = len(rows)
     if any(len(row) != m for row in rows):
         raise ValueError("quadratic form must be a square matrix")
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x != x or abs(x) == math.inf:
+                raise ValueError(f"quadratic form entry ({i}, {j}) is not finite: {x}")
     return rows
 
 
@@ -314,6 +454,8 @@ def fermionic_gaussian(q, tol: float = 1e-10):
     """
     rows = _as_rows(q)
     m = len(rows)
+    if m == 0:
+        return 1  # the empty Pfaffian, as pfaffian_combinatorial gives it
     if m % 2 != 0:
         raise ValueError(f"skew form must have even dimension, got {m}")
     _check_skew(rows, tol)
@@ -329,13 +471,34 @@ def fermionic_gaussian(q, tol: float = 1e-10):
     for _ in range(n // 2):
         low = multiply(low, element)
     high = multiply(low, element) if n % 2 else low
-    full = (1 << m) - 1
+    return _divide(_pair_top(low, high), math.factorial(n))
+
+
+def _pair_top(low: GrassmannElement, high: GrassmannElement):
+    """Top coefficient of low * high, for complementary homogeneous factors, summed in low's order."""
+    full = (1 << low.generator_count) - 1
+    if len(low.terms) >= PAIRING_MIN_TERMS and _all_float(low) and _all_float(high):
+        import numpy as np
+
+        m = low.generator_count
+        others = list(map(high.terms.get, [full ^ mask for mask in low.terms]))
+        masks = np.fromiter(low.terms, np.uint64, len(others))
+        signed = np.fromiter(low.terms.values(), np.float64, len(others))
+        if None in others:  # pair only the terms whose complement is in high
+            hit = np.array([other is not None for other in others], bool)
+            masks, signed, others = masks[hit], signed[hit], [other for other in others if other is not None]
+        if not others:
+            return 0
+        np.negative(signed, out=signed, where=_odd(_parity_words(masks, m) & (masks ^ np.uint64(full)), m))
+        with np.errstate(all="ignore"):
+            products = signed * np.fromiter(others, np.float64, len(others))
+            return np.cumsum(np.concatenate(([0.0], products)))[-1].item()  # the loop's 0 + t_1 + t_2 + ...
     top = 0
     for mask, coeff in low.terms.items():
         other = high.terms.get(full ^ mask)
         if other is not None:
             top += _merge_sign(mask, full ^ mask) * coeff * other
-    return _divide(top, math.factorial(n))
+    return top
 
 
 def pfaffian_combinatorial(q):

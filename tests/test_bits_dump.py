@@ -1,7 +1,10 @@
 """``scripts/bits_dump.py``: the exact-results dump used to diff two checkouts."""
 
 import importlib.util
+import math
 from pathlib import Path
+
+from cgb import grassmann
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bits_dump.py"
 
@@ -26,3 +29,20 @@ def test_two_runs_on_one_manifold_give_equal_lines():
 def test_unknown_manifold_is_refused(capsys):
     assert load().main(["klein"]) == 2
     assert capsys.readouterr().err.startswith("error: unknown manifolds ['klein']")
+
+
+def test_algebra_lines_are_the_dict_loops_bits(monkeypatch):
+    bits_dump = load()
+    lines = bits_dump._algebra_lines()
+    assert lines == bits_dump._algebra_lines()
+    heads = [line.split(" ", 4)[:4] for line in lines]
+    for kind in ("float", "int", "fraction"):
+        assert [h[3] for h in heads if h[1:3] == ["pfaffian", kind]] == [f"m={m}" for m in range(2, 13, 2)]
+    assert [h[2] for h in heads if h[1] == "exp_even"] == ["float"] * 3 + ["fraction"] * 3
+    for route in ("action_coordinate", "action_geometric"):
+        assert [h[2] for h in heads if h[1] == route] == ["n=2", "n=3", "n=4"]
+    assert not any("refused" in line or "\n" in line for line in lines)
+    # the same lines with every product and pairing on the dict loop
+    monkeypatch.setattr(grassmann, "KERNEL_MIN_PAIRS", math.inf)
+    monkeypatch.setattr(grassmann, "PAIRING_MIN_TERMS", math.inf)
+    assert bits_dump._algebra_lines() == lines

@@ -72,6 +72,11 @@ MALFORMED = {
     "efts-field-double-star": (["efts", "cartan", "x1**d/dx1"], None, "empty factor"),
     "efts-field-juxtaposed": (["efts", "cartan", "x1 d/dx1", "--delta", "2"], None, "missing operator"),
     "efts-negative-degree-cap": (["efts", "cartan", "d/dx1", "--degree-cap", "-1"], None, "degree"),
+    # no efts element is dropped: empty text is refused, and so is a second element where one is taken
+    "efts-delta-empty": (["efts", "delta", ""], None, "empty polynomial"),
+    "efts-concordance-empty-second": (["efts", "concordance", "x1", ""], None, "empty polynomial"),
+    "efts-delta-second-element": (["efts", "delta", "x1", "junk!!"], None, "'junk!!'"),
+    "efts-cartan-second-element": (["efts", "cartan", "d/dx1", "x1"], None, "takes one element"),
     "params-unknown": (["pfaffian", "--manifold", "s2", "--manifold-params", '{"foo": 1}'], None, "foo"),
     "params-list": (["pfaffian", "--manifold", "s2", "--manifold-params", "[1]"], None, "manifold_params"),
     "params-string-radius": (

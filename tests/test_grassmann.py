@@ -22,6 +22,7 @@ from cgb.grassmann import (
     permutation_sign,
     pfaffian_combinatorial,
 )
+from cgb import grassmann
 from cgb.grassmann import _merge_sign, _parity_word
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -209,6 +210,21 @@ class TestFermionicGaussian:
     def test_combinatorial_block_golden(self):
         assert pfaffian_combinatorial(block_diag_j(2.0, 3.0)) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("empty", [np.zeros((0, 0)), []], ids=["array", "list"])
+    def test_empty_form_is_the_empty_pfaffian(self, empty):
+        assert fermionic_gaussian(empty) == 1
+        assert pfaffian_combinatorial(empty) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("route", [fermionic_gaussian, pfaffian_combinatorial])
+    def test_non_finite_entry_is_refused_by_its_place(self, route, bad):
+        q = block_diag_j(1.0, 2.0)
+        q[3, 2] = bad
+        with pytest.raises(ValueError, match=r"entry \(3, 2\) is not finite"):
+            route(q)
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is not finite"):
+            route([[0.0, bad], [bad, 0.0]])
+
     def test_exact_rational_agreement(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
@@ -286,3 +302,123 @@ class TestSignRule:
         for half, pin in enumerate(self.GAUSSIAN_PINS, start=1):
             mat = rng.normal(size=(2 * half, 2 * half))
             assert fermionic_gaussian(mat - mat.T).hex() == pin
+
+
+def hex_terms(element):
+    """The terms of ``element`` in order, each coefficient by ``float.hex``."""
+    return [(mask, float(c).hex()) for mask, c in element.terms.items()]
+
+
+def random_element(rng, n, count, coeff=float):
+    return GrassmannElement(n, {rng.getrandbits(n) & rng.getrandbits(n): coeff(rng.uniform(-3, 3)) for _ in range(count)})
+
+
+class TestFloatKernel:
+    """The numpy kernel of ``multiply`` against its dict loop, bit for bit and term order included."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = []
+        kernel = grassmann._multiply_floats
+
+        def spy(a, b):
+            calls.append((len(a.terms), len(b.terms)))
+            return kernel(a, b)
+
+        monkeypatch.setattr(grassmann, "_multiply_floats", spy)
+        return calls
+
+    @staticmethod
+    def loop(a, b):
+        """The dict loop of ``multiply``, whatever the product's size."""
+        crossover = grassmann.KERNEL_MIN_PAIRS
+        grassmann.KERNEL_MIN_PAIRS = math.inf
+        try:
+            return multiply(a, b)
+        finally:
+            grassmann.KERNEL_MIN_PAIRS = crossover
+
+    def assert_same(self, a, b):
+        expected = hex_terms(self.loop(a, b))
+        assert hex_terms(grassmann._multiply_floats(a, b)) == expected
+        assert hex_terms(multiply(a, b)) == expected
+        return expected
+
+    def test_both_sides_of_the_crossover(self, kernel_calls):
+        rng = random.Random(2201)
+        crossover = grassmann.KERNEL_MIN_PAIRS
+        for n in (10, 12, 20):
+            for count_b in (8, 16, 32):
+                for pairs in (crossover - count_b, crossover):
+                    a = GrassmannElement(n, {m: rng.uniform(-1, 1) for m in rng.sample(range(1, 1 << n), pairs // count_b)})
+                    b = GrassmannElement(n, {m: rng.uniform(-1, 1) for m in rng.sample(range(1, 1 << n), count_b)})
+                    del kernel_calls[:]
+                    assert self.assert_same(a, b)
+                    took_kernel = kernel_calls[1:] == [(len(a.terms), len(b.terms))]
+                    assert took_kernel == (len(a.terms) * len(b.terms) >= crossover)
+
+    def test_sixty_four_generators_and_the_top_bit(self):
+        rng = random.Random(63)
+        top = 0
+        for _ in range(20):
+            a, b = random_element(rng, MAX_GENERATORS, 60), random_element(rng, MAX_GENERATORS, 60)
+            a = a + GrassmannElement.monomial(MAX_GENERATORS, [63, 5], rng.uniform(-1, 1))
+            top += any(mask >> 63 for mask, _ in self.assert_same(a, b))
+        assert top == 20
+
+    def test_every_generator_count(self):
+        rng = random.Random(1)
+        for n in range(1, MAX_GENERATORS + 1):
+            self.assert_same(random_element(rng, n, 40), random_element(rng, n, 40))
+
+    def test_blocks_carry_their_sums_in_order(self, monkeypatch):
+        # blocks of a few pairs, so masks recur across blocks and their sums carry over
+        rng = random.Random(7)
+        for block in (1, 5, 64):
+            monkeypatch.setattr(grassmann, "KERNEL_BLOCK_PAIRS", block)
+            for n in (8, 12, 40):
+                self.assert_same(random_element(rng, n, 50), random_element(rng, n, 50))
+        q = GrassmannElement(10, {(1 << i) | (1 << j): rng.uniform(-1, 1) for i in range(10) for j in range(i + 1, 10)})
+        self.assert_same(multiply(q, q), q)
+
+    def test_cancellation_to_exact_zero(self):
+        rng = random.Random(0)
+        for n in (6, 12, MAX_GENERATORS):
+            odd = GrassmannElement(n, {1 << i: rng.uniform(-1, 1) for i in range(n)})
+            assert odd * odd == GrassmannElement.zero(n)  # c_i c_j - c_j c_i is exactly 0
+            assert self.assert_same(odd, odd) == []
+            # half the terms cancel: the odd square vanishes, the even cross terms stay
+            even = GrassmannElement(n, {(1 << i) | (1 << (i + 1) % n): rng.uniform(-1, 1) for i in range(n)})
+            mixed = odd + even
+            assert self.assert_same(mixed, mixed)
+
+    def test_numpy_float64_coefficients(self, kernel_calls):
+        rng = random.Random(64)
+        for n in (10, 48):
+            a = random_element(rng, n, 60, np.float64)
+            b = random_element(rng, n, 60, np.float64)
+            assert all(type(c) is np.float64 for c in a.terms.values())
+            self.assert_same(a, b)
+        assert kernel_calls
+
+    def test_mixed_float_fraction_takes_the_loop(self, kernel_calls):
+        rng = random.Random(5)
+        a = random_element(rng, 12, 60)
+        b = random_element(rng, 12, 60, lambda x: Fraction(x).limit_denominator(100))
+        b = b + GrassmannElement.scalar(12, 0.5)
+        product = multiply(a, b)
+        assert kernel_calls == [] and product == self.loop(a, b)
+        assert {type(c) for c in product.terms.values()} == {float}  # float times Fraction is a float
+        assert multiply(b, b) == self.loop(b, b) and kernel_calls == []
+
+    def test_gaussian_pairing_matches_its_loop(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for half in range(1, 7):
+            mat = rng.normal(size=(2 * half, 2 * half))
+            skew = mat - mat.T
+            skew[0, 1] = skew[1, 0] = 0.0  # some complements are missing from the half powers
+            values = []
+            for pairing in (1, math.inf):
+                monkeypatch.setattr(grassmann, "PAIRING_MIN_TERMS", pairing)
+                values.append(float(fermionic_gaussian(skew)).hex())
+            assert values[0] == values[1]
