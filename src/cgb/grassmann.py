@@ -11,11 +11,13 @@ gives an exact backend for validating sign conventions.
 ``multiply`` has two backends.  The dict loop runs every product of exact
 (``int``, ``Fraction``) or mixed coefficients and every product of fewer
 than ``KERNEL_MIN_PAIRS`` term pairs, the measured crossover.  A float
-product at or above it runs a numpy kernel that takes the loop's pairs in
-the loop's order and adds each coefficient in the loop's order, so the
-two agree bit for bit, term order included; the dict loop is the oracle
-the kernel is tested against.  Float inputs reach the engine as plain
-floats (``numpy.float64`` works too, with the same bits).
+product at or above it runs a numpy kernel when its tables of 2^N entries
+fit: 2^N at most the term pairs and at most ``KERNEL_MAX_MASKS``.  The
+kernel takes the loop's pairs in the loop's order and adds each
+coefficient in the loop's order, so the two agree bit for bit, term order
+included; the dict loop is the oracle the kernel is tested against.  Float
+inputs reach the engine as plain floats (``numpy.float64`` works too, with
+the same bits).
 
 The two payload operations are
 
@@ -48,15 +50,15 @@ class ParityError(ValueError):
 
 MAX_GENERATORS = 64
 # Float products of at least this many term pairs (len(a) * len(b)) run on
-# the numpy kernel.  Measured over 16 shapes (8 to 64 generators, sparse to
-# dense masks): at 1,536 and 2,048 pairs the kernel won on all 16, by 1.0-3.5x;
-# at 1,024 the dict loop won on 5 of them, at 512 on 12.
+# the numpy kernel.  Measured over shapes whose tables fit (8 to 12 generators,
+# sparse to dense masks): at 1,536 pairs and above the kernel won on all 32,
+# by 1.7-4.6x; at 1,024 the dict loop won on 1 of 8, at 512 on 3 of 6.
 KERNEL_MIN_PAIRS = 1536
 # Term pairs per block of the kernel; this bounds its temporaries.
 KERNEL_BLOCK_PAIRS = 8192
-# fermionic_gaussian pairs its half powers in numpy from this many float terms
-# (measured: the loop wins at 70 terms by 1.4x, numpy at 210 by 1.3x and at 924 by 2x).
-PAIRING_MIN_TERMS = 128
+# The kernel keeps two tables of 2^N entries, so it runs only where 2^N is at
+# most this and at most the product's term pairs; other products run the loop.
+KERNEL_MAX_MASKS = 1 << 16
 
 
 def _parity_word(mask: int) -> int:
@@ -242,12 +244,15 @@ class GrassmannElement:
 def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """Bilinear product; monomials merge with the permutation-sorting sign.
 
-    Float products of at least ``KERNEL_MIN_PAIRS`` term pairs run on
-    :func:`_multiply_floats`; every other product runs the dict loop below,
-    the kernel's oracle.
+    A float product of at least ``KERNEL_MIN_PAIRS`` term pairs runs on
+    :func:`_multiply_floats` when its tables of 2^N entries fit: 2^N at most
+    the pairs and at most ``KERNEL_MAX_MASKS``.  Every other product runs
+    the dict loop below, the kernel's oracle.
     """
     a._check_compatible(b)
-    if len(a.terms) * len(b.terms) >= KERNEL_MIN_PAIRS and _all_float(a) and _all_float(b):
+    pairs = len(a.terms) * len(b.terms)
+    dense = 1 << a.generator_count <= min(pairs, KERNEL_MAX_MASKS)
+    if pairs >= KERNEL_MIN_PAIRS and dense and _all_float(a) and _all_float(b):
         return _multiply_floats(a, b)
     acc: dict[int, object] = {}
     for mask_a, ca in a.terms.items():
@@ -297,13 +302,12 @@ def _multiply_floats(a: GrassmannElement, b: GrassmannElement) -> GrassmannEleme
     """The dict loop of :func:`multiply` on float coefficients, in numpy, bit for bit.
 
     The term pairs are taken a-major then b, as in the loop, in blocks of
-    a's terms of about ``KERNEL_BLOCK_PAIRS`` pairs.  Each result mask gets
-    a slot in the order the loop first meets it: from a table indexed by
-    mask when that has no more entries than there are pairs (and at most
-    8 * ``KERNEL_BLOCK_PAIRS``), else from a dict.  A sequential
-    ``np.bincount`` then adds each slot's sum so far and the block's
-    products in loop order, so every coefficient is the loop's sum of the
-    same products in the same order.  Exact zeros are pruned.  The sign
+    a's terms of about ``KERNEL_BLOCK_PAIRS`` pairs.  Two tables indexed by
+    result mask hold each mask's sum so far and the loop position at which
+    the loop first meets it.  ``np.add.at`` adds a block's products into
+    the sums one by one in loop order, so every coefficient is the loop's
+    sum of the same products in the same order, and the masks come out in
+    the order the loop first meets them.  Exact zeros are pruned.  The sign
     parities are the xor-fold of ``_parity_word`` on uint64.
     """
     import numpy as np
@@ -314,53 +318,26 @@ def _multiply_floats(a: GrassmannElement, b: GrassmannElement) -> GrassmannEleme
     masks_b = np.fromiter(b.terms, np.uint64, len(b.terms))
     coeffs_b = np.fromiter(b.terms.values(), np.float64, len(b.terms))
     words_a = _parity_words(masks_a, m)
-    dense = 1 << m <= min(len(masks_a) * len(masks_b), 8 * KERNEL_BLOCK_PAIRS)
-    table = np.full(1 << m, -1) if dense else None  # slot by mask, -1 until met
-    slot_of: dict[int, int] = {}  # slot by mask, without a table
-    slot_masks = []  # the masks of each block's new slots, in slot order
-    sums = np.empty(0)
+    sums = np.zeros(1 << m)
+    first = np.full(1 << m, np.iinfo(np.intp).max)
+    met = []  # each block's masks that the loop meets first there, in that order
     rows = max(1, KERNEL_BLOCK_PAIRS // len(masks_b))
     with np.errstate(all="ignore"):  # overflow to inf and nan as the loop's float arithmetic gives them
         for start in range(0, len(masks_a), rows):
             disjoint = np.flatnonzero((masks_a[start : start + rows, None] & masks_b) == 0)
             ia, ib = np.divmod(disjoint, len(masks_b))  # the loop's pairs, a-major then b
             ia += start
-            masks = masks_a[ia] | masks_b[ib]
+            masks = (masks_a[ia] | masks_b[ib]).astype(np.intp)
             values = coeffs_a[ia] * coeffs_b[ib]
             np.negative(values, out=values, where=_odd(words_a[ia] & masks_b[ib], m))
-            if table is not None:
-                masks = masks.astype(np.intp)
-                fresh = np.flatnonzero(table[masks] < 0)
-                new = _first_met(masks[fresh], fresh, 1 << m)
-                table[new] = np.arange(len(sums), len(sums) + len(new))
-                slots = table[masks]
-            else:
-                unique, inverse = np.unique(masks, return_inverse=True)
-                met = _first_met(inverse, np.arange(len(masks)), len(unique))
-                found = np.array([slot_of.setdefault(mask, len(slot_of)) for mask in unique[met].tolist()], np.intp)
-                new = unique[met[found >= len(sums)]]
-                slots = np.empty(len(unique), np.intp)
-                slots[met] = found
-                slots = slots[inverse]
-            slot_masks.append(new)
-            sums = np.bincount(
-                np.concatenate((np.arange(len(sums)), slots)),
-                weights=np.concatenate((sums, values)),
-                minlength=len(sums) + len(new),
-            )
-    nonzero = sums != 0
-    return GrassmannElement._from_clean(
-        m, dict(zip(np.concatenate(slot_masks)[nonzero].tolist(), sums[nonzero].tolist()))
-    )
-
-
-def _first_met(keys, positions, size: int):
-    """The distinct ``keys`` (each below ``size``) in the order of their first of the ascending ``positions``."""
-    import numpy as np
-
-    first = np.full(size, np.iinfo(np.intp).max)
-    np.minimum.at(first, keys, positions)
-    return keys[first[keys] == positions]
+            positions = disjoint + start * len(masks_b)
+            np.minimum.at(first, masks, positions)
+            met.append(masks[first[masks] == positions])
+            np.add.at(sums, masks, values)
+    order = np.concatenate(met)
+    coeffs = sums[order]
+    nonzero = coeffs != 0
+    return GrassmannElement._from_clean(m, dict(zip(order[nonzero].tolist(), coeffs[nonzero].tolist())))
 
 
 def exp_even(a: GrassmannElement) -> GrassmannElement:
@@ -451,6 +428,10 @@ def fermionic_gaussian(q, tol: float = 1e-10):
     reaches the top monomial: the value is the top coefficient of Q^n / n!,
     computed here from two half powers.  This equals
     berezin(exp_even(-Q), range(2n)) exactly.
+
+    Float entries, a float64 array's included, give a plain ``float``, not
+    ``numpy.float64``; ``int`` and ``Fraction`` entries give an exact
+    ``int`` or ``Fraction``.  A 0x0 form gives the int 1, the empty Pfaffian.
     """
     rows = _as_rows(q)
     m = len(rows)
@@ -471,34 +452,13 @@ def fermionic_gaussian(q, tol: float = 1e-10):
     for _ in range(n // 2):
         low = multiply(low, element)
     high = multiply(low, element) if n % 2 else low
-    return _divide(_pair_top(low, high), math.factorial(n))
-
-
-def _pair_top(low: GrassmannElement, high: GrassmannElement):
-    """Top coefficient of low * high, for complementary homogeneous factors, summed in low's order."""
-    full = (1 << low.generator_count) - 1
-    if len(low.terms) >= PAIRING_MIN_TERMS and _all_float(low) and _all_float(high):
-        import numpy as np
-
-        m = low.generator_count
-        others = list(map(high.terms.get, [full ^ mask for mask in low.terms]))
-        masks = np.fromiter(low.terms, np.uint64, len(others))
-        signed = np.fromiter(low.terms.values(), np.float64, len(others))
-        if None in others:  # pair only the terms whose complement is in high
-            hit = np.array([other is not None for other in others], bool)
-            masks, signed, others = masks[hit], signed[hit], [other for other in others if other is not None]
-        if not others:
-            return 0
-        np.negative(signed, out=signed, where=_odd(_parity_words(masks, m) & (masks ^ np.uint64(full)), m))
-        with np.errstate(all="ignore"):
-            products = signed * np.fromiter(others, np.float64, len(others))
-            return np.cumsum(np.concatenate(([0.0], products)))[-1].item()  # the loop's 0 + t_1 + t_2 + ...
+    full = (1 << m) - 1
     top = 0
     for mask, coeff in low.terms.items():
         other = high.terms.get(full ^ mask)
         if other is not None:
             top += _merge_sign(mask, full ^ mask) * coeff * other
-    return top
+    return _divide(top, math.factorial(n))
 
 
 def pfaffian_combinatorial(q):
@@ -508,7 +468,9 @@ def pfaffian_combinatorial(q):
     index set is expanded once, so the work is bounded by the 2^(2n) index
     subsets instead of growing factorially.  Intended as the independent
     cross-check for ``fermionic_gaussian`` up to 2n = 12.  Uses the same
-    sign convention (block_diag(l_1 J, ..., l_n J) -> prod l_i).
+    sign convention (block_diag(l_1 J, ..., l_n J) -> prod l_i) and returns
+    the same types: a plain ``float`` for float entries, a float64 array's
+    included, and the int 1 for a 0x0 form.
     """
     rows = _as_rows(q)
     m = len(rows)

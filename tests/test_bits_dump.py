@@ -42,7 +42,6 @@ def test_algebra_lines_are_the_dict_loops_bits(monkeypatch):
     for route in ("action_coordinate", "action_geometric"):
         assert [h[2] for h in heads if h[1] == route] == ["n=2", "n=3", "n=4"]
     assert not any("refused" in line or "\n" in line for line in lines)
-    # the same lines with every product and pairing on the dict loop
+    # the same lines with every product on the dict loop
     monkeypatch.setattr(grassmann, "KERNEL_MIN_PAIRS", math.inf)
-    monkeypatch.setattr(grassmann, "PAIRING_MIN_TERMS", math.inf)
     assert bits_dump._algebra_lines() == lines

@@ -215,6 +215,13 @@ class TestFermionicGaussian:
         assert fermionic_gaussian(empty) == 1
         assert pfaffian_combinatorial(empty) == 1
 
+    @pytest.mark.parametrize("route", [fermionic_gaussian, pfaffian_combinatorial])
+    def test_return_types(self, route):
+        # a float64 array gives a plain float, not numpy.float64; exact entries stay exact
+        assert type(route(block_diag_j(2.0, 3.0))) is float
+        assert type(route([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]])) is Fraction
+        assert type(route(np.zeros((0, 0)))) is int
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("route", [fermionic_gaussian, pfaffian_combinatorial])
     def test_non_finite_entry_is_refused_by_its_place(self, route, bad):
@@ -339,36 +346,48 @@ class TestFloatKernel:
             grassmann.KERNEL_MIN_PAIRS = crossover
 
     def assert_same(self, a, b):
+        """The kernel, where its tables fit, and ``multiply`` give the loop's terms; returns them."""
         expected = hex_terms(self.loop(a, b))
-        assert hex_terms(grassmann._multiply_floats(a, b)) == expected
+        if 1 << a.generator_count <= grassmann.KERNEL_MAX_MASKS:
+            assert hex_terms(grassmann._multiply_floats(a, b)) == expected
         assert hex_terms(multiply(a, b)) == expected
         return expected
 
     def test_both_sides_of_the_crossover(self, kernel_calls):
         rng = random.Random(2201)
         crossover = grassmann.KERNEL_MIN_PAIRS
-        for n in (10, 12, 20):
+        for n in (8, 10, 12):
             for count_b in (8, 16, 32):
                 for pairs in (crossover - count_b, crossover):
                     a = GrassmannElement(n, {m: rng.uniform(-1, 1) for m in rng.sample(range(1, 1 << n), pairs // count_b)})
                     b = GrassmannElement(n, {m: rng.uniform(-1, 1) for m in rng.sample(range(1, 1 << n), count_b)})
-                    del kernel_calls[:]
                     assert self.assert_same(a, b)
-                    took_kernel = kernel_calls[1:] == [(len(a.terms), len(b.terms))]
-                    assert took_kernel == (len(a.terms) * len(b.terms) >= crossover)
+                    del kernel_calls[:]
+                    multiply(a, b)
+                    size = len(a.terms) * len(b.terms)
+                    # 2^12 masks are more than the pairs: 12 generators take the loop on both sides
+                    assert bool(kernel_calls) == (size >= crossover and 1 << n <= size)
 
-    def test_sixty_four_generators_and_the_top_bit(self):
+    def test_tables_past_the_cap_take_the_loop(self, kernel_calls, monkeypatch):
+        rng = random.Random(16)
+        a, b = random_element(rng, 10, 200), random_element(rng, 10, 200)
+        monkeypatch.setattr(grassmann, "KERNEL_MAX_MASKS", 1 << 9)
+        assert hex_terms(multiply(a, b)) == hex_terms(self.loop(a, b)) and kernel_calls == []
+        monkeypatch.setattr(grassmann, "KERNEL_MAX_MASKS", 1 << 10)
+        multiply(a, b)
+        assert kernel_calls
+
+    def test_sixty_four_generators_take_the_loop(self, kernel_calls):
         rng = random.Random(63)
-        top = 0
         for _ in range(20):
             a, b = random_element(rng, MAX_GENERATORS, 60), random_element(rng, MAX_GENERATORS, 60)
             a = a + GrassmannElement.monomial(MAX_GENERATORS, [63, 5], rng.uniform(-1, 1))
-            top += any(mask >> 63 for mask, _ in self.assert_same(a, b))
-        assert top == 20
+            assert any(mask >> 63 for mask, _ in self.assert_same(a, b))
+        assert kernel_calls == []
 
     def test_every_generator_count(self):
         rng = random.Random(1)
-        for n in range(1, MAX_GENERATORS + 1):
+        for n in range(1, 17):  # every set of fold shifts the kernel uses
             self.assert_same(random_element(rng, n, 40), random_element(rng, n, 40))
 
     def test_blocks_carry_their_sums_in_order(self, monkeypatch):
@@ -376,14 +395,14 @@ class TestFloatKernel:
         rng = random.Random(7)
         for block in (1, 5, 64):
             monkeypatch.setattr(grassmann, "KERNEL_BLOCK_PAIRS", block)
-            for n in (8, 12, 40):
+            for n in (8, 12, 16):
                 self.assert_same(random_element(rng, n, 50), random_element(rng, n, 50))
         q = GrassmannElement(10, {(1 << i) | (1 << j): rng.uniform(-1, 1) for i in range(10) for j in range(i + 1, 10)})
         self.assert_same(multiply(q, q), q)
 
     def test_cancellation_to_exact_zero(self):
         rng = random.Random(0)
-        for n in (6, 12, MAX_GENERATORS):
+        for n in (6, 12, 16):
             odd = GrassmannElement(n, {1 << i: rng.uniform(-1, 1) for i in range(n)})
             assert odd * odd == GrassmannElement.zero(n)  # c_i c_j - c_j c_i is exactly 0
             assert self.assert_same(odd, odd) == []
@@ -394,7 +413,7 @@ class TestFloatKernel:
 
     def test_numpy_float64_coefficients(self, kernel_calls):
         rng = random.Random(64)
-        for n in (10, 48):
+        for n in (10, 16):
             a = random_element(rng, n, 60, np.float64)
             b = random_element(rng, n, 60, np.float64)
             assert all(type(c) is np.float64 for c in a.terms.values())
@@ -403,22 +422,12 @@ class TestFloatKernel:
 
     def test_mixed_float_fraction_takes_the_loop(self, kernel_calls):
         rng = random.Random(5)
-        a = random_element(rng, 12, 60)
-        b = random_element(rng, 12, 60, lambda x: Fraction(x).limit_denominator(100))
-        b = b + GrassmannElement.scalar(12, 0.5)
+        a = random_element(rng, 10, 60)
+        b = random_element(rng, 10, 60, lambda x: Fraction(x).limit_denominator(100))
+        b = b + GrassmannElement.scalar(10, 0.5)
         product = multiply(a, b)
         assert kernel_calls == [] and product == self.loop(a, b)
         assert {type(c) for c in product.terms.values()} == {float}  # float times Fraction is a float
         assert multiply(b, b) == self.loop(b, b) and kernel_calls == []
-
-    def test_gaussian_pairing_matches_its_loop(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        for half in range(1, 7):
-            mat = rng.normal(size=(2 * half, 2 * half))
-            skew = mat - mat.T
-            skew[0, 1] = skew[1, 0] = 0.0  # some complements are missing from the half powers
-            values = []
-            for pairing in (1, math.inf):
-                monkeypatch.setattr(grassmann, "PAIRING_MIN_TERMS", pairing)
-                values.append(float(fermionic_gaussian(skew)).hex())
-            assert values[0] == values[1]
+        multiply(a, a)
+        assert kernel_calls  # the same shape on floats alone takes the kernel
