@@ -51,7 +51,7 @@ class ParityError(ValueError):
 MAX_GENERATORS = 64
 # Float products of at least this many term pairs (len(a) * len(b)) run on
 # the numpy kernel.  Measured over shapes whose tables fit (8 to 12 generators,
-# sparse to dense masks): at 1,536 pairs and above the kernel won on all 32,
+# sparse to dense masks): at 1,536 pairs and above the kernel won on all 25,
 # by 1.7-4.6x; at 1,024 the dict loop won on 1 of 8, at 512 on 3 of 6.
 KERNEL_MIN_PAIRS = 1536
 # Term pairs per block of the kernel; this bounds its temporaries.
