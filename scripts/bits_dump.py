@@ -18,6 +18,10 @@ or the ones named):
   ``--no-adaptive`` and one adaptive sweep at the unsorted couplings
   2, 0, 1, 0 (``unsorted``) per potential, so that runs of couplings on one
   grid close and open again;
+* ``newton``: per potential and chart that carries it, at seed densities
+  4, 8 and 16 (4, 5 and 6 on a 4-D chart), the count and a SHA-256 of the
+  ``float.hex`` coordinates of the points ``morse._newton_batch`` returns,
+  in order (``newton_digest``);
 * ``root``: every critical point ``find_critical_points`` returns;
 * ``cli``: exit code, standard output and standard error of fixed ``cgb``
   commands, run in process through ``cli.main`` (the ``efts`` commands only
@@ -36,6 +40,7 @@ standard library and cgb are used.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import random
 import sys
@@ -51,6 +56,7 @@ ADAPTIVE_LAMBDAS = (0.0, 1.0, 2.0, 5.0, 10.0)
 FIXED_LAMBDAS = (0.0, 1.0, 2.0)
 UNSORTED_LAMBDAS = (2.0, 0.0, 1.0, 0.0)
 SWEEP_BASE = {2: (48, 96), 4: (8, 10, 8, 10)}
+NEWTON_DENSITIES = {2: (4, 8, 16), 4: (4, 5, 6)}
 
 # (manifold or None, argv)
 COMMANDS = (
@@ -140,6 +146,30 @@ def _sweep_lines(spec) -> list[str]:
     return lines
 
 
+def newton_digest(points: np.ndarray) -> str:
+    """SHA-256 of the points' coordinates as ``float.hex``, a point's joined by ``,`` and the points by ``;``."""
+    text = ";".join(",".join(float(c).hex() for c in point) for point in points)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _newton_lines(spec) -> list[str]:
+    lines = []
+    for h_name, potential in spec.morse_catalog.items():
+        for chart_name, chart in spec.charts.items():
+            h = potential.fields.get(chart_name)
+            if h is None:
+                continue
+            for density in NEWTON_DENSITIES[chart.dim]:
+                head = f"newton {spec.name} h={h_name} chart={chart_name} density={density}"
+                try:
+                    with np.errstate(all="ignore"):  # as find_critical_points runs it
+                        points = morse._newton_batch(chart, h, morse._seeds(chart, density))
+                    lines.append(f"{head} count={len(points)} sha256={newton_digest(points)}")
+                except ValueError as error:
+                    lines.append(f"{head} {_refused(error)}")
+    return lines
+
+
 def _root_lines(spec) -> list[str]:
     lines = []
     for h_name in spec.morse_catalog:
@@ -217,7 +247,7 @@ def dump(names=None) -> list[str]:
     lines = []
     for name in chosen:
         spec = manifolds.get_manifold(name)
-        lines += _width_lines(spec) + _partition_lines(spec) + _sweep_lines(spec) + _root_lines(spec)
+        lines += _width_lines(spec) + _partition_lines(spec) + _sweep_lines(spec) + _newton_lines(spec) + _root_lines(spec)
     for manifold, argv in COMMANDS:
         if manifold in chosen or (manifold is None and names is None):
             lines.append(_cli_line(argv))

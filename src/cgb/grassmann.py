@@ -395,8 +395,8 @@ def berezin(a: GrassmannElement, ordering: Sequence[int]) -> object:
 
 
 def _as_rows(q) -> list[list]:
-    """The entries of q as lists; a float64 array gives plain floats, the same values."""
-    rows = q.tolist() if getattr(q, "dtype", None) == "float64" else [list(row) for row in q]
+    """The entries of q as lists; a numpy array gives plain Python numbers (an integer array exact ints)."""
+    rows = q.tolist() if hasattr(q, "tolist") else [list(row) for row in q]
     m = len(rows)
     if any(len(row) != m for row in rows):
         raise ValueError("quadratic form must be a square matrix")
@@ -431,7 +431,9 @@ def fermionic_gaussian(q, tol: float = 1e-10):
 
     Float entries, a float64 array's included, give a plain ``float``, not
     ``numpy.float64``; ``int`` and ``Fraction`` entries give an exact
-    ``int`` or ``Fraction``.  A 0x0 form gives the int 1, the empty Pfaffian.
+    ``int`` or ``Fraction``, and so does an integer array: its entries are
+    read as Python ints, which do not wrap.  A 0x0 form gives the int 1,
+    the empty Pfaffian.
     """
     rows = _as_rows(q)
     m = len(rows)
@@ -470,7 +472,8 @@ def pfaffian_combinatorial(q):
     cross-check for ``fermionic_gaussian`` up to 2n = 12.  Uses the same
     sign convention (block_diag(l_1 J, ..., l_n J) -> prod l_i) and returns
     the same types: a plain ``float`` for float entries, a float64 array's
-    included, and the int 1 for a 0x0 form.
+    included, an exact ``int`` for an integer array, whose entries are read
+    as Python ints, which do not wrap, and the int 1 for a 0x0 form.
     """
     rows = _as_rows(q)
     m = len(rows)

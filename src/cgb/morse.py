@@ -3,7 +3,10 @@
 Zeros of grad h are located by damped Newton iteration on the gradient in
 chart coordinates (the zero set and the Hessian signs there are
 metric-independent), started from a uniform seed grid on every chart that
-carries the potential.  Charts overlap so that critical points sitting in
+carries the potential (at most ``MAX_GRID_POINTS`` seeds a chart).  Each
+Newton step's line search is one ladder of step lengths t = 2^-k,
+k = 0..39, whose rung 0 is the full step: a seed takes the first rung that
+stays in the chart and lowers |grad h|.  Charts overlap so that critical points sitting in
 the excised polar caps of a quadrature chart are interior points of a
 rotated companion chart.  Converged points are deduplicated by distance in
 the manifold's ambient embedding and validated: the gradient norm must be
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import Chart, ManifoldSpec, refuse_first, tensor_points
+from .manifolds import MAX_GRID_POINTS, Chart, ManifoldSpec, refuse_first, tensor_points
 
 TOL_GRAD = 1e-10
 TOL_MORSE = 1e-8
@@ -59,35 +62,24 @@ def _wrap_batch(chart: Chart, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
     """Damped Newton on grad h for all seeds at once; returns converged points.
 
-    Each step takes, per seed, the first of t = 1, 1/2, ..., 2^-39 whose
-    candidate x + t * step lies in the chart and lowers the gradient norm.
-    The full step is tried for every seed; for the seeds it does not improve,
-    the first in-domain halving is found by bisection (the in-domain
-    halvings are a suffix), and h is evaluated only at each seed's next
-    in-domain halving, built when it is tried.  Refuses a seed
-    whose gradient norm, or a Newton point whose Hessian determinant, is not
-    finite.  A candidate whose gradient is not finite is only rejected: a
-    shorter step is tried.
+    Each step takes, per seed, the first rung of one ladder t = 2^-k,
+    k = 0..39, whose candidate x + t * step lies in the chart and lowers the
+    gradient norm; rung 0 is the full step.  A seed's in-domain rungs are a
+    suffix, so rung 0 is checked for every seed and only a seed whose full
+    step leaves the chart bisects rungs 1..39 for its first in-domain one.
+    Every seed then walks up the ladder from that rung in one accept loop,
+    and h is evaluated only at each seed's next in-domain rung, built when
+    it is tried.  Refuses a seed whose gradient norm, or a Newton point
+    whose Hessian determinant, is not finite.  A candidate whose gradient is
+    not finite is only rejected: a shorter step is tried.
     """
     x = np.array(seeds, dtype=float)
     grad = np.asarray(h.grad(x), dtype=float)
     gnorm = np.linalg.norm(grad, axis=-1)
     refuse_first(~np.isfinite(gnorm), x, f"gradient norm not finite on chart {chart.name!r} at the seed point")
 
-    def accept(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Move each of ``rows`` to its candidate where that lowers the gradient norm; returns that mask."""
-        if rows.size == 0:
-            return np.zeros(0, dtype=bool)
-        cg = np.asarray(h.grad(cand), dtype=float)
-        cn = np.linalg.norm(cg, axis=-1)
-        good = cn < gnorm[rows]
-        took = rows[good]
-        x[took] = cand[good]
-        grad[took] = cg[good]
-        gnorm[took] = cn[good]
-        return good
-
-    halvings = np.ldexp(1.0, -np.arange(1, 40))  # t = 2^-k exactly, k = 1..39
+    ladder = np.ldexp(1.0, -np.arange(40))  # t = 2^-k exactly, k = 0..39
+    last = len(ladder)
     active = np.ones(len(x), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
         active &= gnorm >= TOL_GRAD
@@ -103,23 +95,16 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
         if idx.size == 0:
             break
         steps = np.linalg.solve(hess[solvable], -grad[idx][..., None])[..., 0]
-        # off-chart candidates are rejected without evaluating h there
-        cand, valid = _wrap_batch(chart, x[idx] + steps)
-        improved = np.zeros(idx.size, dtype=bool)
-        improved[valid] = accept(idx[valid], cand[valid])
-        pending = np.flatnonzero(~improved)
-        if pending.size == 0:
-            continue
-        rows = idx[pending]
 
-        def candidates(live: np.ndarray, level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return _wrap_batch(chart, x[rows[live]] + halvings[level][:, None] * steps[pending[live]])
+        def candidates(live: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return _wrap_batch(chart, x[idx[live]] + ladder[k][:, None] * steps[live])
 
-        # a row's in-domain halvings are a suffix k >= k0 (x is in the box, a shorter step stays between
-        # x and a longer one, a wrapped axis is always in it): bisect for k0, ``last`` where there is none
-        last = len(halvings)
-        lo, hi = np.zeros(rows.size, dtype=int), np.full(rows.size, last)
-        searching = np.arange(rows.size)
+        # a row's in-domain rungs are a suffix k >= k0 (x is in the box, a shorter step stays between x and a
+        # longer one, a wrapped axis is always in it): k0 is 0 where the full step stays in the chart, else
+        # bisected over 1..39, ``last`` where there is none; off-chart candidates never reach h
+        full_inside = candidates(np.arange(idx.size), np.zeros(idx.size, dtype=int))[1]
+        lo, hi = np.where(full_inside, 0, 1), np.where(full_inside, 0, last)
+        searching = np.flatnonzero(lo < hi)
         while searching.size:
             mid = (lo[searching] + hi[searching]) // 2
             inside = candidates(searching, mid)[1]
@@ -127,10 +112,16 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
             lo[searching[~inside]] = mid[~inside] + 1
             searching = searching[lo[searching] < hi[searching]]
         k = lo
+        improved = np.zeros(idx.size, dtype=bool)
         live = np.flatnonzero(k < last)
         while live.size:
-            good = accept(rows[live], candidates(live, k[live])[0])
-            improved[pending[live[good]]] = True
+            rows, cand = idx[live], candidates(live, k[live])[0]
+            cg = np.asarray(h.grad(cand), dtype=float)
+            cn = np.linalg.norm(cg, axis=-1)
+            good = cn < gnorm[rows]
+            took = rows[good]
+            x[took], grad[took], gnorm[took] = cand[good], cg[good], cn[good]
+            improved[live[good]] = True
             live = live[~good]
             k[live] += 1
             live = live[k[live] < last]
@@ -139,6 +130,13 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
 
 
 def _seeds(chart: Chart, density: int) -> np.ndarray:
+    """``density`` cell-centred seeds per axis of the chart's box; more than ``MAX_GRID_POINTS`` are refused unbuilt."""
+    count = density**chart.dim
+    if count > MAX_GRID_POINTS:
+        raise ValueError(
+            f"seed grid on chart {chart.name!r} has {density}^{chart.dim} = {count} points, "
+            f"above the budget of {MAX_GRID_POINTS}"
+        )
     axes = []
     for lo, hi in chart.metric.domain:
         pad = 0.5 * (hi - lo) / density
@@ -150,7 +148,7 @@ def find_critical_points(
     spec: ManifoldSpec, h_name: str, seed_density: int = 8
 ) -> list[CriticalPoint]:
     """All zeros of grad h, deduplicated across charts, with Hessian data."""
-    if not isinstance(seed_density, int) or seed_density < 1:
+    if not isinstance(seed_density, int) or isinstance(seed_density, bool) or seed_density < 1:
         raise ValueError(f"seed density must be a positive integer, got {seed_density!r}")
     potential = spec.potential(h_name)
     if potential is None:
@@ -163,8 +161,7 @@ def find_critical_points(
             continue
         with np.errstate(all="ignore"):  # an overflow shows as a value _newton_batch refuses, not as a warning
             roots = _newton_batch(chart, h, _seeds(chart, seed_density))
-        for x in roots:
-            embedded = np.asarray(chart.embed(x), dtype=float)
+        for x, embedded in zip(roots, np.asarray(chart.embed(roots), dtype=float)):
             if any(np.linalg.norm(embedded - cp.embedded) < r_dedup for cp in found):
                 continue
             hess = np.asarray(h.hess(x), dtype=float)

@@ -21,7 +21,7 @@ def test_two_runs_on_one_manifold_give_equal_lines():
     first, again = bits_dump.dump(["flat_t2"]), bits_dump.dump(["flat_t2"])
     assert first == again
     kinds = {line.split(" ", 1)[0] for line in first}
-    assert kinds == {"width", "partition", "sweep", "root", "cli"}
+    assert kinds == {"width", "partition", "sweep", "newton", "root", "cli"}
     assert all("\n" not in line and "flat_t2" in line for line in first)
     assert any("refused" in line for line in first)  # the --no-adaptive sweep under-resolves lambda 1
 

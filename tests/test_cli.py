@@ -93,6 +93,16 @@ MALFORMED = {
     "seed-density-zero": (
         ["index", "--manifold", "s2", "--morse", "height", "--seed-density", "0"], None, "seed density"
     ),
+    # a seed grid over the point budget is refused before it is built: 4097^2 and 65^4 just exceed 2^24
+    "seed-density-over-budget": (
+        ["index", "--manifold", "s2", "--morse", "height", "--seed-density", "4097"], None, "seed grid on chart 'polar'"
+    ),
+    "seed-density-over-budget-4d": (
+        ["index", "--manifold", "s2xs2", "--morse", "height_sum", "--seed-density", "65"], None, "65^4 = 17850625"
+    ),
+    "seed-density-huge": (
+        ["index", "--manifold", "s2", "--morse", "height", "--seed-density", "1000000000000"], None, "seed grid"
+    ),
     # argparse's own refusals leave through the same line
     "no-subcommand": ([], None, "command"),
     "tolerance-not-a-number": (["pfaffian", "--tolerance", "abc"], None, "--tolerance"),

@@ -222,6 +222,18 @@ class TestFermionicGaussian:
         assert type(route([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]])) is Fraction
         assert type(route(np.zeros((0, 0)))) is int
 
+    @pytest.mark.parametrize("route", [fermionic_gaussian, pfaffian_combinatorial])
+    def test_integer_array_stays_exact(self, route):
+        # int64 products of these entries wrap; read as Python ints they give the exact Pfaffian
+        rng = random.Random(0)
+        q = [[0] * 8 for _ in range(8)]
+        for i in range(8):
+            for j in range(i + 1, 8):
+                q[i][j] = rng.randint(-10**6, 10**6)
+                q[j][i] = -q[i][j]
+        value = route(np.array(q, dtype=np.int64))
+        assert type(value) is int and value == route(q) == -2243013433165462855169966
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("route", [fermionic_gaussian, pfaffian_combinatorial])
     def test_non_finite_entry_is_refused_by_its_place(self, route, bad):

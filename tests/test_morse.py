@@ -1,5 +1,6 @@
 """Critical points and Hopf indices across the catalog."""
 
+import hashlib
 import math
 import warnings
 from dataclasses import replace
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from cgb.geometry import ScalarField
-from cgb.manifolds import ManifoldSpec, MorseFunction, get_manifold
+from cgb import morse
+from cgb.manifolds import MAX_GRID_POINTS, ManifoldSpec, MorseFunction, get_manifold
 from cgb.morse import (
     DegenerateCriticalPointError,
     MAX_NEWTON_STEPS,
@@ -160,9 +162,7 @@ class TestCriticalPoints:
 
 
 def test_line_search_builds_no_more_candidates_than_seeds(monkeypatch):
-    # the halvings are built level by level for the rows that need them, not 39 per pending seed
-    from cgb import morse
-
+    # the rungs are built level by level for the rows that need them, not 39 per pending seed
     rows = []
     wrap = morse._wrap_batch
     monkeypatch.setattr(morse, "_wrap_batch", lambda chart, pts: rows.append(len(pts)) or wrap(chart, pts))
@@ -183,6 +183,50 @@ def test_newton_batch_matches_the_serial_line_search(name):
             with np.errstate(all="ignore"):
                 got, want = _newton_batch(chart, h, seeds), serial_newton(chart, h, seeds)
             assert got.tobytes() == want.tobytes(), (chart_name, density)
+
+
+# (manifold, potential, chart, seed density): (points _newton_batch returns, SHA-256 of their coordinates)
+NEWTON_PINS = {
+    ("s2", "height", "rotated", 8): (24, "4ebc70a41230f714a533e05947c1a6712c5706d99f61a268994fe490793e2bcf"),
+    ("torus", "height", "torus", 6): (30, "6ff4daa8b636957462d491a9a2fc7932cd1235049ea0bf579dfee72c2006d698"),
+    ("s2xs2", "height_sum", "product_rotated", 5): (64, "563edeab01b8ca88095cb3cd2e62ef2fb9c6488106406aa343140b2a6469b144"),
+}
+
+
+@pytest.mark.parametrize("case", NEWTON_PINS, ids=lambda case: "-".join(map(str, case)))
+def test_newton_batch_bits_are_pinned(case):
+    # 40 of the 64 rotated S^2 seeds fail, one torus seed takes 17 steps, 561 of 625 product seeds fail;
+    # the digest is scripts/bits_dump.py's ``newton`` line: float.hex coordinates, "," in a point, ";" between
+    name, h_name, chart_name, density = case
+    spec = get_manifold(name)
+    chart = spec.charts[chart_name]
+    with np.errstate(all="ignore"):
+        points = _newton_batch(chart, spec.morse_catalog[h_name].fields[chart_name], _seeds(chart, density))
+    text = ";".join(",".join(float(c).hex() for c in point) for point in points)
+    assert (len(points), hashlib.sha256(text.encode()).hexdigest()) == NEWTON_PINS[case]
+
+
+@pytest.mark.parametrize("name, density", [("s2", 4097), ("s2xs2", 65)])
+def test_seed_grid_over_the_budget_is_refused_before_it_is_built(monkeypatch, name, density):
+    # 4097^2 and 65^4 are the first grids over 2^24; 4096^2 and 64^4 are exactly at it and pass
+    def built(axes):
+        raise AssertionError("the seed grid was built")
+
+    monkeypatch.setattr(morse, "tensor_points", built)
+    spec = get_manifold(name)
+    chart_name, chart = next(iter(spec.charts.items()))
+    with pytest.raises(ValueError, match=rf"^seed grid on chart '{chart_name}' has {density}\^{spec.dim} = "
+                                         rf"{density**spec.dim} points, above the budget of {MAX_GRID_POINTS}$"):
+        find_critical_points(spec, next(iter(spec.morse_catalog)), density)
+    monkeypatch.setattr(morse, "tensor_points", lambda axes: axes)
+    assert [len(axis) for axis in _seeds(chart, density - 1)] == [density - 1] * spec.dim
+
+
+@pytest.mark.parametrize("density", [True, 0, -1, 2.0, "8"])
+def test_seed_density_must_be_a_positive_int(s2, density):
+    # a bool is an int to Python, but True is not a density
+    with pytest.raises(ValueError, match="seed density must be a positive integer"):
+        find_critical_points(s2, "height", density)
 
 
 class TestHopfIndex:
