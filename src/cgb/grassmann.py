@@ -394,9 +394,14 @@ def berezin(a: GrassmannElement, ordering: Sequence[int]) -> object:
     return permutation_sign(list(ordering)) * a.coefficient(top)
 
 
+def _plain(value):
+    """A numpy array or scalar as plain Python numbers (``tolist``); anything else as it is."""
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
 def _as_rows(q) -> list[list]:
-    """The entries of q as lists; a numpy array gives plain Python numbers (an integer array exact ints)."""
-    rows = q.tolist() if hasattr(q, "tolist") else [list(row) for row in q]
+    """The entries of q as lists of plain numbers: an integer array, row or entry gives exact ints, not int64."""
+    rows = [[_plain(x) for x in row] for row in _plain(q)]
     m = len(rows)
     if any(len(row) != m for row in rows):
         raise ValueError("quadratic form must be a square matrix")

@@ -111,8 +111,7 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
             hi[searching[inside]] = mid[inside]
             lo[searching[~inside]] = mid[~inside] + 1
             searching = searching[lo[searching] < hi[searching]]
-        k = lo
-        improved = np.zeros(idx.size, dtype=bool)
+        k = lo  # a row keeps the rung it accepts; one that accepts none ends at ``last`` and stops
         live = np.flatnonzero(k < last)
         while live.size:
             rows, cand = idx[live], candidates(live, k[live])[0]
@@ -121,11 +120,10 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
             good = cn < gnorm[rows]
             took = rows[good]
             x[took], grad[took], gnorm[took] = cand[good], cg[good], cn[good]
-            improved[live[good]] = True
             live = live[~good]
             k[live] += 1
             live = live[k[live] < last]
-        active[idx[~improved]] = False
+        active[idx[k == last]] = False
     return x[gnorm < TOL_GRAD]
 
 

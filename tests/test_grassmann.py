@@ -233,6 +233,7 @@ class TestFermionicGaussian:
                 q[j][i] = -q[i][j]
         value = route(np.array(q, dtype=np.int64))
         assert type(value) is int and value == route(q) == -2243013433165462855169966
+        assert route([np.array(row, dtype=np.int64) for row in q]) == value  # rows read the same way
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("route", [fermionic_gaussian, pfaffian_combinatorial])
