@@ -400,8 +400,11 @@ def _plain(value):
 
 
 def _as_rows(q) -> list[list]:
-    """The entries of q as lists of plain numbers: an integer array, row or entry gives exact ints, not int64."""
-    rows = [[_plain(x) for x in row] for row in _plain(q)]
+    """The entries of q as lists of plain numbers: a numpy array, row or entry is read through ``tolist``.
+
+    So integer entries give exact ints where int64 products would wrap, and a float64 array plain floats.
+    """
+    rows = q.tolist() if hasattr(q, "tolist") else [[_plain(x) for x in _plain(row)] for row in q]
     m = len(rows)
     if any(len(row) != m for row in rows):
         raise ValueError("quadratic form must be a square matrix")

@@ -3,15 +3,17 @@
 Zeros of grad h are located by damped Newton iteration on the gradient in
 chart coordinates (the zero set and the Hessian signs there are
 metric-independent), started from a uniform seed grid on every chart that
-carries the potential (at most ``MAX_GRID_POINTS`` seeds a chart).  Each
-Newton step's line search is one ladder of step lengths t = 2^-k,
-k = 0..39, whose rung 0 is the full step: a seed takes the first rung that
-stays in the chart and lowers |grad h|.  Charts overlap so that critical points sitting in
+carries the potential.  Charts overlap so that critical points sitting in
 the excised polar caps of a quadrature chart are interior points of a
 rotated companion chart.  Converged points are deduplicated by distance in
 the manifold's ambient embedding and validated: the gradient norm must be
 below ``TOL_GRAD`` and |det Hess| above ``TOL_MORSE`` -- a converged
 degenerate point means the potential is not Morse and raises.
+
+Each Newton step's line search is one ladder of step lengths t = 2^-k,
+k = 0..39, whose rung 0 is the full step: a seed takes the first rung that
+stays in its chart and lowers |grad h|.  A seed grid of more than
+``MAX_GRID_POINTS`` points is refused before it is built.
 
 The Hopf index is the sum of sgn(det Hess h) over the critical points.
 """
