@@ -8,8 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgb.geometry import ScalarField
 from cgb import morse
+from cgb.geometry import ScalarField
 from cgb.manifolds import MAX_GRID_POINTS, ManifoldSpec, MorseFunction, get_manifold
 from cgb.morse import (
     DegenerateCriticalPointError,
