@@ -31,7 +31,14 @@ or the ones named):
   ``Fraction`` skew forms of sizes 2 to 12, ``exp_even`` of seeded float
   and ``Fraction`` elements, and the term maps of ``action_coordinate``
   and ``action_geometric`` at seeded jets for n = 2, 3 and 4.  Term maps
-  print every term in order, as ``mask:coefficient``.
+  print every term in order, as ``mask:coefficient``;
+* ``efts`` (only when no manifold is named): for delta and m in {1, 2},
+  ``format_polynomial`` of Delta, each d_i, L_v, I_v and each iota_k on
+  seeded two-term polynomials over ``enumerate_monomials(delta, m, 3, 3)``
+  and seeded base fields v (inputs printed as ``poly`` and ``field``), the
+  ``check_cartan`` report of each v, and at delta = m = 2 the witness or
+  certificate of ``concordance_solve`` on seeded Delta-images and
+  non-images.
 
 A refusal is printed in place of the result it stops.  Only numpy, the
 standard library and cgb are used.
@@ -48,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from cgb import cli, geometry, grassmann, manifolds, morse, sigma
+from cgb import cli, efts, geometry, grassmann, manifolds, morse, sigma
 
 NAMES = ("s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed")
 LAMBDAS = (0.0, 0.3, 1.0, -10.0)
@@ -241,6 +248,61 @@ def _algebra_lines() -> list[str]:
     return lines
 
 
+def _seeded_polynomial(rng: random.Random, delta: int, m: int, keys, count: int) -> efts.SuperPolynomial:
+    """A sum of ``count`` distinct keys with nonzero rational coefficients."""
+    terms = {key: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for key in rng.sample(keys, count)}
+    return efts.SuperPolynomial(delta, m, terms)
+
+
+def _concordance_text(e_plus, e_minus) -> str:
+    try:
+        result = efts.concordance_solve(e_plus, e_minus)
+    except ValueError as error:
+        return _refused(error)
+    if result.feasible:
+        return f"witness {efts.format_polynomial(result.witness)}"
+    return f"certificate {result.certificate}"
+
+
+def _efts_lines() -> list[str]:
+    rng = random.Random(2024)
+    text = efts.format_polynomial
+    lines = []
+    for delta in (1, 2):
+        for m in (1, 2):
+            head = f"efts delta={delta} m={m}"
+            keys = efts.enumerate_monomials(delta, m, 3, 3)
+            base = [key for key in keys if not key[1] and all(mask == 0 for (_, mask), _ in key[0])]
+            polys = [_seeded_polynomial(rng, delta, m, keys, 2) for _ in range(3)]
+            fields = [efts.VectorField(delta, m, [_seeded_polynomial(rng, delta, m, base, 2) for _ in range(m)])
+                      for _ in range(2)]
+            lines += [f"{head} poly p{i} = {text(p)}" for i, p in enumerate(polys)]
+            lines += [f"{head} field v{j} = {', '.join(map(text, v.components))}" for j, v in enumerate(fields)]
+            for i, p in enumerate(polys):
+                lines.append(f"{head} Delta p{i} = {text(efts.apply_Delta(p))}")
+                lines += [f"{head} d{k} p{i} = {text(efts.apply_d(k, p))}" for k in range(1, delta + 1)]
+                for j, v in enumerate(fields):
+                    lines.append(f"{head} L v{j} p{i} = {text(efts.apply_L(v, p))}")
+                    lines.append(f"{head} I v{j} p{i} = {text(efts.apply_Iw(v, p))}")
+                    lines += [f"{head} iota{k} v{j} p{i} = {text(efts.apply_iota(k, v, p))}" for k in range(1, delta + 1)]
+            for j, v in enumerate(fields):
+                report = efts.check_cartan(v)
+                lines.append(f"{head} cartan v{j} = holds={report.holds} checked={report.checked} "
+                             f"counterexample={report.counterexample}")
+    zero = efts.SuperPolynomial.zero(2, 2)
+    one = efts.SuperPolynomial.constant(2, 2, 1)
+    even = [key for key in efts.enumerate_monomials(2, 2, 3, 3) if efts.SuperPolynomial.key_parity(key) == 0]
+    images = [efts.apply_Delta(_seeded_polynomial(rng, 2, 2, even, 3)) for _ in range(4)]
+    cases = [(image, zero) for image in images] + [
+        (images[0], images[1]),  # the difference of two images
+        (one, zero),  # a constant is closed but not exact
+        (images[2] + one, images[3]),
+        (_seeded_polynomial(rng, 2, 2, even, 2), zero),  # refused unless closed
+    ]
+    lines += [f"efts delta=2 m=2 concordance c{i} = {_concordance_text(*case)}" for i, case in enumerate(cases)]
+    return lines
+
+
 def dump(names=None) -> list[str]:
     """The lines for the manifolds ``names`` (all of ``NAMES`` when None)."""
     chosen = NAMES if names is None else tuple(names)
@@ -252,7 +314,7 @@ def dump(names=None) -> list[str]:
         if manifold in chosen or (manifold is None and names is None):
             lines.append(_cli_line(argv))
     if names is None:
-        lines += _algebra_lines()
+        lines += _algebra_lines() + _efts_lines()
     return lines
 
 

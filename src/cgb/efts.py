@@ -11,7 +11,8 @@ generators anticommute and square to zero, even generators are central.
 Coefficients are exact rationals, so the sign identities below hold on the
 nose, not to tolerance.
 
-Operators (all graded derivations determined by their generator tables):
+Operators (graded derivations, each extended from its generator table in one
+pass that multiplies keys by the one product rule ``_key_product``):
 
 * ``apply_d(i, p)``      -- the odd translation action d_i, degree +1,
                             with d_i d_j = -d_j d_i and d_i^2 = 0;
@@ -83,11 +84,16 @@ def _merge_odd(a: OddPart, b: OddPart) -> tuple[OddPart, int] | None:
     return tuple(merged), (-1 if swaps & 1 else 1)
 
 
-def _merge_even(a: EvenPart, b: EvenPart) -> EvenPart:
-    exps: dict[Gen, int] = dict(a)
-    for gen, k in b:
+def _key_product(a: MonomialKey, b: MonomialKey) -> tuple[MonomialKey, int] | None:
+    """The canonical key of a * b and its sign; None if an odd generator repeats."""
+    merged = _merge_odd(a[1], b[1])
+    if merged is None:
+        return None
+    exps: dict[Gen, int] = dict(a[0])
+    for gen, k in b[0]:
         exps[gen] = exps.get(gen, 0) + k
-    return tuple(sorted(exps.items()))
+    odd, sign = merged
+    return (tuple(sorted(exps.items())), odd), sign
 
 
 class SuperPolynomial:
@@ -201,13 +207,12 @@ class SuperPolynomial:
             return NotImplemented
         self._check(other)
         acc: dict[MonomialKey, Fraction] = {}
-        for (ev_a, od_a), ca in self.terms.items():
-            for (ev_b, od_b), cb in other.terms.items():
-                merged = _merge_odd(od_a, od_b)
-                if merged is None:
+        for key_a, ca in self.terms.items():
+            for key_b, cb in other.terms.items():
+                product = _key_product(key_a, key_b)
+                if product is None:
                     continue
-                odd, sign = merged
-                key = (_merge_even(ev_a, ev_b), odd)
+                key, sign = product
                 acc[key] = acc.get(key, _ZERO) + (-ca * cb if sign < 0 else ca * cb)
         return SuperPolynomial(self.delta, self.m, acc)
 
@@ -401,36 +406,32 @@ def _apply_derivation(
 ) -> SuperPolynomial:
     """Extend a generator table to the algebra by the graded Leibniz rule.
 
-    For each monomial factor g at position i the term is
-    (-1)^(parity * parity(prefix)) * prefix * image(g) * suffix; prefixes of
-    a canonical monomial are canonical, so no extra reordering signs enter.
+    One pass over the factor slots (prefix, g, scale, suffix) of every
+    monomial adds scale * coeff * prefix * image(g) * suffix into one term
+    map, key by key through ``_key_product``.  An even factor g^k has scale k
+    and leaves g^(k-1) in an even prefix, before the odd part; an odd factor
+    has scale (-1)^(parity * parity(prefix)).  Prefixes and suffixes of a
+    canonical monomial are canonical.  Each image is taken once per call.
     """
-    out = SuperPolynomial.zero(p.delta, p.m)
+    images: dict[Gen, SuperPolynomial] = {}
+    acc: dict[MonomialKey, Fraction] = {}
     for (evens, odds), coeff in p.terms.items():
-        tail_odds = SuperPolynomial(p.delta, p.m, {((), odds): _ONE})
-        # even factors first: their prefixes are even, so no sign, but the
-        # image must be inserted at the factor position, before the odd part
-        for pos, (gen, k) in enumerate(evens):
-            img = image(gen)
-            if img.is_zero():
-                continue
-            rest = list(evens)
-            rest[pos] = (gen, k - 1)
-            rest_key: MonomialKey = (tuple((g, e) for g, e in rest if e > 0), ())
-            lead = SuperPolynomial(p.delta, p.m, {rest_key: coeff * k})
-            out = out + lead * img * tail_odds
-        # odd factors: prefix parity counts the preceding odd factors
-        for pos, gen in enumerate(odds):
-            img = image(gen)
-            if img.is_zero():
-                continue
-            sign = -1 if (parity and pos & 1) else 1
-            prefix: MonomialKey = (evens, odds[:pos])
-            suffix: MonomialKey = ((), odds[pos + 1:])
-            lead = SuperPolynomial(p.delta, p.m, {prefix: coeff * sign})
-            tail = SuperPolynomial(p.delta, p.m, {suffix: _ONE})
-            out = out + lead * img * tail
-    return out
+        slots = [
+            ((evens[:pos] + (((gen, k - 1),) if k > 1 else ()) + evens[pos + 1:], ()), gen, k, ((), odds))
+            for pos, (gen, k) in enumerate(evens)
+        ]
+        slots += [((evens, odds[:pos]), gen, -1 if parity and pos & 1 else 1, ((), odds[pos + 1:]))
+                  for pos, gen in enumerate(odds)]
+        for prefix, gen, scale, suffix in slots:
+            if gen not in images:
+                images[gen] = image(gen)
+            for image_key, image_coeff in images[gen].terms.items():
+                head = _key_product(prefix, image_key)
+                term = None if head is None else _key_product(head[0], suffix)
+                if term is not None:
+                    key, sign = term
+                    acc[key] = acc.get(key, _ZERO) + head[1] * sign * scale * coeff * image_coeff
+    return SuperPolynomial(p.delta, p.m, acc)
 
 
 def apply_d(i: int, p: SuperPolynomial) -> SuperPolynomial:
@@ -473,6 +474,8 @@ class VectorField:
 
     @classmethod
     def coordinate(cls, delta: int, m: int, var: int) -> "VectorField":
+        if not 0 <= var < m:
+            raise ValueError(f"variable index {var} out of range for m={m}")
         comps = [
             SuperPolynomial.constant(delta, m, 1 if j == var else 0) for j in range(m)
         ]
@@ -673,15 +676,13 @@ def concordance_solve(e_plus: SuperPolynomial, e_minus: SuperPolynomial) -> Conc
         if violation is not None:
             raise ValueError(f"{label}: {violation}")
     target = e_plus - e_minus
-    if target.is_zero():
-        return ConcordanceResult(True, SuperPolynomial.zero(delta, m), None)
-
     blocks: dict[tuple[int, int], dict[MonomialKey, Fraction]] = {}
     for key, coeff in target.terms.items():
         label = (SuperPolynomial.key_degree(key), SuperPolynomial.key_weight(key))
         blocks.setdefault(label, {})[key] = coeff
 
-    witness = SuperPolynomial.zero(delta, m)
+    # the blocks' bases are disjoint, so each solution enters the map once
+    terms: dict[MonomialKey, Fraction] = {}
     for (degree, weight), block in sorted(blocks.items()):
         source_degree = degree - delta
         if source_degree < 0:
@@ -698,9 +699,8 @@ def concordance_solve(e_plus: SuperPolynomial, e_minus: SuperPolynomial) -> Conc
                 None,
                 f"degree-{degree} weight-{weight} component is not in the image of Delta",
             )
-        for key, coeff in zip(basis, solution):
-            if coeff != 0:
-                witness = witness + monomial(delta, m, key, coeff)
+        terms.update(zip(basis, solution))
+    witness = SuperPolynomial(delta, m, terms)
     check = apply_Delta(witness) - target
     if not check.is_zero():
         raise AssertionError("internal error: witness verification failed")

@@ -45,3 +45,24 @@ def test_algebra_lines_are_the_dict_loops_bits(monkeypatch):
     # the same lines with every product on the dict loop
     monkeypatch.setattr(grassmann, "KERNEL_MIN_PAIRS", math.inf)
     assert bits_dump._algebra_lines() == lines
+
+
+def test_efts_lines_cover_every_operator_at_each_algebra():
+    bits_dump = load()
+    lines = bits_dump._efts_lines()
+    assert lines == bits_dump._efts_lines()
+    assert all(line.startswith("efts delta=") and " = " in line and "\n" not in line for line in lines)
+    ops = {}
+    for line in lines:
+        _, delta, m, op = line.split(" ", 4)[:4]
+        ops.setdefault((delta, m), set()).add(op)
+    for delta in (1, 2):
+        for m in (1, 2):
+            directions = range(1, delta + 1)
+            want = {"poly", "field", "Delta", "L", "I", "cartan"} | {f"d{k}" for k in directions} | {f"iota{k}" for k in directions}
+            if delta == m == 2:
+                want.add("concordance")
+            assert ops[(f"delta={delta}", f"m={m}")] == want
+    assert not any("holds=False" in line for line in lines)
+    outcomes = [line.split(" = ", 1)[1].split(" ", 1)[0] for line in lines if " concordance " in line]
+    assert {"witness", "certificate", "refused"} <= set(outcomes)

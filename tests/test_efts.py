@@ -140,6 +140,12 @@ class TestLieDerivative:
         assert apply_L(v, SuperPolynomial.variable(2, 2, 0)) == SuperPolynomial.constant(2, 2, 1)
         assert apply_L(v, SuperPolynomial.variable(2, 2, 1)).is_zero()
 
+    @pytest.mark.parametrize("var", [2, 5, -1])
+    def test_coordinate_field_refuses_an_out_of_range_variable(self, var):
+        # the zero field it gave before passed check_cartan vacuously
+        with pytest.raises(ValueError, match=f"variable index {var} out of range for m=2"):
+            VectorField.coordinate(2, 2, var)
+
     def test_euler_field_fixes_dx(self):
         # delta = 1, v = x d/dx: L_v(dx) = d(v x)|_... = dx
         v = VectorField(1, 1, [SuperPolynomial.variable(1, 1, 0)])
@@ -196,6 +202,39 @@ class TestContractions:
                             k, psi, apply_d(k, mono)
                         )
                         assert lhs == apply_L(psi, mono)
+
+
+def seeded_polynomial(rng, delta, m, keys, count):
+    """A sum of ``count`` distinct keys with nonzero rational coefficients."""
+    terms = {key: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3)) for key in rng.sample(keys, count)}
+    return SuperPolynomial(delta, m, terms)
+
+
+class TestGradedLeibniz:
+    @pytest.mark.parametrize("delta", [1, 2])
+    def test_multi_term_products(self, delta):
+        # D(pq) = D(p) q + (-1)^(|D||p|) p D(q) for p of one parity, and (pq)s = p(qs)
+        m = 2
+        rng = random.Random(40 + delta)
+        keys = enumerate_monomials(delta, m, 2, 2)
+        by_parity = [[key for key in keys if SuperPolynomial.key_parity(key) == parity] for parity in (0, 1)]
+        base = [key for key in keys if not key[1] and all(mask == 0 for (_, mask), _ in key[0])]
+        fields = [VectorField(delta, m, [seeded_polynomial(rng, delta, m, base, 2) for _ in range(m)]) for _ in range(2)]
+        ops = [(1, lambda p, k=k: apply_d(k, p)) for k in range(1, delta + 1)]
+        for v in fields:
+            ops += [(1, lambda p, k=k, v=v: apply_iota(k, v, p)) for k in range(1, delta + 1)]
+            ops += [(delta & 1, lambda p, v=v: apply_Iw(v, p)), (0, lambda p, v=v: apply_L(v, p))]
+        checked = 0
+        for trial in range(24):
+            parity = trial & 1
+            p = seeded_polynomial(rng, delta, m, by_parity[parity], 3)
+            q, s = (seeded_polynomial(rng, delta, m, keys, 3) for _ in range(2))
+            assert (p * q) * s == p * (q * s)
+            for op_parity, op in ops:
+                sign = -1 if op_parity and parity else 1
+                assert op(p * q) == op(p) * q + (p * op(q)).scale(sign)
+                checked += 1
+        assert checked == 24 * (delta + 2 * (delta + 2))
 
 
 class TestMonomialBasis:
