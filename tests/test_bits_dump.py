@@ -59,7 +59,8 @@ def test_efts_lines_cover_every_operator_at_each_algebra():
     for delta in (1, 2):
         for m in (1, 2):
             directions = range(1, delta + 1)
-            want = {"poly", "field", "Delta", "L", "I", "cartan"} | {f"d{k}" for k in directions} | {f"iota{k}" for k in directions}
+            want = {"poly", "field", "Delta", "L", "I", "cartan"}
+            want |= {f"d{k}" for k in directions} | {f"iota{k}" for k in directions}
             if delta == m == 2:
                 want.add("concordance")
             assert ops[(f"delta={delta}", f"m={m}")] == want
