@@ -30,8 +30,11 @@ or the ones named):
   ``pfaffian_combinatorial`` of seeded float (numpy array), int and
   ``Fraction`` skew forms of sizes 2 to 12, ``exp_even`` of seeded float
   and ``Fraction`` elements, and the term maps of ``action_coordinate``
-  and ``action_geometric`` at seeded jets for n = 2, 3 and 4.  Term maps
-  print every term in order, as ``mask:coefficient``;
+  and ``action_geometric`` at seeded jets for n = 2, 3 and 4, and
+  ``check_action_equivalence(default_rng(s), dims=(2, 3), samples=100)``
+  for s = 1, 2 and 3, the call of the ``exact-algebra`` benchmark
+  (``action_check``).  Term maps print every term in order, as
+  ``mask:coefficient``;
 * ``efts`` (only when no manifold is named): for delta and m in {1, 2},
   ``format_polynomial`` of Delta, each d_i, L_v, I_v and each iota_k on
   seeded two-term polynomials over ``enumerate_monomials(delta, m, 3, 3)``
@@ -245,6 +248,9 @@ def _algebra_lines() -> list[str]:
         frame = geometry.CurvatureFrame.from_jets(np.zeros(n), jets)
         lines.append(f"algebra action_coordinate n={n} {_terms(sigma.action_coordinate(jets, cf))}")
         lines.append(f"algebra action_geometric n={n} {_terms(sigma.action_geometric(frame, cf))}")
+    for seed in (1, 2, 3):
+        worst = sigma.check_action_equivalence(np.random.default_rng(seed), dims=(2, 3), samples=100)
+        lines.append(f"algebra action_check seed={seed} worst={_value(worst)}")
     return lines
 
 

@@ -102,6 +102,12 @@ class SuperPolynomial:
     __slots__ = ("delta", "m", "terms")
 
     def __init__(self, delta: int, m: int, terms: dict[MonomialKey, Fraction] | None = None):
+        """Keep the nonzero terms as Fractions.
+
+        The keys are taken as given, unchecked: every operation builds its
+        result here, and every derivation and ``_key_product`` assume
+        canonical keys.  ``monomial`` checks a key from outside.
+        """
         if delta not in (1, 2):
             raise ValueError(f"delta must be 1 or 2, got {delta}")
         if m < 1:
@@ -372,30 +378,43 @@ def _summands(text: str, delta: int, m: int):
         yield term, direction
 
 
+def _add_terms(acc: dict[MonomialKey, Fraction], p: SuperPolynomial) -> None:
+    """acc += p in place; a key whose sum is zero leaves the map, as in ``p + q``."""
+    for key, coeff in p.terms.items():
+        total = acc.get(key, _ZERO) + coeff
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+
+
 def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
-    """Parse the canonical text syntax, e.g. ``2*x1*D21x1 - 2*D1x1*D2x1``; zero is written ``0``."""
+    """Parse the canonical text syntax, e.g. ``2*x1*D21x1 - 2*D1x1*D2x1``; zero is written ``0``.
+
+    The summands are added into one term map, so parsing is linear in their number.
+    """
     summands = list(_summands(text, delta, m))
     if not summands:
         raise ParseError("empty polynomial")
-    result = SuperPolynomial.zero(delta, m)
+    terms: dict[MonomialKey, Fraction] = {}
     for term, direction in summands:
         if direction is not None:
             raise ParseError(f"unexpected token 'd/dx{direction + 1}' in a polynomial")
-        result = result + term
-    return result
+        _add_terms(terms, term)
+    return SuperPolynomial(delta, m, terms)
 
 
 def parse_vector_field(text: str, delta: int, m: int) -> "VectorField":
-    """Parse e.g. ``d/dx1``, ``x1*d/dx1``, or ``x2*d/dx1 - x1^2*d/dx2``."""
+    """Parse e.g. ``d/dx1``, ``x1*d/dx1``, or ``x2*d/dx1 - x1^2*d/dx2``; one term map per component."""
     summands = list(_summands(text, delta, m))
     if not summands:
         raise ParseError("empty vector field")
-    components = [SuperPolynomial.zero(delta, m) for _ in range(m)]
+    components: list[dict[MonomialKey, Fraction]] = [{} for _ in range(m)]
     for term, direction in summands:
         if direction is None:
             raise ParseError(f"vector-field term {format_polynomial(term)!r} must end in d/dx<j>")
-        components[direction] = components[direction] + term
-    return VectorField(delta, m, components)
+        _add_terms(components[direction], term)
+    return VectorField(delta, m, [SuperPolynomial(delta, m, terms) for terms in components])
 
 
 # -- derivations -----------------------------------------------------------------
@@ -581,7 +600,38 @@ def enumerate_monomials(
     return keys
 
 
+def _key_fault(delta: int, m: int, key: MonomialKey) -> str | None:
+    """Why ``key`` is not a canonical monomial key of the algebra, or None if it is."""
+    evens, odds = key
+    gens = [gen for gen, _ in evens]
+    for gen in gens + list(odds):
+        var, mask = gen
+        if not (0 <= var < m and 0 <= mask < 1 << delta):
+            return f"generator {gen} is outside the algebra at delta={delta}, m={m}"
+    if any(_gen_parity(gen) for gen in gens):
+        return "an odd generator is in the even part"
+    if not all(_gen_parity(gen) for gen in odds):
+        return "an even generator is in the odd part"
+    if any(k < 1 for _, k in evens):
+        return "an exponent is below 1"
+    if any(a >= b for a, b in zip(gens, gens[1:])):
+        return "the even part is not sorted or repeats a generator"
+    if any(a >= b for a, b in zip(odds, odds[1:])):
+        return "the odd part is not sorted or repeats a generator"
+    return None
+
+
 def monomial(delta: int, m: int, key: MonomialKey, coeff=1) -> SuperPolynomial:
+    """coeff times the monomial ``key``, which must be canonical: ``enumerate_monomials`` gives such keys.
+
+    A canonical key has its even generators sorted, each once with exponent at
+    least 1, and its odd generators sorted, each once; every generator is in
+    the part of its parity and inside the algebra.  Any other key raises
+    ``ValueError``.
+    """
+    fault = _key_fault(delta, m, key)
+    if fault is not None:
+        raise ValueError(f"monomial key {key!r} is not canonical: {fault}")
     return SuperPolynomial(delta, m, {key: Fraction(coeff)})
 
 

@@ -18,7 +18,14 @@ where Hess is the covariant Hessian.  Two independent routes compute it:
   component E = F + Hess-part, plus the potential pulled back through E.
 
 Their coefficientwise equality over random jets mechanizes the derivation
-that relates the raw expansion to curvature.
+that relates the raw expansion to curvature.  The expansion's Grassmann
+products depend on the dimension alone, so ``action_coordinate`` runs them
+once per n: ``_coordinate_plan`` multiplies elements whose coefficients are
+labels of a sample's slots (F^k, Gamma^k_ab, the Hessian), and keeps, per
+term of the expansion, which slots meet, the output mask and sign, and the
+order in which ``multiply``'s dict loop adds them.  A sample then does only
+that float arithmetic, so its term map has the bits of multiplying the
+elements out (``tests/action_oracle.py`` does, and the tests compare).
 
 Integrating out F turns exp(-S) into the partition integrand
 
@@ -208,11 +215,153 @@ def _coordinate_pairs(n: int) -> tuple[tuple[GrassmannElement, ...], ...]:
     return tuple(tuple(multiply(phi2[k], phi1[i]) for i in range(n)) for k in range(n))
 
 
-def _add_scaled(acc: dict, element: GrassmannElement, scale: float) -> None:
-    """acc += scale * element, one coefficient at a time."""
-    for mask, c in element.terms.items():
-        prev = acc.get(mask)
-        acc[mask] = scale * c if prev is None else prev + scale * c
+class _Label:
+    """A coefficient that records what ``multiply``'s dict loop does with it.
+
+    ``terms`` is a signed sum of products of sample slots, ``((sign, slots), ...)``,
+    in the order the sum adds them.  The loop takes a label like any
+    coefficient: ``-a * b`` gives the signed product and ``prev + val``
+    appends it to the sum.  Only single products multiply, so a sum is never
+    distributed, and an int factor is a generator's sign.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple):
+        self.terms = terms
+
+    @classmethod
+    def slot(cls, index) -> "_Label":
+        return cls(((1, (int(index),)),))
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Label(tuple((sign * other, slots) for sign, slots in self.terms))
+        ((sign, slots),) = self.terms
+        ((other_sign, other_slots),) = other.terms
+        return _Label(((sign * other_sign, slots + other_slots),))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __add__(self, other):
+        return _Label(self.terms + other.terms)
+
+    def __radd__(self, other):
+        if other != 0:
+            return NotImplemented
+        return self
+
+
+_ONE = _Label(((1, ()),))  # the unit, for products that hold no slot
+
+
+@dataclass(frozen=True)
+class _ScaledProducts:
+    """sum over rows r of scale[r] * (signed products of row r) into out[r], compiled.
+
+    Row r holds one output mask of one product of the expansion.  Its
+    products p_rc = signed[left[r, c]] * values[right[r, c]] are summed in
+    column order, which is the order ``multiply``'s dict loop adds them; a
+    short row is padded with 0.0 * 1.0.  The rows go into the output in
+    row order, the order the expansion adds its products.
+    """
+
+    left: np.ndarray  # (rows, width) indices into values followed by -values
+    right: np.ndarray  # (rows, width) indices into values
+    scale: np.ndarray  # (rows,) indices into scales
+    out: np.ndarray  # (rows,) output positions
+
+    def __call__(self, signed: np.ndarray, values: np.ndarray, scales: np.ndarray, size: int) -> np.ndarray:
+        products = signed[self.left] * values[self.right]
+        inner = products[:, 0]
+        for column in range(1, products.shape[1]):
+            inner = inner + products[:, column]
+        acc = np.zeros(size)
+        np.add.at(acc, self.out, scales[self.scale] * inner)
+        return acc
+
+
+@dataclass(frozen=True)
+class _CoordinatePlan:
+    """The products of ``action_coordinate`` at one dimension, as index tables."""
+
+    masks: tuple[int, ...]  # output masks, in the order the expansion first meets them
+    kinetic: _ScaledProducts  # 2 S_kin
+    potential: _ScaledProducts  # S_pot / (-lambda)
+
+
+def _slot_tables(*shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Consecutive slot indices, one table per shape, for flattening arrays of those shapes end to end."""
+    tables, start = [], 0
+    for shape in shapes:
+        tables.append(np.arange(start, start + math.prod(shape)).reshape(shape))
+        start += math.prod(shape)
+    return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _coordinate_plan(n: int) -> _CoordinatePlan:
+    """Run the expansion once on labelled coefficients and keep what ``multiply`` did.
+
+    A sample's values are F^k, Gamma^k_ab, Hess_ab, 1.0 and 0.0, and its
+    scales g_ij, d_k g_ij, d_k d_l g_ij, d_k h and 1.0, each flattened in C
+    order.  E^k is built from the coordinate route's own generators, so the
+    plan's masks, signs and sum orders are those of ``multiply`` on them.
+    """
+    N = 2 * n
+    phi1, phi2, quartics = _coordinate_generators(n)
+    phi2_phi1 = _coordinate_pairs(n)
+    phi1_phi2 = [[multiply(phi1[a], phi2[b]) for b in range(n)] for a in range(n)]
+    F, gamma, hess, (one, zero) = _slot_tables((n,), (n, n, n), (n, n), (2,))
+    g, dg, d2g, grad, (unit,) = _slot_tables((n, n), (n, n, n), (n, n, n, n), (n,), (1,))
+    size = zero + 1  # values, then -values
+
+    E = []
+    for k in range(n):
+        e = GrassmannElement.scalar(N, _Label.slot(F[k]))
+        for a in range(n):
+            for b in range(n):
+                e = e - phi1_phi2[a][b] * _Label.slot(gamma[k, a, b])
+        E.append(e)
+    kinetic = []  # (scale slot, product), in the expansion's order
+    for i in range(n):
+        for j in range(n):
+            kinetic.append((g[i, j], multiply(E[i], E[j])))
+            for k in range(n):
+                kinetic += [
+                    (dg[k, i, j], multiply(multiply(phi1[k], E[i]), phi2[j])),
+                    (dg[k, i, j], -multiply(phi2_phi1[k][i], E[j])),
+                    (dg[k, i, j], -multiply(multiply(E[k], phi1[i]), phi2[j])),
+                ]
+                kinetic += [(d2g[k, l, i, j], quartics[k, l, i, j] * _ONE) for l in range(n)]
+    potential = [(grad[k], E[k]) for k in range(n)]
+    potential += [(unit, phi1_phi2[a][b] * _Label.slot(hess[a, b])) for a in range(n) for b in range(n)]
+
+    positions: dict[int, int] = {}
+
+    def compile_rows(products: list) -> _ScaledProducts:
+        rows = [
+            (positions.setdefault(mask, len(positions)), scale, label.terms)
+            for scale, element in products
+            for mask, label in element.terms.items()
+        ]
+        width = max(len(terms) for _, _, terms in rows)
+        left = np.full((len(rows), width), zero)
+        right = np.full((len(rows), width), one)
+        for r, (_, _, terms) in enumerate(rows):
+            for c, (sign, slots) in enumerate(terms):
+                a, b = (slots + (one, one))[:2]
+                left[r, c] = a if sign > 0 else a + size
+                right[r, c] = b
+        out, scale, _ = zip(*rows)
+        return _ScaledProducts(left, right, np.array(scale), np.array(out))
+
+    kinetic_plan = compile_rows(kinetic)
+    potential_plan = compile_rows(potential)
+    return _CoordinatePlan(tuple(positions), kinetic_plan, potential_plan)
 
 
 def action_coordinate(jets: MetricJets, cf: ComponentField) -> GrassmannElement:
@@ -230,46 +379,39 @@ def action_coordinate(jets: MetricJets, cf: ComponentField) -> GrassmannElement:
 
         S_pot = -lambda (d_k h  E^k + d_k d_l h  phi_1^k phi_2^l).
 
-    Every term is added into one term map in the order written, which gives
-    each coefficient the same float additions as summing the elements.
+    The products depend on n alone, so ``_coordinate_plan`` runs them once
+    per n through ``multiply`` on labelled coefficients.  A sample then does
+    only the float arithmetic of those products, in their order: each
+    product's sum in ``multiply``'s loop order, the scale by g_ij, d_k g_ij
+    or d_k d_l g_ij (the sign of -d_k g_ij moved onto the product), then the
+    add into one term map in the order written.  With finite jets every
+    coefficient has the bits of multiplying the elements out; a coefficient
+    that is exactly zero only adds zeros.  Terms come in the order the
+    expansion first meets their masks.
     """
     n = jets.g.shape[0]
-    N = 2 * n
+    plan = _coordinate_plan(n)
     gamma2 = christoffel_tensors(np.linalg.inv(jets.g), jets.dg)
-    g, dg, d2g = jets.g.tolist(), jets.dg.tolist(), jets.d2g.tolist()
-    F = np.asarray(cf.F, dtype=float).tolist()
-    phi1, phi2, quartics = _coordinate_generators(n)
-    phi2_phi1 = _coordinate_pairs(n)
-
-    E = [GrassmannElement.scalar(N, F[k]) - pair_biform(gamma2[k]) for k in range(n)]
-    phi1_E = [[multiply(phi1[k], E[i]) for i in range(n)] for k in range(n)]
-    E_phi1 = [[multiply(E[k], phi1[i]) for i in range(n)] for k in range(n)]
-
-    acc: dict[int, float] = {}
-    for i in range(n):
-        for j in range(n):
-            _add_scaled(acc, multiply(E[i], E[j]), g[i][j])
-            for k in range(n):
-                c = dg[k][i][j]
-                if c != 0.0:
-                    _add_scaled(acc, multiply(phi1_E[k][i], phi2[j]), c)
-                    _add_scaled(acc, multiply(phi2_phi1[k][i], E[j]), -c)
-                    _add_scaled(acc, multiply(E_phi1[k][i], phi2[j]), -c)
-                for l in range(n):
-                    c2 = d2g[k][l][i][j]
-                    if c2 != 0.0:
-                        _add_scaled(acc, quartics[k, l, i, j], c2)
-    acc = {mask: 0.5 * c for mask, c in acc.items()}
-
+    grad, hess = cf.potential_jets(n) if cf.lam != 0.0 else (np.zeros(n), np.zeros((n, n)))
+    # the slot order of _coordinate_plan
+    values = np.concatenate(
+        (np.asarray(cf.F, dtype=float).reshape(n), gamma2.reshape(n**3), hess.reshape(n * n), (1.0, 0.0))
+    )
+    signed = np.concatenate((values, -values))
+    scales = np.concatenate(
+        (
+            np.asarray(jets.g, dtype=float).reshape(n * n),
+            np.asarray(jets.dg, dtype=float).reshape(n**3),
+            np.asarray(jets.d2g, dtype=float).reshape(n**4),
+            grad.reshape(n),
+            (1.0,),
+        )
+    )
+    size = len(plan.masks)
+    acc = 0.5 * plan.kinetic(signed, values, scales, size)
     if cf.lam != 0.0:
-        grad, hess = cf.potential_jets(n)
-        pot: dict[int, float] = {}
-        for k, dh in enumerate(grad.tolist()):
-            if dh != 0.0:
-                _add_scaled(pot, E[k], dh)
-        _add_scaled(pot, pair_biform(hess), 1.0)
-        _add_scaled(acc, GrassmannElement(N, pot), -cf.lam)
-    return GrassmannElement(N, acc)
+        acc = acc + -cf.lam * plan.potential(signed, values, scales, size)
+    return GrassmannElement(2 * n, dict(zip(plan.masks, acc.tolist())))
 
 
 def check_action_equivalence(

@@ -41,6 +41,7 @@ def test_algebra_lines_are_the_dict_loops_bits(monkeypatch):
     assert [h[2] for h in heads if h[1] == "exp_even"] == ["float"] * 3 + ["fraction"] * 3
     for route in ("action_coordinate", "action_geometric"):
         assert [h[2] for h in heads if h[1] == route] == ["n=2", "n=3", "n=4"]
+    assert [h[2] for h in heads if h[1] == "action_check"] == ["seed=1", "seed=2", "seed=3"]
     assert not any("refused" in line or "\n" in line for line in lines)
     # the same lines with every product on the dict loop
     monkeypatch.setattr(grassmann, "KERNEL_MIN_PAIRS", math.inf)

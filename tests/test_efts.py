@@ -262,6 +262,32 @@ class TestMonomialBasis:
             enumerate_monomials(2, 2, 3, 4)
 
 
+class TestMonomialKeys:
+    @pytest.mark.parametrize(
+        "key, reason",
+        [
+            (((((0, 1), 2),), ()), "odd generator is in the even part"),  # D1x1^2, although D1x1 squares to zero
+            (((), ((0, 2), (0, 1))), "odd part is not sorted"),  # D2x1*D1x1 out of order
+            (((((5, 0), 1),), ()), "outside the algebra"),  # x6 at m = 1
+            (((), ((0, 1), (0, 1))), "odd part is not sorted or repeats"),
+            (((((0, 3), 1), ((0, 0), 1)), ()), "even part is not sorted"),
+            (((((0, 0), 1), ((0, 0), 2)), ()), "repeats a generator"),
+            (((((0, 0), 0),), ()), "exponent is below 1"),
+            (((), ((0, 3),)), "even generator is in the odd part"),
+            (((), ((0, 4),)), "outside the algebra"),
+        ],
+    )
+    def test_non_canonical_key_is_refused(self, key, reason):
+        with pytest.raises(ValueError, match=reason) as error:
+            monomial(2, 1, key)
+        assert repr(key) in str(error.value)
+
+    def test_every_enumerated_key_is_accepted(self):
+        for delta, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for key in enumerate_monomials(delta, m, 3, 3):
+                assert list(monomial(delta, m, key, 3).terms.items()) == [(key, Fraction(3))]
+
+
 class TestCartan:
     @pytest.mark.parametrize("delta", [1, 2])
     def test_coordinate_field(self, delta):
@@ -612,3 +638,23 @@ class TestTextSyntax:
             parse_vector_field("d/dx1^2", 2, 1)
         w = parse_vector_field("-2*x1^2*d/dx1 + d/dx1", 2, 1)
         assert w.components[0] == poly("1 - 2*x1^2")
+
+    def test_many_summands_parse_in_one_map(self):
+        # 2,000 summands, each its own key: one term map, not a sum per summand
+        count = 2000
+        text = " + ".join(f"{k}*x1^{k}*D1x1" for k in range(1, count + 1))
+        want = {((((0, 0), k),), ((0, 1),)): Fraction(k) for k in range(1, count + 1)}
+        assert parse_polynomial(text, 2, 1) == SuperPolynomial(2, 1, want)
+        field = parse_vector_field(text.replace("D1x1", "d/dx1"), 2, 1)
+        assert field.components[0] == SuperPolynomial(2, 1, {((((0, 0), k),), ()): Fraction(k) for k in range(1, count + 1)})
+
+    def test_cancelled_summands_keep_the_order_of_repeated_sums(self):
+        # x1 cancels, so it comes back after x2, as in x1 + (-x1) + x2 + x1
+        summed = SuperPolynomial.zero(2, 2)
+        for piece in ("x1", "-x1", "x2", "2*x1"):
+            summed = summed + parse_polynomial(piece, 2, 2)
+        parsed = parse_polynomial("x1 - x1 + x2 + 2*x1", 2, 2)
+        assert list(parsed.terms.items()) == list(summed.terms.items())
+        assert list(parsed.terms) == [((((1, 0), 1),), ()), ((((0, 0), 1),), ())]
+        field = parse_vector_field("x1*d/dx2 - x1*d/dx2 + x2*d/dx2 + x1*d/dx2", 2, 2)
+        assert list(field.components[1].terms) == list(parsed.terms)

@@ -1,9 +1,11 @@
 """The sigma-model action: two independent computation routes must agree."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from action_oracle import multiply_path_action
 
 from cgb.geometry import CurvatureFrame, MetricJets, curvature_biform
 from cgb.grassmann import GrassmannElement, permutation_sign
@@ -53,6 +55,11 @@ class TestTwoRouteEquivalence:
         rng = np.random.default_rng(5)
         worst = check_action_equivalence(rng, dims=(2,), samples=5, fault_flip=True)
         assert worst > 1e-3
+
+    def test_random_jets_value_pinned(self):
+        # the worst discrepancy of the seeded check, to the bit
+        worst = check_action_equivalence(np.random.default_rng(2024), dims=(2, 3), samples=30)
+        assert worst.hex() == "0x1.0000000000000p-48"
 
     def test_fault_injection_value_pinned(self):
         # the planted fault (-d2g on the coordinate route) gives the same discrepancy, to the bit
@@ -142,6 +149,64 @@ class TestCoordinateActionBits:
         assert got == COORDINATE_ACTION_BITS[n]
 
 
+def term_bits(element):
+    return {mask: float(c).hex() for mask, c in element.terms.items()}
+
+
+def random_field(rng, n, lam=None):
+    hess = rng.normal(size=(n, n))
+    return ComponentField(
+        x=np.zeros(n),
+        F=rng.normal(size=n),
+        lam=float(rng.normal()) if lam is None else lam,
+        h_grad=rng.normal(size=n),
+        h_hess=hess + hess.T,
+    )
+
+
+class TestCompiledCoordinateRoute:
+    """The plan's float arithmetic against multiplying the elements out, bit for bit."""
+
+    @pytest.mark.parametrize("n, samples", [(2, 40), (3, 40), (4, 8)])
+    def test_seeded_jets(self, n, samples):
+        rng = np.random.default_rng(3100 + n)
+        for _ in range(samples):
+            jets, cf = random_jets(rng, n), random_field(rng, n)
+            assert term_bits(action_coordinate(jets, cf)) == term_bits(multiply_path_action(jets, cf))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_jets_with_exact_zeros(self, n):
+        rng = np.random.default_rng(3200 + n)
+        flat = MetricJets(np.eye(n), np.zeros((n, n, n)), np.zeros((n, n, n, n)))
+        sparse_grad = random_field(rng, n)
+        sparse_grad.h_grad[0] = 0.0
+        cases = [
+            (flat, random_field(rng, n)),
+            (flat, ComponentField(x=np.zeros(n), F=np.zeros(n))),
+            (random_jets(rng, n), dataclasses.replace(random_field(rng, n), F=np.zeros(n))),
+            (random_jets(rng, n), random_field(rng, n, lam=0.0)),
+            (random_jets(rng, n), sparse_grad),
+        ]
+        if n == 2:
+            cases += [(sphere_jets(th), random_field(rng, 2)) for th in (0.4, math.pi / 3, math.pi / 2)]
+            cases.append((sphere_jets(1.1), ComponentField(x=np.zeros(2), F=np.zeros(2))))
+        for jets, cf in cases:
+            assert term_bits(action_coordinate(jets, cf)) == term_bits(multiply_path_action(jets, cf))
+
+    def test_a_sample_multiplies_no_element(self, monkeypatch):
+        from cgb import sigma
+
+        rng = np.random.default_rng(11)
+        jets, cf = random_jets(rng, 3), random_field(rng, 3)
+        expected = term_bits(action_coordinate(jets, cf))  # builds the plan for n = 3
+
+        def unreachable(a, b):
+            raise AssertionError("a sample called multiply")
+
+        monkeypatch.setattr(sigma, "multiply", unreachable)
+        assert term_bits(action_coordinate(jets, cf)) == expected
+
+
 class TestActionStructure:
     def test_flat_no_potential_is_pure_kinetic_scalar(self):
         n = 2
@@ -227,3 +292,18 @@ class TestCoordinateGenerators:
             ranks = {g: r for r, g in enumerate(sorted(order))}
             sign = permutation_sign([ranks[g] for g in order])
             assert mono.terms == {sum(1 << g for g in order): sign}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_plan_is_built_without_biform_table(self, n, monkeypatch):
+        # the plan's E^k and Hessian pairs come from phi_1 phi_2 products, not the geometric route's table
+        from cgb import geometry, sigma
+
+        def unreachable(n):
+            raise AssertionError("the coordinate plan read biform_monomials")
+
+        monkeypatch.setattr(geometry, "biform_monomials", unreachable)
+        monkeypatch.setattr(sigma, "biform_monomials", unreachable)
+        for cached in (sigma._coordinate_generators, sigma._coordinate_pairs, sigma._coordinate_plan):
+            cached.cache_clear()
+        plan = sigma._coordinate_plan(n)
+        assert len(plan.masks) == len(set(plan.masks))
