@@ -96,6 +96,16 @@ def _key_product(a: MonomialKey, b: MonomialKey) -> tuple[MonomialKey, int] | No
     return (tuple(sorted(exps.items())), odd), sign
 
 
+def _add_terms(acc: dict[MonomialKey, Fraction], p: SuperPolynomial) -> None:
+    """acc += p in place; a key whose sum is zero leaves the map, as in ``p + q``."""
+    for key, coeff in p.terms.items():
+        total = acc.get(key, _ZERO) + coeff
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+
+
 class SuperPolynomial:
     """Sparse exact-coefficient polynomial in the generators D_I x^j."""
 
@@ -185,8 +195,7 @@ class SuperPolynomial:
             return NotImplemented
         self._check(other)
         acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc[key] = acc.get(key, _ZERO) + coeff
+        _add_terms(acc, other)
         return SuperPolynomial(self.delta, self.m, acc)
 
     def __sub__(self, other):
@@ -376,16 +385,6 @@ def _summands(text: str, delta: int, m: int):
         if expect_factor:
             raise ParseError("empty factor after '*'")
         yield term, direction
-
-
-def _add_terms(acc: dict[MonomialKey, Fraction], p: SuperPolynomial) -> None:
-    """acc += p in place; a key whose sum is zero leaves the map, as in ``p + q``."""
-    for key, coeff in p.terms.items():
-        total = acc.get(key, _ZERO) + coeff
-        if total:
-            acc[key] = total
-        else:
-            acc.pop(key, None)
 
 
 def parse_polynomial(text: str, delta: int, m: int) -> SuperPolynomial:
@@ -603,21 +602,28 @@ def enumerate_monomials(
 def _key_fault(delta: int, m: int, key: MonomialKey) -> str | None:
     """Why ``key`` is not a canonical monomial key of the algebra, or None if it is."""
     evens, odds = key
-    gens = [gen for gen, _ in evens]
-    for gen in gens + list(odds):
+    previous = None
+    for gen, k in evens:
         var, mask = gen
         if not (0 <= var < m and 0 <= mask < 1 << delta):
             return f"generator {gen} is outside the algebra at delta={delta}, m={m}"
-    if any(_gen_parity(gen) for gen in gens):
-        return "an odd generator is in the even part"
-    if not all(_gen_parity(gen) for gen in odds):
-        return "an even generator is in the odd part"
-    if any(k < 1 for _, k in evens):
-        return "an exponent is below 1"
-    if any(a >= b for a, b in zip(gens, gens[1:])):
-        return "the even part is not sorted or repeats a generator"
-    if any(a >= b for a, b in zip(odds, odds[1:])):
-        return "the odd part is not sorted or repeats a generator"
+        if mask.bit_count() & 1:
+            return f"odd generator {gen} is in the even part"
+        if k < 1:
+            return f"exponent {k} of {gen} is below 1"
+        if previous is not None and previous >= gen:
+            return "the even part is not sorted or repeats a generator"
+        previous = gen
+    previous = None
+    for gen in odds:
+        var, mask = gen
+        if not (0 <= var < m and 0 <= mask < 1 << delta):
+            return f"generator {gen} is outside the algebra at delta={delta}, m={m}"
+        if not mask.bit_count() & 1:
+            return f"even generator {gen} is in the odd part"
+        if previous is not None and previous >= gen:
+            return "the odd part is not sorted or repeats a generator"
+        previous = gen
     return None
 
 

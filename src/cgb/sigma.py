@@ -260,13 +260,13 @@ _ONE = _Label(((1, ()),))  # the unit, for products that hold no slot
 
 @dataclass(frozen=True)
 class _ScaledProducts:
-    """sum over rows r of scale[r] * (signed products of row r) into out[r], compiled.
+    """One term map of the plan: row r adds scales[scale[r]] times its sum into position out[r].
 
-    Row r holds one output mask of one product of the expansion.  Its
-    products p_rc = signed[left[r, c]] * values[right[r, c]] are summed in
-    column order, which is the order ``multiply``'s dict loop adds them; a
-    short row is padded with 0.0 * 1.0.  The rows go into the output in
-    row order, the order the expansion adds its products.
+    Row r is one output mask of one product of the expansion.  Its products
+    signed[left[r, c]] * values[right[r, c]] are summed in column order,
+    the order ``multiply``'s dict loop adds them; a short row is padded with
+    0.0 * 1.0.  The rows are added in row order, the order the expansion
+    adds its products (``np.add.at`` adds repeated positions in turn).
     """
 
     left: np.ndarray  # (rows, width) indices into values followed by -values

@@ -266,14 +266,14 @@ class TestMonomialKeys:
     @pytest.mark.parametrize(
         "key, reason",
         [
-            (((((0, 1), 2),), ()), "odd generator is in the even part"),  # D1x1^2, although D1x1 squares to zero
+            (((((0, 1), 2),), ()), "odd generator \\(0, 1\\) is in the even part"),  # D1x1^2, although D1x1 squares to zero
             (((), ((0, 2), (0, 1))), "odd part is not sorted"),  # D2x1*D1x1 out of order
             (((((5, 0), 1),), ()), "outside the algebra"),  # x6 at m = 1
             (((), ((0, 1), (0, 1))), "odd part is not sorted or repeats"),
             (((((0, 3), 1), ((0, 0), 1)), ()), "even part is not sorted"),
             (((((0, 0), 1), ((0, 0), 2)), ()), "repeats a generator"),
-            (((((0, 0), 0),), ()), "exponent is below 1"),
-            (((), ((0, 3),)), "even generator is in the odd part"),
+            (((((0, 0), 0),), ()), "exponent 0 of .* is below 1"),
+            (((), ((0, 3),)), "even generator .* is in the odd part"),
             (((), ((0, 4),)), "outside the algebra"),
         ],
     )
