@@ -223,7 +223,7 @@ def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):
         pfaffian_combinatorial,
     )
     from .manifolds import sphere
-    from .sigma import check_action_equivalence, euler_density, partition_integrand
+    from .sigma import _integrand_on_points, check_action_equivalence, euler_density, partition_integrand
 
     rng = np.random.default_rng(seed)
     exact = backend == "rational"
@@ -298,6 +298,18 @@ def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):
         frame = CurvatureFrame.from_chart(chart, x)
         worst = max(worst, abs(partition_integrand(frame, 0.0) - euler_density(frame)))
     yield "integrand reduction at lambda=0", worst < 1e-12, f"worst diff {worst:.2e}"
+
+    # sigma: the batched kernel every Z uses against the pointwise engine, at points of its own generator
+    points_rng = np.random.default_rng((seed, 1))
+    pts = np.column_stack([points_rng.uniform(0.3, math.pi - 0.3, 5), points_rng.uniform(0, 2 * math.pi, 5)])
+    h = spec.morse_catalog["height"].on_chart("polar")
+    lams = (0.0, 1.0)
+    worst = 0.0
+    for lam, batch in zip(lams, _integrand_on_points(chart, pts, lams, h)):
+        for x, value in zip(pts, batch):
+            point = partition_integrand(CurvatureFrame.from_chart(chart, x), lam, h.grad(x), h.hess(x))
+            worst = max(worst, abs(value - point) / max(1.0, abs(point)))
+    yield "batched kernel vs pointwise engine", worst < 1e-12, f"worst diff {worst:.2e}, height at lambda 0 and 1"
 
     # efts: anticommutation and the Cartan identity, exact
     ok = True

@@ -24,14 +24,16 @@ pass that multiplies keys by the one product rule ``_key_product``):
 
 ``check_cartan`` verifies [d_delta, ... [d_2, [d_1, I_w]] ...] = L_w on a
 monomial basis.  ``concordance_solve`` decides whether E_+ - E_- = Delta e
-has a solution (a witness for the two inputs being equivalent) by exact
-linear algebra in each (degree, weight) block, and otherwise certifies
-that the difference is not in the image of Delta within the truncation.
+has a solution (a witness for the two inputs being equivalent) by that
+identity for the Euler field E = sum_j x^j d/dx^j: one contraction I_E of
+the difference, each term divided by its weight, inverts Delta.  Otherwise
+the difference has a constant part, which Delta never yields; by the
+Poincare lemma (a closed polynomial with no constant part is Delta-exact)
+that certificate is exact, not a truncation.
 """
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -717,11 +719,15 @@ def _closedness_violation(p: SuperPolynomial) -> str | None:
 def concordance_solve(e_plus: SuperPolynomial, e_minus: SuperPolynomial) -> ConcordanceResult:
     """Solve Delta e = E_+ - E_- exactly, or certify infeasibility.
 
-    Both inputs must be even and closed under every d_i.  The system splits
-    into finite blocks indexed by (polynomial degree, factor count), since
-    Delta raises degree by delta and preserves the factor count; within each
-    block Gaussian elimination over the rationals with lexicographic pivots
-    gives a deterministic witness (free variables set to zero).
+    Both inputs must be even and closed under every d_i.  For the Euler
+    field E = sum_j x^j d/dx^j the Cartan identity [d_delta, ... [d_1, I_E]]
+    = L_E reduces, on a target T that every d_i kills, to Delta I_E T =
+    L_E T, and L_E multiplies a monomial by its weight (its factor count),
+    which I_E keeps.  So e = I_E T with each term divided by its weight
+    solves Delta e = T whenever T has no constant part.  Delta raises the
+    degree, so it never yields a constant: the constant part is the whole
+    obstruction (the Poincare lemma: a closed polynomial with no constant
+    part is Delta-exact), and the certificate is exact, not a truncation.
     """
     e_plus._check(e_minus)
     delta, m = e_plus.delta, e_plus.m
@@ -732,58 +738,29 @@ def concordance_solve(e_plus: SuperPolynomial, e_minus: SuperPolynomial) -> Conc
         if violation is not None:
             raise ValueError(f"{label}: {violation}")
     target = e_plus - e_minus
-    blocks: dict[tuple[int, int], dict[MonomialKey, Fraction]] = {}
-    for key, coeff in target.terms.items():
-        label = (SuperPolynomial.key_degree(key), SuperPolynomial.key_weight(key))
-        blocks.setdefault(label, {})[key] = coeff
-
-    # the blocks' bases are disjoint, so each solution enters the map once
-    terms: dict[MonomialKey, Fraction] = {}
-    for (degree, weight), block in sorted(blocks.items()):
-        source_degree = degree - delta
-        if source_degree < 0:
-            return ConcordanceResult(
-                False,
-                None,
-                f"target has degree-{degree} terms but the image of Delta starts at degree {delta}",
-            )
-        basis, columns = _delta_block(delta, m, source_degree, weight)
-        solution = _solve_block(columns, block, delta, m)
-        if solution is None:
-            return ConcordanceResult(
-                False,
-                None,
-                f"degree-{degree} weight-{weight} component is not in the image of Delta",
-            )
-        terms.update(zip(basis, solution))
-    witness = SuperPolynomial(delta, m, terms)
+    if ((), ()) in target.terms:
+        return ConcordanceResult(
+            False, None, f"target has degree-0 terms but the image of Delta starts at degree {delta}"
+        )
+    euler = VectorField(delta, m, [SuperPolynomial.variable(delta, m, j) for j in range(m)])
+    contracted = apply_Iw(euler, target)
+    witness = SuperPolynomial(
+        delta, m, {key: coeff / SuperPolynomial.key_weight(key) for key, coeff in contracted.terms.items()}
+    )
     check = apply_Delta(witness) - target
     if not check.is_zero():
         raise AssertionError("internal error: witness verification failed")
     return ConcordanceResult(True, witness, None)
 
 
-@functools.lru_cache(maxsize=64)
-def _delta_block(
-    delta: int, m: int, source_degree: int, weight: int
-) -> tuple[tuple[MonomialKey, ...], tuple[SuperPolynomial, ...]]:
-    """The monomials of one (degree, weight) block and their images under Delta.
-
-    The block depends only on its labels, so it is built once and shared by
-    every solve that meets it; callers only read the columns' terms.
-    """
-    basis = tuple(
-        key
-        for key in enumerate_monomials(delta, m, source_degree, weight)
-        if SuperPolynomial.key_degree(key) == source_degree and SuperPolynomial.key_weight(key) == weight
-    )
-    return basis, tuple(apply_Delta(monomial(delta, m, key)) for key in basis)
-
-
 def _solve_block(
     columns: Sequence[SuperPolynomial], target: dict[MonomialKey, Fraction], delta: int, m: int
 ) -> list[Fraction] | None:
-    """Exact dense solve of sum_j c_j * columns_j = target; None if infeasible."""
+    """Exact dense solve of sum_j c_j * columns_j = target; None if infeasible.
+
+    Lexicographic pivots set the free variables to zero.  No path of the
+    package calls it: the tests keep it as the oracle of ``concordance_solve``.
+    """
     rows = sorted(set(target) | {k for col in columns for k in col.terms})
     row_index = {key: i for i, key in enumerate(rows)}
     nrows, ncols = len(rows), len(columns)

@@ -465,6 +465,23 @@ class TestSelftestCommand:
         assert code == 1
         assert "FAIL" in stdout
 
+    def test_runs_the_batched_kernel(self, capsys):
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 0
+        (line,) = [line for line in stdout.splitlines() if line.startswith("batched kernel vs pointwise engine")]
+        assert line.split()[5] == "PASS"
+
+    def test_batched_kernel_sign_fault_detected(self, capsys, monkeypatch):
+        from cgb import sigma
+
+        top = sigma._berezin_top
+        monkeypatch.setattr(sigma, "_berezin_top", lambda *args: -top(*args))
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 1
+        (line,) = [line for line in stdout.splitlines() if line.startswith("batched kernel vs pointwise engine")]
+        assert line.split()[5] == "FAIL"
+        assert "FAILURES detected" in stdout
+
 
 class TestEftsCommand:
     def test_delta(self, capsys):

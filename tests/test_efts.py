@@ -1,7 +1,10 @@
 """The exact odd-direction function algebra and its operators."""
 
+import functools
 import itertools
+import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -411,10 +414,10 @@ def _solves(cases):
 def _interleaved_cases():
     """Targets in the four algebras delta = 1, 2 and m = 1, 2, taken in turn.
 
-    The first target of each algebra has degree 2 and weight 2, so the solves
-    meet blocks with equal labels in different algebras.  With delta = 1 and
-    m = 1 every closed even element is a constant: those targets are certified
-    infeasible.
+    The first target of each algebra has degree 2 and weight 2.  With
+    delta = 1 and m = 1 every closed even element is a constant: those
+    targets are certified infeasible, as is each algebra's constant and its
+    first target plus a constant.
     """
     rng = random.Random(8)
     groups = []
@@ -440,43 +443,66 @@ def _interleaved_cases():
     return [case for turn in itertools.zip_longest(*groups) for case in turn if case is not None]
 
 
-class TestDeltaBlockCache:
-    def test_cold_and_warm_solves_agree(self):
+def _block_witness(target):
+    """The dense block solver's witness for ``target``, or None if some (degree, weight) block has none.
+
+    Each block's columns are the Delta-images of the monomials one Delta
+    below it, solved by ``efts._solve_block``.
+    """
+    delta, m = target.delta, target.m
+    blocks = {}
+    for key, coeff in target.terms.items():
+        blocks.setdefault(label(key), {})[key] = coeff
+    terms = {}
+    for (degree, weight), block in blocks.items():
+        if degree < delta:
+            return None
+        basis = [key for key in enumerate_monomials(delta, m, degree - delta, weight) if label(key) == (degree - delta, weight)]
+        solution = efts._solve_block([apply_Delta(monomial(delta, m, key)) for key in basis], block, delta, m)
+        if solution is None:
+            return None
+        terms.update(zip(basis, solution))
+    return SuperPolynomial(delta, m, terms)
+
+
+class TestBlockSolverOracle:
+    def test_contraction_agrees_with_block_solver(self):
         cases = _interleaved_cases()
-        cold = []
-        for case in cases:
-            efts._delta_block.cache_clear()
-            cold += _solves([case])
-        efts._delta_block.cache_clear()
-        first = _solves(cases)
-        warm = _solves(cases)
-        assert efts._delta_block.cache_info().hits > 0
-        assert first == cold and warm == cold
-        assert sum(not feasible for feasible, _, _ in cold) == 8 and sum(feasible for feasible, _, _ in cold) == 12
-        for (target, _), (feasible, witness, _) in zip(cases, cold):
-            assert not feasible or apply_Delta(witness) == target
+        results = [concordance_solve(target, zero) for target, zero in cases]
+        assert sum(r.feasible for r in results) == 12 and sum(not r.feasible for r in results) == 8
+        for (target, _), result in zip(cases, results):
+            oracle = _block_witness(target)
+            assert result.feasible == (oracle is not None)
+            if result.feasible:
+                assert apply_Delta(result.witness) == target and apply_Delta(oracle) == target
+                assert apply_Delta(result.witness - oracle).is_zero()
+            else:
+                assert result.certificate == (
+                    f"target has degree-0 terms but the image of Delta starts at degree {target.delta}"
+                )
 
-    def test_interleaved_algebras_get_their_own_columns(self):
-        _solves(_interleaved_cases())
-        for delta in (1, 2):
-            for m in (1, 2):
-                basis, columns = efts._delta_block(delta, m, 2 - delta, 2)
-                assert basis and {label(key) for key in basis} == {(2 - delta, 2)}
-                assert all(col.delta == delta and col.m == m for col in columns)
-                assert list(columns) == [apply_Delta(monomial(delta, m, key)) for key in basis]
+    @pytest.mark.parametrize("delta", [1, 2])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_cartan_on_the_euler_field(self, delta, m):
+        euler = VectorField(delta, m, [SuperPolynomial.variable(delta, m, j) for j in range(m)])
+        report = check_cartan(euler, degree_cap=3, weight_cap=3)
+        assert report.holds and report.checked > 0
 
-    def test_cached_columns_unchanged_by_a_solve(self):
-        zero = SuperPolynomial.zero(2, 1)
-        target = apply_Delta(poly("x1^2 + x1^3"))
-        concordance_solve(target, zero)
-        blocks = [efts._delta_block(2, 1, 0, weight) for weight in (2, 3)]
-        snapshot = [[dict(col.terms) for col in columns] for _, columns in blocks]
-        assert concordance_solve(target, zero).witness == poly("x1^2 + x1^3")
-        concordance_solve(apply_Delta(poly("3*x1^3 - x1^2")), zero)
-        assert [[dict(col.terms) for col in columns] for _, columns in blocks] == snapshot
 
-    def test_cache_is_bounded(self):
-        assert efts._delta_block.cache_info().maxsize is not None
+class TestLargeTargets:
+    def test_six_variable_target_round_trips(self):
+        # Delta(s^2 + x6) for s = x1...x6: 43 terms of weight up to 12, far past the block solver's reach
+        m = 6
+        xs = [SuperPolynomial.variable(2, m, j) for j in range(m)]
+        s = functools.reduce(operator.mul, xs)
+        target = apply_Delta(s * s + xs[-1])
+        assert len(target.terms) == 43
+        start = time.perf_counter()
+        result = concordance_solve(target, SuperPolynomial.zero(2, m))
+        elapsed = time.perf_counter() - start
+        assert result.feasible and apply_Delta(result.witness) == target
+        assert elapsed < 2.0
+        assert all(SuperPolynomial.key_weight(key) > 0 for key in result.witness.terms)
 
 
 class TestPoincareLemmaDeltaOne:
