@@ -753,9 +753,7 @@ def concordance_solve(e_plus: SuperPolynomial, e_minus: SuperPolynomial) -> Conc
     return ConcordanceResult(True, witness, None)
 
 
-def _solve_block(
-    columns: Sequence[SuperPolynomial], target: dict[MonomialKey, Fraction], delta: int, m: int
-) -> list[Fraction] | None:
+def _solve_block(columns: Sequence[SuperPolynomial], target: dict[MonomialKey, Fraction]) -> list[Fraction] | None:
     """Exact dense solve of sum_j c_j * columns_j = target; None if infeasible.
 
     Lexicographic pivots set the free variables to zero.  No path of the

@@ -98,9 +98,11 @@ class ChartMetric:
         flat: bool = False,
     ):
         self.dim = dim
-        self.domain = np.asarray(domain, dtype=float).reshape(dim, 2)
+        self.domain = np.array(domain, dtype=float).reshape(dim, 2)
         if np.any(self.domain[:, 1] <= self.domain[:, 0]):
             raise ValueError("domain box must have positive extent on every axis")
+        self.domain.flags.writeable = False  # the box below is computed from it once
+        self._lo, self._hi = self.domain[:, 0] - DOMAIN_SLACK, self.domain[:, 1] + DOMAIN_SLACK
         self.metric = metric
         self.d_metric = d_metric
         self.d2_metric = d2_metric
@@ -111,8 +113,7 @@ class ChartMetric:
     def contains(self, x) -> np.ndarray:
         """Mask over the leading axes of ``x``: which points lie in the domain box."""
         x = np.asarray(x, dtype=float)
-        lo, hi = self.domain[:, 0] - DOMAIN_SLACK, self.domain[:, 1] + DOMAIN_SLACK
-        return np.all((x >= lo) & (x <= hi), axis=-1)
+        return np.all((x >= self._lo) & (x <= self._hi), axis=-1)
 
     def jets(self, x) -> MetricJets:
         """g, dg and d2g at one point of the domain."""
@@ -175,7 +176,7 @@ def induced_curvature(dx: np.ndarray, d2x: np.ndarray, g_inv: np.ndarray) -> tup
     n = dx.shape[-2]
     batch = dx.shape[:-2]
     flat2 = d2x.reshape(batch + (n * n, d2x.shape[-1]))  # rows (ij)
-    gamma = (flat2 @ np.swapaxes(dx, -1, -2)) @ g_inv  # [..., (ij), m] = Gamma^m_ij
+    gamma = (flat2 @ np.ascontiguousarray(np.swapaxes(dx, -1, -2))) @ g_inv  # [..., (ij), m] = Gamma^m_ij
     normal = flat2 - gamma @ dx
     gram = normal @ np.ascontiguousarray(np.swapaxes(normal, -1, -2))  # [..., (ik), (jl)] = N_ik.N_jl
     q = gram.reshape(batch + (n,) * 4)  # q[..., i, k, j, l]

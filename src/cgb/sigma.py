@@ -50,14 +50,16 @@ chart declares:
 * jets: curvature from the metric jets (the conformally scaled
   s2_perturbed).
 
-It runs over the quadrature grid in C-order slabs of at most
-max(4096, 2^18 / n^2) points, each a ``TensorBlock`` handed to every
-evaluator as it is; the grid's point array is never built.  Consecutive
-couplings of a sweep that get the same grid form a run, evaluated in one
-pass: per slab the tensors that do not depend on the coupling (jets, det g,
-g^-1, curvature, the potential's gradient and covariant Hessian,
-|grad h|^2_g) are computed once, and each coupling of the run takes its
-own Gaussian and Berezin top into its own row of N values.  A run holds
+It runs over the quadrature grid in C-order slabs of at most 2^13 points
+in every dimension, each a ``TensorBlock`` handed to every evaluator as it
+is; the grid's point array is never built.  A slab's scratch (about 10 MB
+in 2-D) stays small enough for the allocator to reuse it from slab to
+slab.  Consecutive couplings of a sweep that get the same grid form a run,
+evaluated in one pass: per slab the tensors that do not depend on the
+coupling (jets, det g, g^-1, curvature, the potential's gradient and
+covariant Hessian, |grad h|^2_g) are computed once, and each coupling of
+the run takes its own Gaussian and Berezin top into its own row of N
+values.  A run holds
 at most ``MAX_GRID_POINTS`` values in all, so a longer one is split.  The
 fixed pairwise sum reduces each row with the grid weights, so Z does not
 depend on the slab shape or on the run.  Refusals come where evaluating
@@ -558,7 +560,9 @@ def _berezin_top(
     return top
 
 
-_CHUNK = 1 << 18
+# Points per integrand slab in every dimension: about 10 MB of scratch in 2-D, which the allocator reuses
+# from slab to slab instead of unmapping it and faulting it in again
+_SLAB = 1 << 13
 _STIFFNESS_PROBE = 17  # points per axis of the stiffness probe grid
 # An adaptive sweep's plan samples cell vertices: at most 2^12 for the bump widths (64^2 in 2-D, 8^4 in
 # 4-D), which need g^-1, and at most 2^16 for the exclusion bound, on cells that cut each of those
@@ -606,7 +610,7 @@ def _integrand_chunk(chart: ChartMetric, x, lams: Sequence[float], h) -> np.ndar
     riem = None
     if chart.embedding is not None:
         dx, d2x = chart.embedding.derivatives(x, [1, 2])
-        det, g_inv = _inverse_metric(dx @ np.swapaxes(dx, -1, -2), x, gram=True)
+        det, g_inv = _inverse_metric(dx @ np.ascontiguousarray(np.swapaxes(dx, -1, -2)), x, gram=True)
         gamma2, riem = induced_curvature(dx, d2x, g_inv)
     elif not chart.flat:
         g = np.asarray(chart.metric(x), dtype=float)
@@ -638,17 +642,18 @@ def _integrand_chunk(chart: ChartMetric, x, lams: Sequence[float], h) -> np.ndar
 def _integrand_on_points(chart: ChartMetric, x, lams: Sequence[float], h) -> np.ndarray:
     """Integrand values at the N points of ``x``, one row per coupling of ``lams``, in order.
 
-    ``x`` is a point array (N, n), evaluated in chunks of rows, or a
-    ``QuadratureGrid``, evaluated in C-order slabs of the same bound, so its
-    point array is never built.  Refuses the first point of the first slab
-    where any row is not finite; ``_integrated`` grades a refused run of
-    several couplings again one at a time, for the order of its refusals.
+    ``x`` is a point array (N, n), evaluated in chunks of at most ``_SLAB``
+    rows, or a ``QuadratureGrid``, evaluated in C-order slabs of at most
+    ``_SLAB`` points, so its point array is never built.  Each value depends
+    on its point alone, so the rows do not depend on the bound.  Refuses the
+    first point of the first slab where any row is not finite;
+    ``_integrated`` grades a refused run of several couplings again one at a
+    time, for the order of its refusals.
     """
-    chunk = max(4096, _CHUNK // chart.dim**2)  # bound the d2g scratch tensors
     if isinstance(x, QuadratureGrid):
-        chunks = x.slabs(chunk)
+        chunks = x.slabs(_SLAB)
     else:
-        chunks = ((start, min(start + chunk, len(x)), x[start : start + chunk]) for start in range(0, len(x), chunk))
+        chunks = ((start, min(start + _SLAB, len(x)), x[start : start + _SLAB]) for start in range(0, len(x), _SLAB))
     out = np.empty((len(lams), len(x)))
     for start, stop, block in chunks:
         with np.errstate(all="ignore"):  # an overflow shows as a value refused below, not as a warning

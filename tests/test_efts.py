@@ -458,7 +458,7 @@ def _block_witness(target):
         if degree < delta:
             return None
         basis = [key for key in enumerate_monomials(delta, m, degree - delta, weight) if label(key) == (degree - delta, weight)]
-        solution = efts._solve_block([apply_Delta(monomial(delta, m, key)) for key in basis], block, delta, m)
+        solution = efts._solve_block([apply_Delta(monomial(delta, m, key)) for key in basis], block)
         if solution is None:
             return None
         terms.update(zip(basis, solution))
