@@ -59,13 +59,12 @@ evaluated in one pass: per slab the tensors that do not depend on the
 coupling (jets, det g, g^-1, curvature, the potential's gradient and
 covariant Hessian, |grad h|^2_g) are computed once, and each coupling of
 the run takes its own Gaussian and Berezin top into its own row of N
-values.  A run holds
-at most ``MAX_GRID_POINTS`` values in all, so a longer one is split.  The
-fixed pairwise sum reduces each row with the grid weights, so Z does not
-depend on the slab shape or on the run.  Refusals come where evaluating
-one coupling at a time would raise them: a pass stops at the first slab
-that is not finite in any row, and a refused run of several couplings is
-graded again one coupling at a time.
+values.  A run holds at most ``MAX_GRID_POINTS`` values in all, so a
+longer one is split.  The fixed pairwise sum reduces each row with the
+grid weights, so Z does not depend on the slab shape or on the run.
+Refusals come where evaluating one coupling at a time would raise them: a
+pass stops at the first slab that is not finite in any row, and a refused
+run of several couplings is graded again one coupling at a time.
 
 Every Z takes one path: ``_sweep_plan`` checks the resolution and splits
 it over a product, and ``_graded`` makes the grid and integrates it.  The
