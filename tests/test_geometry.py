@@ -7,6 +7,7 @@ import pytest
 
 from cgb import manifolds
 from cgb.geometry import (
+    DOMAIN_SLACK,
     ChartMetric,
     CurvatureFrame,
     DomainError,
@@ -119,6 +120,19 @@ class TestChristoffel:
         pts = np.array([[1.0, 0.0], [4.0, 0.0], [1e-6 - 1e-13, 2 * math.pi], [1.0, -1e-11]])
         assert chart.contains(pts).tolist() == [True, False, True, False]
         assert chart.contains(pts.reshape(2, 2, 2)).shape == (2, 2)
+
+    def test_contains_box_is_the_domain_widened_by_the_slack(self):
+        # the box is computed once; the mask is the per-call bound arithmetic's, also at the box faces
+        chart = sphere_chart()
+        lo, hi = chart.domain[:, 0] - DOMAIN_SLACK, chart.domain[:, 1] + DOMAIN_SLACK
+        faces = np.stack([lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)])
+        pts = np.concatenate([np.random.default_rng(5).uniform(lo - 1e-11, hi + 1e-11, size=(200, 2)), faces])
+        pts = np.concatenate([pts, np.stack(np.meshgrid(*faces.T), axis=-1).reshape(-1, 2)])
+        assert chart.contains(pts).tolist() == np.all((pts >= lo) & (pts <= hi), axis=-1).tolist()
+        assert {tuple(p) for p in pts[chart.contains(pts)]} >= {tuple(lo), tuple(hi)}
+        # the domain the box was computed from cannot move under it
+        with pytest.raises(ValueError):
+            chart.domain[0, 0] = 0.0
 
 
 class TestRiemann:

@@ -584,6 +584,91 @@ class TestCurvatureRoutes:
                 lambda_sweep(sphere_conformal(**params), "height", [0.0, 1.0], (16, 32))
 
 
+# (manifold, potential, couplings, grid) of every integrand route: induced (s2, s2xs2), jets (s2_perturbed), flat
+SLAB_CASES = [
+    ("s2", "height", (0.0, 1.0, 5.0), (96, 192)),
+    ("s2_perturbed", "height", (0.0, 1.0), (96, 192)),
+    ("flat_t2", "coscos", (0.0, 1.0, 5.0), (150, 150)),
+    ("s2xs2", "height_sum", (0.0, 1.0), (16, 20, 16, 20)),
+]
+SMALL_SLAB = 1000
+
+
+def slab_case(name, h_name, resolution):
+    spec = get_manifold(name)
+    return spec.quad_chart.metric, quadrature_grid(spec, resolution), spec.potential(h_name).on_chart(spec.quad_chart.name)
+
+
+class _NanHessian:
+    """Zero gradient; a Hessian that is nan at scattered points past theta = 2 and 0 elsewhere."""
+
+    def grad(self, x):
+        return np.zeros(np.shape(np.asarray(x)))
+
+    def hess(self, x):
+        x = np.asarray(x)
+        bad = (x[..., 0] > 2.0) & (np.sin(17.0 * x[..., 0] + 31.0 * x[..., 1]) > 0.9)
+        return np.where(bad[..., None, None], np.nan, np.zeros(x.shape + (2,)))
+
+
+class TestSlabs:
+    """The integrand slab bound ``sigma._SLAB`` changes how a grid is cut, never a value or a refusal."""
+
+    @pytest.mark.parametrize("name, h_name, lams, resolution", SLAB_CASES, ids=[c[0] for c in SLAB_CASES])
+    def test_rows_do_not_depend_on_the_bound(self, monkeypatch, name, h_name, lams, resolution):
+        chart, grid, h = slab_case(name, h_name, resolution)
+        assert grid.size > sigma._SLAB
+        rows = _integrand_on_points(chart, grid, lams, h)
+        monkeypatch.setattr(sigma, "_SLAB", SMALL_SLAB)
+        small = _integrand_on_points(chart, grid, lams, h)
+        assert rows.shape == (len(lams), grid.size)
+        assert rows.tobytes() == small.tobytes()
+
+    def test_point_array_rows_do_not_depend_on_the_bound(self, monkeypatch):
+        chart, grid, h = slab_case("s2_perturbed", "height", (96, 192))
+        rows = _integrand_on_points(chart, grid.points, (0.0, 1.0), h)
+        monkeypatch.setattr(sigma, "_SLAB", SMALL_SLAB)
+        assert _integrand_on_points(chart, grid.points, (0.0, 1.0), h).tobytes() == rows.tobytes()
+        assert _integrand_on_points(chart, grid, (0.0, 1.0), h).tobytes() == rows.tobytes()
+
+    def test_refusal_names_the_same_first_point(self, monkeypatch):
+        spec = get_manifold("s2")
+        chart, grid, bound = spec.quad_chart.metric, quadrature_grid(spec, (96, 192)), sigma._SLAB
+        with pytest.raises(ValueError, match="integrand not finite at the grid point") as default:
+            _integrand_on_points(chart, grid, (0.0, 1.0), _NanHessian())
+        monkeypatch.setattr(sigma, "_SLAB", SMALL_SLAB)
+        with pytest.raises(ValueError) as small:
+            _integrand_on_points(chart, grid, (0.0, 1.0), _NanHessian())
+        assert str(small.value) == str(default.value)
+        # the first such point lies past the first slab under either bound
+        points = grid.points
+        first = np.flatnonzero(np.isnan(_NanHessian().hess(points)[:, 0, 0]))[0]
+        assert first > bound and str(default.value).endswith(f"({float(points[first, 0])!r}, {float(points[first, 1])!r})")
+
+    def record_chunks(self, monkeypatch):
+        sizes = []
+        chunk = sigma._integrand_chunk
+        monkeypatch.setattr(sigma, "_integrand_chunk", lambda chart, x, *args: sizes.append(len(x)) or chunk(chart, x, *args))
+        return sizes
+
+    def test_two_dimensional_sweep_stays_within_the_bound(self, s2, monkeypatch):
+        sizes = self.record_chunks(monkeypatch)
+        sweep = lambda_sweep(s2, "height", (0.0, 1.0, 2.0, 5.0, 10.0), (96, 192))
+        assert max(sizes) <= sigma._SLAB
+        # every grid of the sweep holds more points than one slab, so each pass is cut
+        assert min(math.prod(r.resolution) for r in sweep.results) > sigma._SLAB
+        assert len(sizes) > len({r.resolution for r in sweep.results})
+
+    def test_four_dimensional_grid_above_the_bound_is_cut(self, s2xs2, monkeypatch):
+        sizes = self.record_chunks(monkeypatch)
+        partition_function(s2xs2, None, 0.0, (16, 20, 16, 20), use_product_structure=False)
+        assert max(sizes) <= sigma._SLAB and sum(sizes) == 16 * 20 * 16 * 20
+        # the benchmark's 8 x 10 x 8 x 10 grids stay one slab
+        sizes.clear()
+        partition_function(s2xs2, None, 0.0, (8, 10, 8, 10), use_product_structure=False)
+        assert sizes == [6400]
+
+
 # potential_stiffness: sqrt of the largest diagonal entry (H g^-1 H)_kk, the width the adaptive plan grades by.
 # The torus height's form is not diagonal: its largest eigenvalue, 0x1.096e47264df90p+0, is not that width.
 STIFFNESS_BITS = [
