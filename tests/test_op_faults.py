@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "op_faults.py"
 
 
 def test_pfaffian_4d_report():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    argv = [sys.executable, str(ROOT / "scripts" / "op_faults.py"), "--workload", "pfaffian-4d", "--seed", "1", "--repeat", "2"]
+    argv = [sys.executable, str(SCRIPT), "--workload", "pfaffian-4d", "--seed", "1", "--repeat", "2"]
     proc = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
@@ -31,6 +32,6 @@ def test_pfaffian_4d_report():
 
 
 def test_repeat_below_one_is_refused():
-    argv = [sys.executable, str(ROOT / "scripts" / "op_faults.py"), "--workload", "pfaffian-4d", "--seed", "1", "--repeat", "0"]
+    argv = [sys.executable, str(SCRIPT), "--workload", "pfaffian-4d", "--seed", "1", "--repeat", "0"]
     proc = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, timeout=60)
     assert proc.returncode == 2 and "--repeat must be at least 1" in proc.stderr
