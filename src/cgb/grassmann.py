@@ -15,9 +15,11 @@ product at or above it runs a numpy kernel when its tables of 2^N entries
 fit: 2^N at most the term pairs and at most ``KERNEL_MAX_MASKS``.  The
 kernel takes the loop's pairs in the loop's order and adds each
 coefficient in the loop's order, so the two agree bit for bit, term order
-included; the dict loop is the oracle the kernel is tested against.  Float
-inputs reach the engine as plain floats (``numpy.float64`` works too, with
-the same bits).
+included; the dict loop is the oracle the kernel is tested against.  Both
+backends take the sign of merging two monomials from one rule,
+``_parity_word``, and a bit count: ``int.bit_count`` in the loop,
+``np.bitwise_count`` in the kernel.  Float inputs reach the engine as
+plain floats (``numpy.float64`` works too, with the same bits).
 
 The two payload operations are
 
@@ -65,7 +67,9 @@ def _parity_word(mask: int) -> int:
     """Word whose bit j is set when ``mask`` has an odd number of bits above j.
 
     A suffix xor of ``mask >> 1``; the shifts 1, 2, ..., 32 reach every bit
-    of a mask of up to 64 generators.
+    of a mask of up to 64 generators.  It runs unchanged on a uint64 array
+    of masks, word by word, which is how the numpy kernel of ``multiply``
+    takes its signs.
     """
     word = mask >> 1
     word ^= word >> 1
@@ -247,7 +251,8 @@ def multiply(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     A float product of at least ``KERNEL_MIN_PAIRS`` term pairs runs on
     :func:`_multiply_floats` when its tables of 2^N entries fit: 2^N at most
     the pairs and at most ``KERNEL_MAX_MASKS``.  Every other product runs
-    the dict loop below, the kernel's oracle.
+    the dict loop below, the kernel's oracle.  Both take each pair's sign
+    from ``_parity_word``: the parity of ``_parity_word(mask_a) & mask_b``.
     """
     a._check_compatible(b)
     pairs = len(a.terms) * len(b.terms)
@@ -272,32 +277,6 @@ def _all_float(a: GrassmannElement) -> bool:
     return all(issubclass(kind, float) for kind in set(map(type, a.terms.values())))
 
 
-def _parity_words(masks, generator_count: int):
-    """``_parity_word`` of each entry of a uint64 array of masks below ``1 << generator_count``."""
-    import numpy as np
-
-    word = masks >> np.uint64(1)
-    for shift in _shifts(generator_count)[::-1]:
-        word ^= word >> shift
-    return word
-
-
-def _odd(words, generator_count: int):
-    """Whether each uint64 word below ``1 << generator_count`` has an odd number of bits; folds ``words``."""
-    import numpy as np
-
-    for shift in _shifts(generator_count):
-        words ^= words >> shift
-    return (words & np.uint64(1)).astype(bool)
-
-
-def _shifts(generator_count: int) -> list:
-    """The xor-fold shifts 32, 16, ..., 1 below ``generator_count``, as uint64."""
-    import numpy as np
-
-    return [np.uint64(1 << k) for k in range(5, -1, -1) if 1 << k < generator_count]
-
-
 def _multiply_floats(a: GrassmannElement, b: GrassmannElement) -> GrassmannElement:
     """The dict loop of :func:`multiply` on float coefficients, in numpy, bit for bit.
 
@@ -307,8 +286,9 @@ def _multiply_floats(a: GrassmannElement, b: GrassmannElement) -> GrassmannEleme
     the loop first meets it.  ``np.add.at`` adds a block's products into
     the sums one by one in loop order, so every coefficient is the loop's
     sum of the same products in the same order, and the masks come out in
-    the order the loop first meets them.  Exact zeros are pruned.  The sign
-    parities are the xor-fold of ``_parity_word`` on uint64.
+    the order the loop first meets them.  Exact zeros are pruned.  Each
+    pair's sign is the loop's: the low bit of ``np.bitwise_count`` of
+    ``_parity_word(mask_a) & mask_b``, on uint64.
     """
     import numpy as np
 
@@ -317,7 +297,7 @@ def _multiply_floats(a: GrassmannElement, b: GrassmannElement) -> GrassmannEleme
     coeffs_a = np.fromiter(a.terms.values(), np.float64, len(a.terms))
     masks_b = np.fromiter(b.terms, np.uint64, len(b.terms))
     coeffs_b = np.fromiter(b.terms.values(), np.float64, len(b.terms))
-    words_a = _parity_words(masks_a, m)
+    words_a = _parity_word(masks_a)
     sums = np.zeros(1 << m)
     first = np.full(1 << m, np.iinfo(np.intp).max)
     met = []  # each block's masks that the loop meets first there, in that order
@@ -329,7 +309,8 @@ def _multiply_floats(a: GrassmannElement, b: GrassmannElement) -> GrassmannEleme
             ia += start
             masks = (masks_a[ia] | masks_b[ib]).astype(np.intp)
             values = coeffs_a[ia] * coeffs_b[ib]
-            np.negative(values, out=values, where=_odd(words_a[ia] & masks_b[ib], m))
+            odd = np.bitwise_count(words_a[ia] & masks_b[ib]) & 1
+            np.negative(values, out=values, where=odd.astype(bool))
             positions = disjoint + start * len(masks_b)
             np.minimum.at(first, masks, positions)
             met.append(masks[first[masks] == positions])

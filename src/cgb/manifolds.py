@@ -476,10 +476,18 @@ def check_point_budget(resolution: Sequence[float]) -> None:
         )
 
 
+def is_count(value) -> bool:
+    """Whether ``value`` is an integer grid count: an ``int`` or a numpy integer, not a ``bool``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def quadrature_grid(spec: ManifoldSpec, resolution: Sequence[int | CompositeRule]) -> QuadratureGrid:
     """Tensor grid of one rule per axis: a node count for a Gauss-Legendre rule on the whole axis, or a ``CompositeRule``."""
     chart = spec.quad_chart
-    rules = tuple(r if isinstance(r, CompositeRule) else int(r) for r in resolution)
+    rules = tuple(resolution)
+    if not all(isinstance(r, CompositeRule) or is_count(r) for r in rules):
+        raise ValueError(f"resolution must hold integer counts, got {rules}")
+    rules = tuple(r if isinstance(r, CompositeRule) else int(r) for r in rules)
     counts = tuple(r.size if isinstance(r, CompositeRule) else r for r in rules)
     if len(counts) != chart.dim:
         raise ValueError(f"resolution needs {chart.dim} axis counts, got {counts}")

@@ -114,6 +114,7 @@ from .manifolds import (
     TensorBlock,
     check_point_budget,
     grid_count,
+    is_count,
     integrate_values,
     pairwise_sum,
     quadrature_grid,
@@ -830,8 +831,11 @@ def _slab_reduce(values: np.ndarray, k: int, reduce: np.ufunc) -> np.ndarray:
 
 
 def _axis_counts(spec: ManifoldSpec, resolution: Sequence[int]) -> tuple[int, ...]:
-    """``resolution`` as integer counts, refused unless it has one count per axis of ``spec``."""
-    counts = tuple(int(c) for c in resolution)
+    """``resolution`` as ints, refused unless it has one integer count per axis of ``spec``."""
+    counts = tuple(resolution)
+    if not all(map(is_count, counts)):
+        raise ValueError(f"resolution must hold integer counts, got {counts}")
+    counts = tuple(map(int, counts))
     if len(counts) != spec.dim:
         raise ValueError(f"resolution needs {spec.dim} axis counts, got {counts}")
     return counts

@@ -103,6 +103,11 @@ MALFORMED = {
     "seed-density-huge": (
         ["index", "--manifold", "s2", "--morse", "height", "--seed-density", "1000000000000"], None, "seed grid"
     ),
+    # a resolution is refused whole: one count for two axes, and a float count in a manifest
+    "resolution-one-count": (["pfaffian", "--resolution", "96"], None, "resolution needs 2 per-axis counts for s2, got [96]"),
+    "resolution-float-count": (
+        ["pfaffian", "--manifest", "{manifest}"], {"resolution": [96.0, 192]}, "resolution must be a list of integers"
+    ),
     # argparse's own refusals leave through the same line
     "no-subcommand": ([], None, "command"),
     "tolerance-not-a-number": (["pfaffian", "--tolerance", "abc"], None, "--tolerance"),
@@ -264,6 +269,14 @@ class TestPfaffianCommand:
         assert payload["chi_known"] == 4
         assert payload["abs_error"] < 1e-2
 
+    def test_product_default_resolution(self, capsys):
+        # no resolution given: 16 points on each of the four axes
+        code, stdout, _ = run(capsys, "pfaffian", "--manifold", "s2xs2")
+        assert code == 0
+        payload = json.loads(stdout)
+        assert payload["resolution"] == [16, 16, 16, 16]
+        assert payload["chi_computed"] == 3.999999960000002
+
     def test_unknown_manifold_usage_error(self, capsys):
         code, _, err = run(capsys, "pfaffian", "--manifold", "klein")
         assert code == 2
@@ -324,6 +337,15 @@ class TestIndexCommand:
         assert code == 0
         assert "hopf index: 0" in stdout
         assert stdout.count("torus") >= 4
+
+    def test_out_writes_the_printed_index(self, capsys, tmp_path):
+        out = tmp_path / "stem"
+        code, stdout, _ = run(capsys, "index", "--manifold", "s2", "--morse", "height", "--out", str(out))
+        assert code == 0
+        payload = json.loads((tmp_path / "stem.json").read_text())
+        assert f"hopf index: {payload['index']}   (chi = 2)" in stdout
+        assert payload["index"] == 2 and len(payload["points"]) == 2
+        assert stdout.endswith(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def test_requires_potential(self, capsys):
         code, _, err = run(capsys, "index", "--manifold", "torus")
@@ -449,6 +471,21 @@ class TestSweepCommand:
         assert stdout.count("\n") >= 3
 
 
+@pytest.fixture
+def doubled_iw(monkeypatch):
+    """``efts.apply_Iw`` scaled by 2: a broken contraction that the Cartan checks must refuse."""
+    from cgb import efts
+
+    contract = efts.apply_Iw
+    monkeypatch.setattr(efts, "apply_Iw", lambda w, p: contract(w, p).scale(2))
+
+
+def selftest_line(stdout, name):
+    """The status word of the selftest line ``name``."""
+    (line,) = [line for line in stdout.splitlines() if line.startswith(name)]
+    return line[len(name) :].split()[0]
+
+
 class TestSelftestCommand:
     def test_passes(self, capsys):
         code, stdout, _ = run(capsys, "selftest")
@@ -482,6 +519,23 @@ class TestSelftestCommand:
         assert line.split()[5] == "FAIL"
         assert "FAILURES detected" in stdout
 
+    def test_broken_contraction_fails_the_efts_line(self, capsys, doubled_iw):
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 1
+        assert selftest_line(stdout, "odd-direction algebra + Cartan identity") == "FAIL"
+        assert selftest_line(stdout, "grassmann graded commutativity") == "PASS"
+        assert stdout.endswith("selftest: FAILURES detected\n")
+
+    def test_dropped_merge_sign_fails_graded_commutativity(self, capsys, monkeypatch):
+        # with every merge sign +1 the product commutes, so odd pairs break a b = -b a
+        from cgb import grassmann
+
+        monkeypatch.setattr(grassmann, "_parity_word", lambda mask: 0)
+        code, stdout, _ = run(capsys, "selftest")
+        assert code == 1
+        assert selftest_line(stdout, "grassmann graded commutativity") == "FAIL"
+        assert selftest_line(stdout, "odd-direction algebra + Cartan identity") == "PASS"
+
 
 class TestEftsCommand:
     def test_delta(self, capsys):
@@ -506,6 +560,11 @@ class TestEftsCommand:
         code, stdout, _ = run(capsys, "efts", "cartan", "d/dx1", "--delta", "2")
         assert code == 0
         assert stdout.startswith("PASS")
+
+    def test_cartan_fail(self, capsys, doubled_iw):
+        code, stdout, _ = run(capsys, "efts", "cartan", "d/dx1")
+        assert code == 1
+        assert stdout == "FAIL: monomial x1: commutator gives 2, Lie derivative gives 1\n"
 
     def test_concordance_witness(self, capsys):
         code, stdout, _ = run(

@@ -291,6 +291,13 @@ class TestMonomialKeys:
                 assert list(monomial(delta, m, key, 3).terms.items()) == [(key, Fraction(3))]
 
 
+@pytest.fixture
+def doubled_iw(monkeypatch):
+    """``efts.apply_Iw`` scaled by 2: a broken contraction that the checkers must refuse."""
+    contract = efts.apply_Iw
+    monkeypatch.setattr(efts, "apply_Iw", lambda w, p: contract(w, p).scale(2))
+
+
 class TestCartan:
     @pytest.mark.parametrize("delta", [1, 2])
     def test_coordinate_field(self, delta):
@@ -309,6 +316,10 @@ class TestCartan:
         x2 = SuperPolynomial.variable(2, 2, 1)
         w = VectorField(2, 2, [x2, x1 * x1])
         assert check_cartan(w, degree_cap=3, weight_cap=3).holds
+
+    def test_counterexample_of_a_broken_contraction(self, doubled_iw):
+        report = check_cartan(VectorField.coordinate(2, 1, 0), degree_cap=3)
+        assert report == CartanReport(False, 2, "monomial x1: commutator gives 2, Lie derivative gives 1")
 
 
 class TestConcordance:
@@ -378,6 +389,11 @@ class TestConcordance:
         assert apply_d(1, target).is_zero() and apply_d(2, target).is_zero()
         result = concordance_solve(target, SuperPolynomial.zero(2, 1))
         assert result.feasible and result.witness == poly("x1")
+
+    def test_witness_of_a_broken_contraction_refused(self, doubled_iw):
+        # the witness is I_E T over the weight: doubled, its image is 2 T, which the final check refuses
+        with pytest.raises(AssertionError, match="internal error: witness verification failed"):
+            concordance_solve(apply_Delta(poly("x1^2")), SuperPolynomial.zero(2, 1))
 
 
 def sorting_sign(sequence):

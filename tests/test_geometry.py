@@ -11,6 +11,7 @@ from cgb.geometry import (
     ChartMetric,
     CurvatureFrame,
     DomainError,
+    MetricJets,
     ScalarField,
     biform_monomials,
     christoffel_tensors,
@@ -133,6 +134,22 @@ class TestChristoffel:
         # the domain the box was computed from cannot move under it
         with pytest.raises(ValueError):
             chart.domain[0, 0] = 0.0
+
+
+class TestRefusals:
+    def test_zero_extent_box_refused(self):
+        with pytest.raises(ValueError, match="^domain box must have positive extent on every axis$"):
+            euclidean_chart(box=0.0)
+
+    @pytest.mark.parametrize(
+        "g, what",
+        [([[1.0, 0.5], [0.0, 1.0]], "symmetric"), ([[1.0, 0.0], [0.0, -1.0]], "positive definite")],
+        ids=["non-symmetric", "indefinite"],
+    )
+    def test_from_jets_refuses_a_bad_metric(self, g, what):
+        jets = MetricJets(np.array(g), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
+        with pytest.raises(ValueError, match=rf"^metric is not {what} at \[0\.3 0\.4\]$"):
+            CurvatureFrame.from_jets(np.array([0.3, 0.4]), jets)
 
 
 class TestRiemann:

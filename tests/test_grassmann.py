@@ -290,6 +290,17 @@ class TestSignRule:
             for j in range(MAX_GENERATORS):
                 assert word >> j & 1 == (mask >> (j + 1)).bit_count() & 1
 
+    def test_parity_word_on_uint64_arrays_is_the_int_rule(self):
+        # the numpy kernel's signs: the same fold on uint64 words, and np.bitwise_count for int.bit_count
+        rng = random.Random(6)
+        masks = [rng.getrandbits(MAX_GENERATORS) for _ in range(2_000)] + [1 << 63, (1 << 64) - 1, 0]
+        others = [rng.getrandbits(MAX_GENERATORS) for _ in masks]
+        words = _parity_word(np.array(masks, np.uint64))
+        assert words.dtype == np.uint64
+        assert words.tolist() == [_parity_word(mask) for mask in masks]
+        odd = np.bitwise_count(words & np.array(others, np.uint64)) & 1
+        assert odd.tolist() == [(_parity_word(a) & b).bit_count() & 1 for a, b in zip(masks, others)]
+
     @pytest.mark.parametrize("kind", [float, Fraction])
     def test_multiply_matches_termwise_monomials(self, kind):
         rng = random.Random(17)

@@ -1,6 +1,7 @@
 """Catalog manifolds: coverage, quadrature grids, and honest error bounds."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,11 @@ class TestCatalog:
         for h_name in ("saddlepalooza", "none"):
             with pytest.raises(KeyError):
                 s2.potential(h_name)
+
+    @pytest.mark.parametrize("big_radius, small_radius", [(1.0, 1.0), (0.5, 1.0)])
+    def test_torus_needs_the_tube_inside_the_ring(self, big_radius, small_radius):
+        with pytest.raises(ValueError, match=r"^torus of revolution needs R > r > 0$"):
+            manifolds.torus(big_radius, small_radius)
 
     def test_every_manifold_has_quad_chart_and_potential(self, full_catalog):
         for spec in full_catalog:
@@ -169,6 +175,15 @@ class TestQuadrature:
             quadrature_grid(s2, (1, 64))
         with pytest.raises(ValueError):
             quadrature_grid(s2, (64,))
+
+    @pytest.mark.parametrize("resolution", [(10.9, 20.5), (10, 20.0), (True, 20), ("10", 20)])
+    def test_non_integer_counts_refused(self, s2, resolution):
+        with pytest.raises(ValueError, match=re.escape(f"resolution must hold integer counts, got {resolution}")):
+            quadrature_grid(s2, resolution)
+
+    def test_numpy_integer_counts_are_counts(self, s2):
+        grid = quadrature_grid(s2, (np.int64(10), np.uint16(20)))
+        assert grid.points.tobytes() == quadrature_grid(s2, (10, 20)).points.tobytes()
 
     @pytest.mark.parametrize("radius", [1.0, 2.0])
     def test_sphere_area(self, radius):

@@ -267,3 +267,8 @@ class TestHopfIndex:
     def test_missing_potential(self, s2):
         with pytest.raises(KeyError):
             hopf_index(s2, "not_a_potential")
+
+    def test_no_potential_refused(self, s2):
+        # the library's None is "no potential", which has no critical points to find
+        with pytest.raises(KeyError, match="manifold s2 needs a named potential, got None"):
+            find_critical_points(s2, None)

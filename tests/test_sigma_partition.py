@@ -754,6 +754,23 @@ class TestResolutionPolicy:
         with pytest.raises(ValueError, match=re.escape("resolution needs 2 axis counts, got (16, 32, 8)")):
             check_resolution(s2, lam, (16, 32, 8), 1.0)
 
+    @pytest.mark.parametrize("resolution", [(96.7, 192.2), (48.9, "96"), (True, 192), (96.0, 192)])
+    def test_non_integer_counts_refused(self, s2, resolution):
+        # refused, not truncated to an integer grid, by every entry that takes a resolution
+        message = re.escape(f"resolution must hold integer counts, got {resolution}")
+        with pytest.raises(ValueError, match=message):
+            partition_function(s2, None, 0.0, resolution)
+        for adaptive in (True, False):
+            with pytest.raises(ValueError, match=message):
+                lambda_sweep(s2, "height", [0, 1], resolution, adaptive)
+        with pytest.raises(ValueError, match=message):
+            check_resolution(s2, 1.0, resolution, 1.0)
+
+    def test_numpy_integer_counts_are_counts(self, s2):
+        plain = partition_function(s2, "height", 1.0, (48, 96))
+        numpy = partition_function(s2, "height", 1.0, (np.int64(48), np.int32(96)))
+        assert (numpy.value.hex(), numpy.error_bound.hex()) == (plain.value.hex(), plain.error_bound.hex())
+
     def test_check_resolution_accepts_adaptive(self, flat_t2):
         mu = potential_stiffness(flat_t2, "coscos")
         res = adaptive_resolution(flat_t2, 5.0, (48, 48), mu)
