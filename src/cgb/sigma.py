@@ -114,8 +114,8 @@ from .manifolds import (
     TensorBlock,
     check_point_budget,
     grid_count,
-    is_count,
     integrate_values,
+    is_count,
     pairwise_sum,
     quadrature_grid,
     refuse_first,

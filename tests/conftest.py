@@ -1,9 +1,9 @@
-"""Shared fixtures: catalog manifolds are built once per session."""
+"""Shared fixtures: catalog manifolds, built once per session, and a broken efts contraction."""
 
 import numpy as np
 import pytest
 
-from cgb import manifolds
+from cgb import efts, manifolds
 from cgb.geometry import ChartMetric, ScalarField
 
 
@@ -87,3 +87,10 @@ def degenerate_patch():
         euler_char=1,
         morse_catalog={"pinch": manifolds.MorseFunction(fields={"flat": h})},
     )
+
+
+@pytest.fixture
+def doubled_iw(monkeypatch):
+    """``efts.apply_Iw`` scaled by 2: a broken contraction that the Cartan check and the concordance witness check must refuse."""
+    contract = efts.apply_Iw
+    monkeypatch.setattr(efts, "apply_Iw", lambda w, p: contract(w, p).scale(2))

@@ -471,15 +471,6 @@ class TestSweepCommand:
         assert stdout.count("\n") >= 3
 
 
-@pytest.fixture
-def doubled_iw(monkeypatch):
-    """``efts.apply_Iw`` scaled by 2: a broken contraction that the Cartan checks must refuse."""
-    from cgb import efts
-
-    contract = efts.apply_Iw
-    monkeypatch.setattr(efts, "apply_Iw", lambda w, p: contract(w, p).scale(2))
-
-
 def selftest_line(stdout, name):
     """The status word of the selftest line ``name``."""
     (line,) = [line for line in stdout.splitlines() if line.startswith(name)]

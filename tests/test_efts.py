@@ -291,13 +291,6 @@ class TestMonomialKeys:
                 assert list(monomial(delta, m, key, 3).terms.items()) == [(key, Fraction(3))]
 
 
-@pytest.fixture
-def doubled_iw(monkeypatch):
-    """``efts.apply_Iw`` scaled by 2: a broken contraction that the checkers must refuse."""
-    contract = efts.apply_Iw
-    monkeypatch.setattr(efts, "apply_Iw", lambda w, p: contract(w, p).scale(2))
-
-
 class TestCartan:
     @pytest.mark.parametrize("delta", [1, 2])
     def test_coordinate_field(self, delta):
