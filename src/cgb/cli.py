@@ -221,6 +221,7 @@ def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):
         fermionic_gaussian,
         multiply,
         pfaffian_combinatorial,
+        permutation_sign,
     )
     from .manifolds import sphere
     from .sigma import _integrand_on_points, check_action_equivalence, euler_density, partition_integrand
@@ -241,10 +242,18 @@ def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):
         deg_b = int(rng.integers(1, n + 1))
         idx_a = list(rng.choice(n, size=deg_a, replace=False))
         idx_b = list(rng.choice(n, size=deg_b, replace=False))
-        a = GrassmannElement.monomial(n, idx_a, draw_coeff())
-        b = GrassmannElement.monomial(n, idx_b, draw_coeff())
+        coeff_a, coeff_b = draw_coeff(), draw_coeff()
+        a = GrassmannElement.monomial(n, idx_a, coeff_a)
+        b = GrassmannElement.monomial(n, idx_b, coeff_b)
         sign = -1 if (deg_a % 2) and (deg_b % 2) else 1
-        if multiply(a, b) != sign * multiply(b, a):
+        # a b against a product built without the engine's merge signs: the sorting sign of the generator word
+        order = idx_a + idx_b
+        expected = GrassmannElement.zero(n)
+        if len(set(order)) == len(order):
+            mask = sum(1 << int(i) for i in order)
+            expected = GrassmannElement(n, {mask: permutation_sign(np.argsort(order)) * coeff_a * coeff_b})
+        product = multiply(a, b)
+        if product != expected or product != sign * multiply(b, a):
             ok = False
     yield "grassmann graded commutativity", ok, f"25 random homogeneous pairs, backend={backend}"
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifolds import MAX_GRID_POINTS, Chart, ManifoldSpec, refuse_first, tensor_points
+from .geometry import DOMAIN_SLACK
+from .manifolds import MAX_GRID_POINTS, Chart, ManifoldSpec, is_count, refuse_first, tensor_points
 
 TOL_GRAD = 1e-10
 TOL_MORSE = 1e-8
@@ -54,8 +55,7 @@ def _wrap_batch(chart: Chart, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wrap periodic axes into the domain; return (points, validity mask)."""
     dom = chart.metric.domain
     out = np.array(pts, dtype=float)
-    periods = chart.periods or (None,) * chart.dim
-    for k, period in enumerate(periods):
+    for k, period in enumerate(chart.periods or (None,) * chart.dim):
         if period is not None:
             out[:, k] = dom[k, 0] + np.mod(out[:, k] - dom[k, 0], period)
     return out, chart.metric.contains(out)
@@ -66,14 +66,12 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
 
     Each step takes, per seed, the first rung of one ladder t = 2^-k,
     k = 0..39, whose candidate x + t * step lies in the chart and lowers the
-    gradient norm; rung 0 is the full step.  A seed's in-domain rungs are a
-    suffix, so rung 0 is checked for every seed and only a seed whose full
-    step leaves the chart bisects rungs 1..39 for its first in-domain one.
-    Every seed then walks up the ladder from that rung in one accept loop,
-    and h is evaluated only at each seed's next in-domain rung, built when
-    it is tried.  Refuses a seed whose gradient norm, or a Newton point
-    whose Hessian determinant, is not finite.  A candidate whose gradient is
-    not finite is only rejected: a shorter step is tried.
+    gradient norm; rung 0 is the full step.  A seed's first in-domain rung is
+    guessed from the step's room to the chart box and made exact by a walk
+    from the guess; one accept loop walks up from it, evaluating h only at
+    each seed's next in-domain rung.  Refuses a seed whose gradient norm, or a
+    Newton point whose Hessian determinant, is not finite; a candidate whose
+    gradient is not finite is only rejected.
     """
     x = np.array(seeds, dtype=float)
     grad = np.asarray(h.grad(x), dtype=float)
@@ -82,6 +80,8 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
 
     ladder = np.ldexp(1.0, -np.arange(40))  # t = 2^-k exactly, k = 0..39
     last = len(ladder)
+    free = [a for a, period in enumerate(chart.periods or (None,) * chart.dim) if period is None]  # unwrapped axes
+    box = chart.metric.domain[free] + [-DOMAIN_SLACK, DOMAIN_SLACK]  # their faces, as ``contains`` widens them
     active = np.ones(len(x), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
         active &= gnorm >= TOL_GRAD
@@ -101,20 +101,22 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
         def candidates(live: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             return _wrap_batch(chart, x[idx[live]] + ladder[k][:, None] * steps[live])
 
-        # a row's in-domain rungs are a suffix k >= k0 (x is in the box, a shorter step stays between x and a
-        # longer one, a wrapped axis is always in it): k0 is 0 where the full step stays in the chart, else
-        # bisected over 1..39, ``last`` where there is none; off-chart candidates never reach h
-        full_inside = candidates(np.arange(idx.size), np.zeros(idx.size, dtype=int))[1]
-        lo, hi = np.where(full_inside, 0, 1), np.where(full_inside, 0, last)
-        searching = np.flatnonzero(lo < hi)
+        # a row's in-domain rungs are a suffix k >= k0 (x is in the box, fl(x + 2^-k s) is monotone in k, a wrapped
+        # axis is always in it): guess k0 from the room to the box, never under the half ulp of x a step leaves x at,
+        # then walk to it one rung a call, or to ``last``, as a non-finite step does; h sees no off-chart candidate
+        xs, ss = x[idx][:, free], steps[:, free]
+        room = np.fmax((np.where(ss > 0, box[:, 1], box[:, 0]) - xs) / ss, 0.5 * np.spacing(np.abs(xs)) / np.abs(ss))
+        rung = np.minimum(1 - np.frexp(room.min(axis=1, initial=1.0))[1], last - 1)  # 0 where the full step fits
+        k, hi = np.where(np.isfinite(steps).all(axis=1), 0, last), np.full(idx.size, last)
+        searching = np.flatnonzero(k < hi)
         while searching.size:
-            mid = (lo[searching] + hi[searching]) // 2
+            mid = rung[searching]
             inside = candidates(searching, mid)[1]
             hi[searching[inside]] = mid[inside]
-            lo[searching[~inside]] = mid[~inside] + 1
-            searching = searching[lo[searching] < hi[searching]]
-        k = lo  # a row keeps the rung it accepts; one that accepts none ends at ``last`` and stops
-        live = np.flatnonzero(k < last)
+            k[searching[~inside]] = mid[~inside] + 1
+            rung[searching] = np.where(inside, mid - 1, mid + 1)
+            searching = searching[k[searching] < hi[searching]]
+        live = np.flatnonzero(k < last)  # a row keeps the rung it accepts; one that accepts none ends at ``last``
         while live.size:
             rows, cand = idx[live], candidates(live, k[live])[0]
             cg = np.asarray(h.grad(cand), dtype=float)
@@ -131,24 +133,22 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
 
 def _seeds(chart: Chart, density: int) -> np.ndarray:
     """``density`` cell-centred seeds per axis of the chart's box; more than ``MAX_GRID_POINTS`` are refused unbuilt."""
-    count = density**chart.dim
+    count = int(density) ** chart.dim  # a numpy integer's power would wrap
     if count > MAX_GRID_POINTS:
         raise ValueError(
             f"seed grid on chart {chart.name!r} has {density}^{chart.dim} = {count} points, "
             f"above the budget of {MAX_GRID_POINTS}"
         )
-    axes = []
-    for lo, hi in chart.metric.domain:
-        pad = 0.5 * (hi - lo) / density
-        axes.append(np.linspace(lo + pad, hi - pad, density))
-    return tensor_points(axes)
+    lo, hi = chart.metric.domain.T
+    pad = 0.5 * (hi - lo) / density
+    return tensor_points(list(np.linspace(lo + pad, hi - pad, density, axis=-1)))
 
 
 def find_critical_points(
     spec: ManifoldSpec, h_name: str, seed_density: int = 8
 ) -> list[CriticalPoint]:
     """All zeros of grad h, deduplicated across charts, with Hessian data."""
-    if not isinstance(seed_density, int) or isinstance(seed_density, bool) or seed_density < 1:
+    if not is_count(seed_density) or seed_density < 1:
         raise ValueError(f"seed density must be a positive integer, got {seed_density!r}")
     potential = spec.potential(h_name)
     if potential is None:

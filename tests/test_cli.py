@@ -527,6 +527,18 @@ class TestSelftestCommand:
         assert selftest_line(stdout, "grassmann graded commutativity") == "FAIL"
         assert selftest_line(stdout, "odd-direction algebra + Cartan identity") == "PASS"
 
+    @pytest.mark.parametrize("backend, seed", [("float", "0"), ("rational", "1")])
+    def test_swapped_operands_fail_graded_commutativity(self, capsys, monkeypatch, backend, seed):
+        # a swapped product still has a b = sign b a; a disjoint odd pair's product against the sorting sign of its
+        # generator word does not hold (the rational draws of seed 0 hold no disjoint pair, those of seed 1 two)
+        from cgb import grassmann
+
+        multiply = grassmann.multiply
+        monkeypatch.setattr(grassmann, "multiply", lambda a, b: multiply(b, a))
+        code, stdout, _ = run(capsys, "selftest", "--backend", backend, "--seed", seed)
+        assert code == 1
+        assert selftest_line(stdout, "grassmann graded commutativity") == "FAIL"
+
 
 class TestEftsCommand:
     def test_delta(self, capsys):

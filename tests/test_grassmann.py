@@ -411,7 +411,7 @@ class TestFloatKernel:
 
     def test_every_generator_count(self):
         rng = random.Random(1)
-        for n in range(1, 17):  # every set of fold shifts the kernel uses
+        for n in range(1, 17):  # every generator count whose 2^n-entry tables fit under KERNEL_MAX_MASKS
             self.assert_same(random_element(rng, n, 40), random_element(rng, n, 40))
 
     def test_blocks_carry_their_sums_in_order(self, monkeypatch):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cgb import morse
-from cgb.geometry import ScalarField
+from cgb.geometry import DOMAIN_SLACK, ScalarField
 from cgb.manifolds import MAX_GRID_POINTS, ManifoldSpec, MorseFunction, get_manifold
 from cgb.morse import (
     DegenerateCriticalPointError,
@@ -170,6 +170,97 @@ def test_line_search_builds_no_more_candidates_than_seeds(monkeypatch):
     assert rows and max(rows) <= 8**4
 
 
+def first_rungs(chart, rows):
+    """One Newton step from each row's seed, with the gradient and Hessian the row gives there and zero gradient
+    elsewhere: the candidates ``_newton_batch`` tries first in its accept loop, and the brute-force oracle's, the
+    wrapped candidate at the first of all 40 rungs whose ``_wrap_batch`` mask is true, none where no rung is."""
+    seeds = np.array([seed for seed, _, _ in rows], dtype=float)
+    grads = np.array([grad for _, grad, _ in rows], dtype=float)
+    hessians = np.array([hess for _, _, hess in rows], dtype=float)
+    row_of = {seed.tobytes(): i for i, seed in enumerate(seeds)}
+
+    def at_seeds(given, elsewhere):
+        return lambda x: np.array([given[row_of[p.tobytes()]] if p.tobytes() in row_of else elsewhere for p in x])
+
+    calls = []
+    grad = at_seeds(grads, np.zeros(chart.dim))
+    field = ScalarField(lambda x: 0.0, lambda x: calls.append(np.array(x)) or grad(x), at_seeds(hessians, np.eye(chart.dim)))
+    oracle = []
+    with np.errstate(all="ignore"):
+        _newton_batch(chart, field, seeds)
+        steps = np.linalg.solve(hessians, -grads[..., None])[..., 0]
+        for x, step in zip(seeds, steps):
+            for t in np.ldexp(1.0, -np.arange(40)):
+                cand, inside = _wrap_batch(chart, (x + t * step)[None])
+                if inside[0]:
+                    oracle.append(cand[0])
+                    break
+    taken = calls[1] if len(calls) > 1 else np.empty((0, chart.dim))
+    return taken, np.array(oracle).reshape(-1, chart.dim)
+
+
+def stepping(seed, step, scale=1.0):
+    """A row of ``first_rungs`` whose Newton step is ``step``: gradient -scale * step, Hessian scale * I."""
+    return seed, -scale * np.asarray(step, dtype=float), scale * np.eye(len(seed))
+
+
+# (gradient, Hessian) whose Newton steps are (nan, -inf), (-inf, -0.5) and (1e308, -0): the gradient norms are finite
+NON_FINITE_STEPS = [((0.5, 1e150), np.diag([1.0, 1e-160])), ((1e150, 0.5), np.diag([1e-160, 1.0]))]
+HUGE_STEP = ((-1e148, 0.0), np.diag([1e-160, 1.0]))
+
+
+def test_rung_search_takes_the_first_in_chart_rung_of_the_ladder(degenerate_patch, flat_t2, s2):
+    box, torus, sphere = degenerate_patch.charts["flat"], flat_t2.charts["flat"], s2.charts["polar"]
+    face = 1.0 + DOMAIN_SLACK  # the upper face of the unit box, as ``contains`` widens it
+    room = face - 0.3
+    cases = [
+        (box, [
+            stepping((1.0 + 5e-13, 0.5), (1e-3, 0.0)),  # on the face, inside the slack, stepping out; no step on y
+            stepping((face, 0.25), (2.0**-20, 0.1)),  # on the slack's own face: only steps under half an ulp stay
+            stepping((0.3, 0.7), (4 * room, 0.0)),  # the room to the face is 1/4 exactly
+            stepping((0.3, 0.6), (room, -0.1)),  # the room is 1 exactly
+            stepping((0.5, 0.5), (0.1, -0.2)),  # the full step stays in
+            stepping((0.5, 0.4), (-10.0, 0.0)),
+            stepping((0.3, 0.5), (np.nextafter(4 * room, np.inf), 0.0)),  # the room is just under 1/4: the guess walks down
+            # on the slack's lower face, a step of half an ulp of x rounds away from it: the guess walks up
+            stepping((-DOMAIN_SLACK, 0.5), (-(2.0**-60), 0.0), scale=2.0**40),
+            ((0.5, 0.3), *HUGE_STEP),  # finite, and off the chart on every rung
+            ((0.2, 0.2), *NON_FINITE_STEPS[0]),
+            ((0.2, 0.3), *NON_FINITE_STEPS[1]),
+        ]),
+        (torus, [  # every axis periodic
+            stepping((0.5, 0.5), (0.3, -2.7)),
+            ((0.0, 1.0), *HUGE_STEP),
+            ((0.2, 0.2), *NON_FINITE_STEPS[0]),
+            ((0.2, 0.3), *NON_FINITE_STEPS[1]),
+        ]),
+        (sphere, [  # theta bounded, phi periodic
+            stepping((1e-07, 1.0), (-1e-6, 7.0)),  # on theta's lower face, stepping out
+            stepping((1.0, 6.0), (0.0, 3.0)),  # no step on theta
+            stepping((3.0, 0.5), (0.5, -1.0)),
+            ((0.2, 0.2), *NON_FINITE_STEPS[0]),
+            ((0.2, 0.3), *NON_FINITE_STEPS[1]),
+        ]),
+    ]
+    for chart, rows in cases:
+        taken, oracle = first_rungs(chart, rows)
+        assert taken.tobytes() == oracle.tobytes(), chart.name
+    # the box's rows take rungs 31, 33, 2, 0, 0, 5, 2 and 34; its last three rows take none
+    assert len(first_rungs(box, cases[0][1])[1]) == 8
+
+
+def test_rung_search_wrap_calls_are_pinned(monkeypatch):
+    # the rotated S^2 chart at seed density 8: a bisection over rungs 1..39 of every seed whose full step leaves
+    # the chart made 408 calls; the guess and its walk make 172
+    calls = []
+    wrap = morse._wrap_batch
+    monkeypatch.setattr(morse, "_wrap_batch", lambda chart, pts: calls.append(len(pts)) or wrap(chart, pts))
+    chart = get_manifold("s2").charts["rotated"]
+    with np.errstate(all="ignore"):
+        _newton_batch(chart, get_manifold("s2").morse_catalog["height"].fields["rotated"], _seeds(chart, 8))
+    assert len(calls) == 172 < 408
+
+
 @pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed"])
 def test_newton_batch_matches_the_serial_line_search(name):
     # every chart that carries the potential, its roots in the same order to the bit
@@ -220,6 +311,24 @@ def test_seed_grid_over_the_budget_is_refused_before_it_is_built(monkeypatch, na
         find_critical_points(spec, next(iter(spec.morse_catalog)), density)
     monkeypatch.setattr(morse, "tensor_points", lambda axes: axes)
     assert [len(axis) for axis in _seeds(chart, density - 1)] == [density - 1] * spec.dim
+
+
+@pytest.mark.parametrize("name, density", [("s2xs2", np.int64(65)), ("s2xs2", np.int64(2**16))], ids=["65", "2^16"])
+def test_numpy_seed_density_over_the_budget_is_refused_before_it_is_built(monkeypatch, name, density):
+    # np.int64(2**16) ** 4 wraps to 0, under the budget: the count is taken as a Python int
+    def built(axes):
+        raise AssertionError("the seed grid was built")
+
+    monkeypatch.setattr(morse, "tensor_points", built)
+    spec = get_manifold(name)
+    with pytest.raises(ValueError, match=rf"^seed grid on chart '{next(iter(spec.charts))}' has {density}\^4 = "
+                                         rf"{int(density) ** 4} points, above the budget of {MAX_GRID_POINTS}$"):
+        find_critical_points(spec, "height_sum", density)
+
+
+def test_numpy_seed_density_is_a_count(s2):
+    key = lambda cps: [(cp.chart, cp.coords.tobytes(), cp.det_hess) for cp in cps]
+    assert key(find_critical_points(s2, "height", np.int64(8))) == key(find_critical_points(s2, "height", 8))
 
 
 @pytest.mark.parametrize("density", [True, 0, -1, 2.0, "8"])
