@@ -235,17 +235,10 @@ def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):
             return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
         return float(rng.normal())
 
-    ok = True
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        deg_a = int(rng.integers(1, n + 1))
-        deg_b = int(rng.integers(1, n + 1))
-        idx_a = list(rng.choice(n, size=deg_a, replace=False))
-        idx_b = list(rng.choice(n, size=deg_b, replace=False))
-        coeff_a, coeff_b = draw_coeff(), draw_coeff()
+    def commutes(n, idx_a, idx_b, coeff_a, coeff_b):
         a = GrassmannElement.monomial(n, idx_a, coeff_a)
         b = GrassmannElement.monomial(n, idx_b, coeff_b)
-        sign = -1 if (deg_a % 2) and (deg_b % 2) else 1
+        sign = -1 if (len(idx_a) % 2) and (len(idx_b) % 2) else 1
         # a b against a product built without the engine's merge signs: the sorting sign of the generator word
         order = idx_a + idx_b
         expected = GrassmannElement.zero(n)
@@ -253,9 +246,22 @@ def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):
             mask = sum(1 << int(i) for i in order)
             expected = GrassmannElement(n, {mask: permutation_sign(np.argsort(order)) * coeff_a * coeff_b})
         product = multiply(a, b)
-        if product != expected or product != sign * multiply(b, a):
-            ok = False
-    yield "grassmann graded commutativity", ok, f"25 random homogeneous pairs, backend={backend}"
+        return product == expected and product == sign * multiply(b, a)
+
+    ok = True
+    for _ in range(25):
+        n = int(rng.integers(2, 7))
+        deg_a = int(rng.integers(1, n + 1))
+        deg_b = int(rng.integers(1, n + 1))
+        idx_a = list(rng.choice(n, size=deg_a, replace=False))
+        idx_b = list(rng.choice(n, size=deg_b, replace=False))
+        ok &= commutes(n, idx_a, idx_b, draw_coeff(), draw_coeff())
+    # disjoint pairs with nonzero coefficients, which the draws need not hold; they draw nothing from the rng
+    fixed = Fraction if exact else float
+    for idx_a, idx_b in ([4, 1], [5, 0]), ([2, 5], [3]), ([3], [1]):  # even x even, even x odd, odd x odd
+        ok &= commutes(6, idx_a, idx_b, fixed(1.5), fixed(-2.5))
+    detail = f"25 random homogeneous pairs and 3 fixed disjoint ones, backend={backend}"
+    yield "grassmann graded commutativity", ok, detail
 
     ok = True
     worst = 0.0

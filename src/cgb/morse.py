@@ -12,8 +12,12 @@ degenerate point means the potential is not Morse and raises.
 
 Each Newton step's line search is one ladder of step lengths t = 2^-k,
 k = 0..39, whose rung 0 is the full step: a seed takes the first rung that
-stays in its chart and lowers |grad h|.  A seed grid of more than
-``MAX_GRID_POINTS`` points is refused before it is built.
+stays in its chart and lowers |grad h|.  A seed stops once its iterate
+leaves the chart's declared box on an axis without a period and enters the
+slack band the domain test adds: a root beyond the box's face is an interior
+point of the companion chart, and the seed is kept only if it has already
+converged.  A seed grid of more than ``MAX_GRID_POINTS`` points is refused
+before it is built.
 
 The Hopf index is the sum of sgn(det Hess h) over the critical points.
 """
@@ -51,14 +55,14 @@ class CriticalPoint:
     value: float
 
 
-def _wrap_batch(chart: Chart, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Wrap periodic axes into the domain; return (points, validity mask)."""
+def _wrap_batch(chart: Chart, pts: np.ndarray) -> np.ndarray:
+    """Wrap periodic axes into the domain."""
     dom = chart.metric.domain
     out = np.array(pts, dtype=float)
     for k, period in enumerate(chart.periods or (None,) * chart.dim):
         if period is not None:
             out[:, k] = dom[k, 0] + np.mod(out[:, k] - dom[k, 0], period)
-    return out, chart.metric.contains(out)
+    return out
 
 
 def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
@@ -69,9 +73,12 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
     gradient norm; rung 0 is the full step.  A seed's first in-domain rung is
     guessed from the step's room to the chart box and made exact by a walk
     from the guess; one accept loop walks up from it, evaluating h only at
-    each seed's next in-domain rung.  Refuses a seed whose gradient norm, or a
-    Newton point whose Hessian determinant, is not finite; a candidate whose
-    gradient is not finite is only rejected.
+    each seed's next in-domain rung.  Only the rung search asks ``contains``.
+    A seed whose accepted iterate lies outside ``chart.metric.domain`` on an
+    unwrapped axis (in the slack band) stops there, as one that takes no rung
+    does, and is returned only if it has converged.  Refuses a seed whose
+    gradient norm, or a Newton point whose Hessian determinant, is not finite;
+    a candidate whose gradient is not finite is only rejected.
     """
     x = np.array(seeds, dtype=float)
     grad = np.asarray(h.grad(x), dtype=float)
@@ -81,7 +88,8 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
     ladder = np.ldexp(1.0, -np.arange(40))  # t = 2^-k exactly, k = 0..39
     last = len(ladder)
     free = [a for a, period in enumerate(chart.periods or (None,) * chart.dim) if period is None]  # unwrapped axes
-    box = chart.metric.domain[free] + [-DOMAIN_SLACK, DOMAIN_SLACK]  # their faces, as ``contains`` widens them
+    face = chart.metric.domain[free]  # their declared faces
+    box = face + [-DOMAIN_SLACK, DOMAIN_SLACK]  # and as ``contains`` widens them
     active = np.ones(len(x), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
         active &= gnorm >= TOL_GRAD
@@ -98,7 +106,7 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
             break
         steps = np.linalg.solve(hess[solvable], -grad[idx][..., None])[..., 0]
 
-        def candidates(live: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def candidates(live: np.ndarray, k: np.ndarray) -> np.ndarray:
             return _wrap_batch(chart, x[idx[live]] + ladder[k][:, None] * steps[live])
 
         # a row's in-domain rungs are a suffix k >= k0 (x is in the box, fl(x + 2^-k s) is monotone in k, a wrapped
@@ -111,14 +119,14 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
         searching = np.flatnonzero(k < hi)
         while searching.size:
             mid = rung[searching]
-            inside = candidates(searching, mid)[1]
+            inside = chart.metric.contains(candidates(searching, mid))
             hi[searching[inside]] = mid[inside]
             k[searching[~inside]] = mid[~inside] + 1
             rung[searching] = np.where(inside, mid - 1, mid + 1)
             searching = searching[k[searching] < hi[searching]]
         live = np.flatnonzero(k < last)  # a row keeps the rung it accepts; one that accepts none ends at ``last``
         while live.size:
-            rows, cand = idx[live], candidates(live, k[live])[0]
+            rows, cand = idx[live], candidates(live, k[live])
             cg = np.asarray(h.grad(cand), dtype=float)
             cn = np.linalg.norm(cg, axis=-1)
             good = cn < gnorm[rows]
@@ -127,7 +135,9 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
             live = live[~good]
             k[live] += 1
             live = live[k[live] < last]
-        active[idx[k == last]] = False
+        # a row whose iterate has left the declared box for the slack band stops there, as one that took no rung
+        xs = x[idx][:, free]
+        active[idx[(k == last) | ((xs < face[:, 0]) | (xs > face[:, 1])).any(axis=1)]] = False
     return x[gnorm < TOL_GRAD]
 
 

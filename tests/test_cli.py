@@ -527,14 +527,26 @@ class TestSelftestCommand:
         assert selftest_line(stdout, "grassmann graded commutativity") == "FAIL"
         assert selftest_line(stdout, "odd-direction algebra + Cartan identity") == "PASS"
 
-    @pytest.mark.parametrize("backend, seed", [("float", "0"), ("rational", "1")])
+    @pytest.mark.parametrize("backend, seed", [("float", "0"), ("rational", "1"), ("rational", "0"), ("float", "4")])
     def test_swapped_operands_fail_graded_commutativity(self, capsys, monkeypatch, backend, seed):
         # a swapped product still has a b = sign b a; a disjoint odd pair's product against the sorting sign of its
-        # generator word does not hold (the rational draws of seed 0 hold no disjoint pair, those of seed 1 two)
+        # generator word does not hold (the rational draws of seed 1 hold two such pairs; those of seed 0 and the
+        # float draws of seed 4 hold none, so there only the line's fixed pairs see it)
         from cgb import grassmann
 
         multiply = grassmann.multiply
         monkeypatch.setattr(grassmann, "multiply", lambda a, b: multiply(b, a))
+        code, stdout, _ = run(capsys, "selftest", "--backend", backend, "--seed", seed)
+        assert code == 1
+        assert selftest_line(stdout, "grassmann graded commutativity") == "FAIL"
+
+
+    @pytest.mark.parametrize("backend, seed", [("rational", "0"), ("float", "4")])
+    def test_dropped_merge_sign_fails_graded_commutativity_at_more_seeds(self, capsys, monkeypatch, backend, seed):
+        # the rational draws of seed 0 all share a generator, so the line sees the fault through its fixed pairs alone
+        from cgb import grassmann
+
+        monkeypatch.setattr(grassmann, "_parity_word", lambda mask: 0)
         code, stdout, _ = run(capsys, "selftest", "--backend", backend, "--seed", seed)
         assert code == 1
         assert selftest_line(stdout, "grassmann graded commutativity") == "FAIL"

@@ -49,7 +49,8 @@ def serial_newton(chart, h, seeds):
             if pending.size == 0:
                 break
             rows = idx[pending]
-            cand, valid = _wrap_batch(chart, x[rows] + t[pending, None] * steps[pending])
+            cand = _wrap_batch(chart, x[rows] + t[pending, None] * steps[pending])
+            valid = chart.metric.contains(cand)
             cg = np.zeros_like(cand)
             if valid.any():
                 cg[valid] = np.asarray(h.grad(cand[valid]), dtype=float)
@@ -173,7 +174,7 @@ def test_line_search_builds_no_more_candidates_than_seeds(monkeypatch):
 def first_rungs(chart, rows):
     """One Newton step from each row's seed, with the gradient and Hessian the row gives there and zero gradient
     elsewhere: the candidates ``_newton_batch`` tries first in its accept loop, and the brute-force oracle's, the
-    wrapped candidate at the first of all 40 rungs whose ``_wrap_batch`` mask is true, none where no rung is."""
+    wrapped candidate at the first of all 40 rungs that ``contains`` holds, none where no rung is."""
     seeds = np.array([seed for seed, _, _ in rows], dtype=float)
     grads = np.array([grad for _, grad, _ in rows], dtype=float)
     hessians = np.array([hess for _, _, hess in rows], dtype=float)
@@ -192,8 +193,8 @@ def first_rungs(chart, rows):
         steps = np.linalg.solve(hessians, -grads[..., None])[..., 0]
         for x, step in zip(seeds, steps):
             for t in np.ldexp(1.0, -np.arange(40)):
-                cand, inside = _wrap_batch(chart, (x + t * step)[None])
-                if inside[0]:
+                cand = _wrap_batch(chart, (x + t * step)[None])
+                if chart.metric.contains(cand)[0]:
                     oracle.append(cand[0])
                     break
     taken = calls[1] if len(calls) > 1 else np.empty((0, chart.dim))
@@ -254,14 +255,71 @@ def test_rung_search_takes_the_first_in_chart_rung_of_the_ladder(degenerate_patc
 
 def test_rung_search_wrap_calls_are_pinned(monkeypatch):
     # the rotated S^2 chart at seed density 8: a bisection over rungs 1..39 of every seed whose full step leaves
-    # the chart made 408 calls; the guess and its walk make 172
+    # the chart made 408 calls; the guess and its walk made 172, and with the stop at the chart's face 93
     calls = []
     wrap = morse._wrap_batch
     monkeypatch.setattr(morse, "_wrap_batch", lambda chart, pts: calls.append(len(pts)) or wrap(chart, pts))
     chart = get_manifold("s2").charts["rotated"]
     with np.errstate(all="ignore"):
         _newton_batch(chart, get_manifold("s2").morse_catalog["height"].fields["rotated"], _seeds(chart, 8))
-    assert len(calls) == 172 < 408
+    assert len(calls) == 93 < 172
+
+
+def counting(h, log):
+    """``h`` with every point its gradient and Hessian are evaluated at appended to ``log["grad"]``, ``log["hess"]``."""
+    return ScalarField(
+        h.value,
+        lambda x: log["grad"].append(np.array(x)) or h.grad(x),
+        lambda x: log["hess"].append(np.array(x)) or h.hess(x),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, h_name, chart_name, density, steps",
+    [("s2", "height", "rotated", 8, 31), ("s2xs2", "height_sum", "product_rotated", 5, 32)],
+)
+def test_newton_steps_are_pinned(name, h_name, chart_name, density, steps):
+    # every root has converged by step 6 on the sphere and by step 4 on the product; without the stop at the chart's
+    # face, the seeds heading for the coordinate singularity crawl along the slack band to step 50 on both
+    spec = get_manifold(name)
+    chart, log = spec.charts[chart_name], {"grad": [], "hess": []}
+    with np.errstate(all="ignore"):
+        _newton_batch(chart, counting(spec.morse_catalog[h_name].fields[chart_name], log), _seeds(chart, density))
+    assert len(log["hess"]) == steps < MAX_NEWTON_STEPS
+
+
+def test_root_in_the_slack_band_is_returned(degenerate_patch):
+    # h = |x - r|^2 / 2 with r in the band ``contains`` adds beyond the face x = 1: the full step lands on r exactly
+    # (|grad| = 0), outside the declared box, and the row stops there with its root
+    chart, root = degenerate_patch.charts["flat"], np.array([1.0 + 2.0**-42, 0.5])
+    field = ScalarField(
+        lambda x: 0.5 * np.sum((x - root) ** 2, axis=-1),
+        lambda x: x - root,
+        lambda x: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2)),
+    )
+    assert root[0] - 1.0 < DOMAIN_SLACK and chart.metric.contains(root[None])[0]
+    with np.errstate(all="ignore"):  # the step's room on y, where it has no step, is a division by zero
+        got = _newton_batch(chart, field, np.array([[0.5, 0.5], [0.25, 0.75]]))
+    assert got.tobytes() == np.array([root, root]).tobytes()
+
+
+def test_straggler_stops_on_entering_the_slack_band():
+    # the rotated S^2 chart's first seed at density 8 halves its way toward theta' = 0 and never converges: it stops
+    # at the step whose accepted iterate leaves the declared box for the slack band, where the line search without
+    # the stop went on to step 43
+    spec = get_manifold("s2")
+    chart, h = spec.charts["rotated"], spec.morse_catalog["height"].fields["rotated"]
+    seed, lo = _seeds(chart, 8)[:1], chart.metric.domain[:, 0]
+    stopped, oracle = {"grad": [], "hess": []}, {"grad": [], "hess": []}
+    with np.errstate(all="ignore"):
+        assert len(_newton_batch(chart, counting(h, stopped), seed)) == 0
+        assert len(serial_newton(chart, counting(h, oracle), seed)) == 0
+    steps, last = np.concatenate(stopped["hess"]), stopped["grad"][-1]
+    assert (len(steps), len(oracle["hess"])) == (29, 43)
+    assert np.all(steps >= lo) and np.all(steps <= chart.metric.domain[:, 1])  # every step starts in the box
+    # the last candidate is the accepted one, it beat its step's start, and it lies in the band below theta's face
+    assert np.linalg.norm(h.grad(last)) < np.linalg.norm(h.grad(steps[-1:]))
+    assert chart.metric.contains(last)[0] and lo[0] - DOMAIN_SLACK <= last[0, 0] < lo[0]
 
 
 @pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2xs2", "s2_perturbed"])
