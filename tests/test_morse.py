@@ -298,9 +298,23 @@ def test_root_in_the_slack_band_is_returned(degenerate_patch):
         lambda x: np.broadcast_to(np.eye(2), np.shape(x)[:-1] + (2, 2)),
     )
     assert root[0] - 1.0 < DOMAIN_SLACK and chart.metric.contains(root[None])[0]
-    with np.errstate(all="ignore"):  # the step's room on y, where it has no step, is a division by zero
+    with np.errstate(all="ignore"):  # the room on y, where there is no step, is a division by zero
         got = _newton_batch(chart, field, np.array([[0.5, 0.5], [0.25, 0.75]]))
     assert got.tobytes() == np.array([root, root]).tobytes()
+
+
+def test_row_on_the_face_keeps_stepping(degenerate_patch):
+    # h = (x - 1)^2 / 2 + (y - 1/2)^4 / 4 from a seed on the face x = 1: every step leaves x on the face, in the
+    # declared box, while y closes in on 1/2 by a factor 2/3 a step, so the row converges only if it is not stopped
+    chart = degenerate_patch.charts["flat"]
+    field = ScalarField(
+        lambda x: 0.5 * (x[..., 0] - 1.0) ** 2 + 0.25 * (x[..., 1] - 0.5) ** 4,
+        lambda x: np.stack([x[..., 0] - 1.0, (x[..., 1] - 0.5) ** 3], axis=-1),
+        lambda x: np.stack([np.diag([1.0, 3.0 * (y - 0.5) ** 2]) for y in np.asarray(x)[..., 1]]),
+    )
+    with np.errstate(all="ignore"):  # the room on x, where there is no step, is a division by zero
+        (root,) = _newton_batch(chart, field, np.array([[1.0, 0.75]]))
+    assert root[0] == 1.0 and abs(root[1] - 0.5) < 1e-3
 
 
 def test_straggler_stops_on_entering_the_slack_band():
