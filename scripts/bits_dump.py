@@ -18,10 +18,11 @@ or the ones named):
   ``--no-adaptive`` and one adaptive sweep at the unsorted couplings
   2, 0, 1, 0 (``unsorted``) per potential, so that runs of couplings on one
   grid close and open again;
-* ``newton``: per potential and chart that carries it, at seed densities
-  4, 8 and 16 (4, 5 and 6 on a 4-D chart), the count and a SHA-256 of the
-  ``float.hex`` coordinates of the points ``morse._newton_batch`` returns,
-  in order (``newton_digest``);
+* ``newton``: per potential and chart that carries it, at every seed
+  density from 4 to 24 (3 to 6 on a 4-D chart), the count and a SHA-256 of
+  the ``float.hex`` coordinates of the points ``morse._newton_batch``
+  returns, in order (``newton_digest``): 176 lines over the whole catalog,
+  which pin every line-search rung the catalog's seeds take;
 * ``root``: every critical point ``find_critical_points`` returns;
 * ``cli``: exit code, standard output and standard error of fixed ``cgb``
   commands, run in process through ``cli.main`` (the ``efts`` commands only
@@ -66,7 +67,7 @@ ADAPTIVE_LAMBDAS = (0.0, 1.0, 2.0, 5.0, 10.0)
 FIXED_LAMBDAS = (0.0, 1.0, 2.0)
 UNSORTED_LAMBDAS = (2.0, 0.0, 1.0, 0.0)
 SWEEP_BASE = {2: (48, 96), 4: (8, 10, 8, 10)}
-NEWTON_DENSITIES = {2: (4, 8, 16), 4: (4, 5, 6)}
+NEWTON_DENSITIES = {2: tuple(range(4, 25)), 4: (3, 4, 5, 6)}
 
 # (manifold or None, argv)
 COMMANDS = (

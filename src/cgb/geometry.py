@@ -102,7 +102,8 @@ class ChartMetric:
         if np.any(self.domain[:, 1] <= self.domain[:, 0]):
             raise ValueError("domain box must have positive extent on every axis")
         self.domain.flags.writeable = False  # the box below is computed from it once
-        self._lo, self._hi = self.domain[:, 0] - DOMAIN_SLACK, self.domain[:, 1] + DOMAIN_SLACK
+        self.box = self.domain + [-DOMAIN_SLACK, DOMAIN_SLACK]  # widened by the slack: the box ``contains`` tests
+        self.box.flags.writeable = False
         self.metric = metric
         self.d_metric = d_metric
         self.d2_metric = d2_metric
@@ -113,7 +114,7 @@ class ChartMetric:
     def contains(self, x) -> np.ndarray:
         """Mask over the leading axes of ``x``: which points lie in the domain box."""
         x = np.asarray(x, dtype=float)
-        return np.all((x >= self._lo) & (x <= self._hi), axis=-1)
+        return np.all((x >= self.box[:, 0]) & (x <= self.box[:, 1]), axis=-1)
 
     def jets(self, x) -> MetricJets:
         """g, dg and d2g at one point of the domain."""

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import ChartMetric, ScalarField
+from .geometry import DOMAIN_SLACK, ChartMetric, ScalarField
 
 POLAR_CAP = 1e-4  # half-angle excised around each spherical pole
 
@@ -260,6 +260,15 @@ class Chart:
     quad_domain: np.ndarray | None = None  # None: chart is for Newton seeding only
     periods: tuple[float | None, ...] = ()
     excised_measure: float = 0.0  # parameter measure removed by caps
+
+    def __post_init__(self):
+        # the Newton line search tests only the axes without a period: each wrapped axis must fill its domain
+        if len(self.periods) not in (0, self.dim):
+            raise ValueError(f"chart {self.name!r} has periods of length {len(self.periods)} for {self.dim} axes")
+        for axis, (period, (lo, hi)) in enumerate(zip(self.periods, self.metric.domain)):
+            width = float(hi - lo)
+            if period is not None and not abs(period - width) <= DOMAIN_SLACK:
+                raise ValueError(f"chart {self.name!r} axis {axis}: period {period!r} is not the axis width {width!r}")
 
     @property
     def name(self) -> str:

@@ -13,9 +13,9 @@ degenerate point means the potential is not Morse and raises.
 Each Newton step's line search is one ladder of step lengths t = 2^-k,
 k = 0..39, whose rung 0 is the full step: a seed takes the first rung that
 stays in its chart and lowers |grad h|.  A seed stops once its iterate
-leaves the chart's declared box on an axis without a period and enters the
-slack band the domain test adds: a root beyond the box's face is an interior
-point of the companion chart, and the seed is kept only if it has already
+leaves the chart's declared box on an axis without a period for the slack
+band ``ChartMetric.box`` adds: a root beyond the face is an interior point
+of the companion chart, and the seed is kept only if it has already
 converged.  A seed grid of more than ``MAX_GRID_POINTS`` points is refused
 before it is built.
 
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DOMAIN_SLACK
 from .manifolds import MAX_GRID_POINTS, Chart, ManifoldSpec, is_count, refuse_first, tensor_points
 
 TOL_GRAD = 1e-10
@@ -70,15 +69,15 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
 
     Each step takes, per seed, the first rung of one ladder t = 2^-k,
     k = 0..39, whose candidate x + t * step lies in the chart and lowers the
-    gradient norm; rung 0 is the full step.  A seed's first in-domain rung is
-    guessed from the step's room to the chart box and made exact by a walk
-    from the guess; one accept loop walks up from it, evaluating h only at
-    each seed's next in-domain rung.  Only the rung search asks ``contains``.
-    A seed whose accepted iterate lies outside ``chart.metric.domain`` on an
-    unwrapped axis (in the slack band) stops there, as one that takes no rung
-    does, and is returned only if it has converged.  Refuses a seed whose
-    gradient norm, or a Newton point whose Hessian determinant, is not finite;
-    a candidate whose gradient is not finite is only rejected.
+    gradient norm; rung 0 is the full step.  One walk up from rung 0 finds
+    each seed's first in-chart rung, testing only the unwrapped axes against
+    ``chart.metric.box``; one accept loop walks on from there, wrapping and
+    evaluating h at each seed's next rung only.  A seed whose accepted
+    iterate lies outside ``chart.metric.domain`` on an unwrapped axis (in
+    the slack band) stops there, as one that takes no rung does, and is
+    returned only if it has converged.  Refuses a seed whose gradient norm,
+    or a Newton point whose Hessian determinant, is not finite; a candidate
+    whose gradient is not finite is only rejected.
     """
     x = np.array(seeds, dtype=float)
     grad = np.asarray(h.grad(x), dtype=float)
@@ -88,8 +87,7 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
     ladder = np.ldexp(1.0, -np.arange(40))  # t = 2^-k exactly, k = 0..39
     last = len(ladder)
     free = [a for a, period in enumerate(chart.periods or (None,) * chart.dim) if period is None]  # unwrapped axes
-    face = chart.metric.domain[free]  # their declared faces
-    box = face + [-DOMAIN_SLACK, DOMAIN_SLACK]  # and as ``contains`` widens them
+    face, box = chart.metric.domain[free], chart.metric.box[free]  # their declared and their slack-widened faces
     active = np.ones(len(x), dtype=bool)
     for _ in range(MAX_NEWTON_STEPS):
         active &= gnorm >= TOL_GRAD
@@ -106,27 +104,19 @@ def _newton_batch(chart: Chart, h, seeds: np.ndarray) -> np.ndarray:
             break
         steps = np.linalg.solve(hess[solvable], -grad[idx][..., None])[..., 0]
 
-        def candidates(live: np.ndarray, k: np.ndarray) -> np.ndarray:
-            return _wrap_batch(chart, x[idx[live]] + ladder[k][:, None] * steps[live])
-
-        # a row's in-domain rungs are a suffix k >= k0 (x is in the box, fl(x + 2^-k s) is monotone in k, a wrapped
-        # axis is always in it): guess k0 from the room to the box, never under the half ulp of x a step leaves x at,
-        # then walk to it one rung a call, or to ``last``, as a non-finite step does; h sees no off-chart candidate
+        # in-chart rungs form a suffix (x is in the box, fl(x + 2^-k s) is monotone in k, periods fill their axes)
         xs, ss = x[idx][:, free], steps[:, free]
-        room = np.fmax((np.where(ss > 0, box[:, 1], box[:, 0]) - xs) / ss, 0.5 * np.spacing(np.abs(xs)) / np.abs(ss))
-        rung = np.minimum(1 - np.frexp(room.min(axis=1, initial=1.0))[1], last - 1)  # 0 where the full step fits
-        k, hi = np.where(np.isfinite(steps).all(axis=1), 0, last), np.full(idx.size, last)
-        searching = np.flatnonzero(k < hi)
-        while searching.size:
-            mid = rung[searching]
-            inside = chart.metric.contains(candidates(searching, mid))
-            hi[searching[inside]] = mid[inside]
-            k[searching[~inside]] = mid[~inside] + 1
-            rung[searching] = np.where(inside, mid - 1, mid + 1)
-            searching = searching[k[searching] < hi[searching]]
+        k, searching = np.full(idx.size, last), np.flatnonzero(np.isfinite(steps).all(axis=1))
+        for rung, t in enumerate(ladder):  # every row still searching is at this rung
+            cand = xs[searching] + t * ss[searching]
+            inside = np.all((cand >= box[:, 0]) & (cand <= box[:, 1]), axis=1)
+            k[searching[inside]] = rung
+            searching = searching[~inside]
+            if not searching.size:
+                break
         live = np.flatnonzero(k < last)  # a row keeps the rung it accepts; one that accepts none ends at ``last``
         while live.size:
-            rows, cand = idx[live], candidates(live, k[live])
+            rows, cand = idx[live], _wrap_batch(chart, x[idx[live]] + ladder[k[live], None] * steps[live])
             cg = np.asarray(h.grad(cand), dtype=float)
             cn = np.linalg.norm(cg, axis=-1)
             good = cn < gnorm[rows]

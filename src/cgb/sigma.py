@@ -492,7 +492,7 @@ def partition_integrand(
     """Pointwise partition-function integrand after the F reduction."""
     n = frame.dim
     if n % 2 != 0:
-        raise ValueError(f"partition integrand vanishes identically in odd dimension {n}")
+        raise ValueError(f"partition integrand needs even dimension, got {n}")
     exponent = -0.5 * curvature_biform(frame)
     if lam != 0.0 and h_grad is not None:
         hcov = covariant_hessian(

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cgb.geometry import CurvatureFrame
+from cgb.geometry import DOMAIN_SLACK, CurvatureFrame
 from cgb import manifolds
 from cgb.manifolds import (
     MAX_AXIS_POINTS,
@@ -56,6 +56,31 @@ class TestCatalog:
         for spec in full_catalog:
             assert spec.quad_chart.quad_domain is not None
             assert spec.morse_catalog
+
+    @pytest.mark.parametrize(
+        "periods, message",
+        [
+            ((1.0,), r"^chart 'square' has periods of length 1 for 2 axes$"),
+            ((None, 1.0, 1.0), r"^chart 'square' has periods of length 3 for 2 axes$"),
+            ((2.0, None), r"^chart 'square' axis 0: period 2\.0 is not the axis width 1\.0$"),
+            ((None, 1.0 + 2 * DOMAIN_SLACK), r"^chart 'square' axis 1: period 1\.000000000002 is not"),
+            ((None, math.nan), r"^chart 'square' axis 1: period nan is not the axis width 1\.0$"),
+        ],
+    )
+    def test_chart_refuses_periods_that_do_not_fill_their_axes(self, periods, message):
+        # the Newton line search tests only the axes without a period, so a wrapped axis must be its domain's width
+        with pytest.raises(ValueError, match=message):
+            manifolds.Chart(manifolds.flat_chart("square", 2, [[0.0, 1.0], [0.0, 1.0]]), lambda x: x, periods=periods)
+
+    def test_charts_whose_periods_fill_their_axes_build(self, full_catalog, s2_perturbed):
+        square = manifolds.flat_chart("square", 2, [[0.0, 1.0], [0.0, 1.0]])
+        for fits in [(), (None, None), (1.0 + DOMAIN_SLACK / 2, None)]:
+            assert manifolds.Chart(square, lambda x: x, periods=fits).periods == fits
+        for spec in [*full_catalog, s2_perturbed]:
+            for chart in spec.charts.values():
+                widths = np.diff(chart.metric.domain, axis=1)[:, 0]
+                assert len(chart.periods) == chart.dim, chart.name
+                assert all(p is None or p == width for p, width in zip(chart.periods, widths)), chart.name
 
 
 def area_values(spec, resolution):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cgb import morse
-from cgb.geometry import DOMAIN_SLACK, ScalarField
+from cgb.geometry import DOMAIN_SLACK, ChartMetric, ScalarField
 from cgb.manifolds import MAX_GRID_POINTS, ManifoldSpec, MorseFunction, get_manifold
 from cgb.morse import (
     DegenerateCriticalPointError,
@@ -223,8 +223,8 @@ def test_rung_search_takes_the_first_in_chart_rung_of_the_ladder(degenerate_patc
             stepping((0.3, 0.6), (room, -0.1)),  # the room is 1 exactly
             stepping((0.5, 0.5), (0.1, -0.2)),  # the full step stays in
             stepping((0.5, 0.4), (-10.0, 0.0)),
-            stepping((0.3, 0.5), (np.nextafter(4 * room, np.inf), 0.0)),  # the room is just under 1/4: the guess walks down
-            # on the slack's lower face, a step of half an ulp of x rounds away from it: the guess walks up
+            stepping((0.3, 0.5), (np.nextafter(4 * room, np.inf), 0.0)),  # room just under 1/4: rung 2 rounds onto the face
+            # on the slack's lower face, stepping out: each rung to 33 (a step of half an ulp of x) rounds off it
             stepping((-DOMAIN_SLACK, 0.5), (-(2.0**-60), 0.0), scale=2.0**40),
             ((0.5, 0.3), *HUGE_STEP),  # finite, and off the chart on every rung
             ((0.2, 0.2), *NON_FINITE_STEPS[0]),
@@ -254,15 +254,17 @@ def test_rung_search_takes_the_first_in_chart_rung_of_the_ladder(degenerate_patc
 
 
 def test_rung_search_wrap_calls_are_pinned(monkeypatch):
-    # the rotated S^2 chart at seed density 8: a bisection over rungs 1..39 of every seed whose full step leaves
-    # the chart made 408 calls; the guess and its walk made 172, and with the stop at the chart's face 93
-    calls = []
-    wrap = morse._wrap_batch
+    # the rotated S^2 chart at seed density 8: the rung walk compares the unwrapped axes with the chart box alone, so
+    # it wraps nothing and asks no ``contains``; only the accept loop's 31 batches, the points h sees, are wrapped
+    calls, asked = [], []
+    wrap, contains = morse._wrap_batch, ChartMetric.contains
     monkeypatch.setattr(morse, "_wrap_batch", lambda chart, pts: calls.append(len(pts)) or wrap(chart, pts))
+    monkeypatch.setattr(ChartMetric, "contains", lambda self, x: asked.append(len(x)) or contains(self, x))
     chart = get_manifold("s2").charts["rotated"]
     with np.errstate(all="ignore"):
         _newton_batch(chart, get_manifold("s2").morse_catalog["height"].fields["rotated"], _seeds(chart, 8))
-    assert len(calls) == 93 < 172
+    assert len(calls) == 31
+    assert asked == []
 
 
 def counting(h, log):

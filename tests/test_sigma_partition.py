@@ -178,7 +178,8 @@ class TestPartitionIntegrand:
         assert value == pytest.approx(float(oracle), rel=1e-12)
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError):
+        # Z need not vanish in odd dimension at lambda != 0, so the refusal says what it needs, not why
+        with pytest.raises(ValueError, match=r"^partition integrand needs even dimension, got 3$"):
             partition_integrand(flat_frame(3), 0.0)
 
     @pytest.mark.parametrize("lam", [0.0, 2.5])
