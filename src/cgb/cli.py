@@ -196,7 +196,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "tolerance": manifest.tolerance,
     }
     _emit_json(payload, manifest.out)
-    return 0 if sweep.max_deviation < manifest.tolerance else 1
+    deviations = (payload["max_deviation"], payload["max_deviation_from_chi"])
+    return 0 if all(d < manifest.tolerance for d in deviations) else 1
 
 
 def _selftest_checks(seed: int, backend: str, inject_sign_fault: bool):

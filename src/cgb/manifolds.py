@@ -37,7 +37,7 @@ import inspect
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -285,7 +285,6 @@ class MorseFunction:
 
     fields: dict[str, ScalarField]
     factor_names: tuple[str, str] | None = None  # set when h = h_1 + h_2 on a product
-    critical_distance: dict[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
 
     def on_chart(self, chart_name: str) -> ScalarField:
         try:
@@ -524,10 +523,10 @@ def integrate_values(grid: QuadratureGrid, values: np.ndarray) -> tuple[float, f
 # -- catalog builders ---------------------------------------------------------
 
 
-def _sphere_like(name: str, a: float, b: float, c: float, factor=None, critical_distance=None) -> ManifoldSpec:
+def _sphere_like(name: str, a: float, b: float, c: float, factor=None) -> ManifoldSpec:
     """x^2/a^2 + y^2/b^2 + z^2/c^2 = 1: polar and rotated charts and the height z.
 
-    ``factor`` scales the polar metric; ``critical_distance`` is the height's.
+    ``factor`` scales the polar metric.
     """
     full = [[1e-7, math.pi - 1e-7], [0.0, 2 * math.pi]]
     polar = TrigEmbedding([[(a, (SIN, COS))], [(b, (SIN, SIN))], [(c, (COS, ONE))]])
@@ -543,7 +542,7 @@ def _sphere_like(name: str, a: float, b: float, c: float, factor=None, critical_
         # the rotated chart only seeds Newton (metric-independent): never scaled
         "rotated": Chart(embedded_chart("rotated", rotated, full), rotated, periods=(None, 2 * math.pi)),
     }
-    height = MorseFunction(fields=_ambient_sum(charts, {2: 1.0}), critical_distance=critical_distance or {})
+    height = MorseFunction(fields=_ambient_sum(charts, {2: 1.0}))
     return ManifoldSpec(
         name=name,
         dim=2,
@@ -563,20 +562,13 @@ def _require_above(low: float, **values) -> None:
 
 def sphere(radius: float = 1.0) -> ManifoldSpec:
     _require_above(0, radius=radius)
-
-    def dist_to_poles(points):
-        th = np.asarray(points, dtype=float)[..., 0]
-        return radius * np.minimum(th, math.pi - th)
-
-    return _sphere_like("s2", radius, radius, radius, critical_distance={"polar": dist_to_poles})
+    return _sphere_like("s2", radius, radius, radius)
 
 
 def sphere_conformal(radius: float = 1.0, amplitude: float = 0.3) -> ManifoldSpec:
     """Round sphere with metric multiplied by (1 + amplitude * sin(theta)).
 
     Same topology, deformed geometry; the partition function must not move.
-    The factor bends the meridians, so the distance to the poles has no
-    closed form and the height declares no ``critical_distance``.
     """
     _require_above(-1, amplitude=amplitude)
     _require_above(0, radius=radius)

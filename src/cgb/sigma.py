@@ -116,13 +116,12 @@ from .manifolds import (
     grid_count,
     integrate_values,
     is_count,
-    pairwise_sum,
+    pairwise_sum,  # unused here; cgbbench/tracing.py wraps it as cgb.sigma.pairwise_sum
     quadrature_grid,
     refuse_first,
     MAX_AXIS_POINTS,
     MAX_GRID_POINTS,
 )
-from .morse import TOL_MORSE
 
 # Coupling of the action to the calibrated curvature element.  The
 # two-route equivalence check pins it: with the chi-calibrated biform the
@@ -693,11 +692,6 @@ def potential_stiffness(spec: ManifoldSpec, h_name: str | None) -> float:
     return float(np.sqrt(np.max(mu_sq)))
 
 
-def _bump_counts(spec: ManifoldSpec, lam: float, stiffness: float) -> list[float]:
-    """Per-axis point counts that put 8 points across each bump width 1/(lam * stiffness)."""
-    return [8 * abs(lam) * length * stiffness for length in spec.axis_lengths()]
-
-
 def check_resolution(
     spec: ManifoldSpec, lam: float, resolution: Sequence[int], stiffness: float
 ) -> None:
@@ -706,7 +700,7 @@ def check_resolution(
     lam = abs(lam)  # the integrand is even in lambda
     if lam == 0 or stiffness <= 0:
         return
-    needs = _bump_counts(spec, lam, stiffness)
+    needs = [8 * lam * length * stiffness for length in spec.axis_lengths()]  # 8 points per bump width
     for axis, count in enumerate(resolution):
         if count < needs[axis] / 2:
             need = grid_count(needs[axis])
@@ -722,15 +716,6 @@ def check_resolution(
                 f"{f'{width:.3g}' if width else 'below 1e-308'} on an axis of length {spec.axis_lengths()[axis]:.3g} "
                 f"(fewer than 4 points per width); {hint}"
             )
-
-
-def adaptive_resolution(
-    spec: ManifoldSpec, lam: float, base: Sequence[int], stiffness: float
-) -> tuple[int, ...]:
-    """Per-axis counts >= max(base, 8 * lambda * axis length * stiffness), refused above the point budget."""
-    counts = [max(b, float(count)) for b, count in zip(base, _bump_counts(spec, lam, stiffness))]
-    check_point_budget(counts)  # on the float counts: an infinite one has no integer
-    return tuple(int(math.ceil(count)) for count in counts)
 
 
 def partition_function(
@@ -1026,61 +1011,3 @@ def lambda_sweep(
     plan = _sweep_plan(spec, h_name, base_resolution, True, adaptive)
     stiffness = None if adaptive else potential_stiffness(spec, h_name)
     return SweepResult(tuple(_graded(plan, lams, stiffness)))
-
-
-# -- localization diagnostics --------------------------------------------------
-
-
-def local_index_contribution(cp, lam: float, radius: float | None = None) -> float:
-    """Flat-model Gaussian value at one critical point.
-
-    The full-space Gaussian of the linearized gradient integrates to
-    sgn(det H) exactly; over an eigen-axis box of half-width ``radius`` the
-    value is sgn(det H) * prod_i erf(lam |mu_i| radius / sqrt 2) -> sgn as
-    lam -> infinity.
-    """
-    hessian = np.asarray(cp.hessian, dtype=float)
-    det = float(np.linalg.det(hessian))
-    if abs(det) <= TOL_MORSE:
-        raise ValueError(f"degenerate Hessian (|det| = {abs(det):.3e} <= {TOL_MORSE:g}) has no localization limit")
-    sign = 1.0 if det > 0 else -1.0
-    if radius is None:
-        return sign
-    eigvals = np.linalg.eigvalsh(hessian)
-    factor = 1.0
-    for mu in eigvals:
-        factor *= math.erf(lam * abs(mu) * radius / math.sqrt(2.0))
-    return sign * factor
-
-
-def localization_mass(
-    spec: ManifoldSpec,
-    h_name: str,
-    lam: float,
-    radius: float,
-    resolution: Sequence[int],
-) -> float:
-    """Fraction of integrand mass within geodesic ``radius`` of the critical set.
-
-    The resolution is checked as ``partition_function`` checks it: one count
-    per axis, and at lambda != 0 enough points per localization-bump width.
-    """
-    potential = spec.potential(h_name)
-    chart = spec.quad_chart
-    dist_fn = potential.critical_distance.get(chart.name)
-    if dist_fn is None:
-        raise ValueError(
-            f"no critical-set distance available for {spec.name}/{h_name} on {chart.name}"
-        )
-    plan = _sweep_plan(spec, h_name, resolution, False, False)
-    if lam:
-        check_resolution(spec, lam, plan.base, potential_stiffness(spec, h_name))
-    grid = quadrature_grid(spec, plan.base)
-    h = potential.on_chart(chart.name)
-    values = np.abs(_integrand_on_points(chart.metric, grid, (lam,), h)[0]) * grid.weights
-    dist = np.asarray(dist_fn(grid.points), dtype=float)
-    total = pairwise_sum(values)
-    inside = pairwise_sum(np.where(dist <= radius, values, 0.0))
-    if total == 0.0:
-        return 0.0
-    return inside / total

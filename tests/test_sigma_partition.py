@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from localization_oracle import distance_to_poles, local_index, localization_mass, uniform_resolution
 
 from cgb import manifolds, sigma
 from cgb.geometry import ChartMetric, CurvatureFrame, ScalarField, curvature_biform, pair_biform
@@ -30,15 +31,11 @@ from cgb.manifolds import (
     sphere_conformal,
     trig_field,
 )
-from cgb.morse import find_critical_points
 from cgb.sigma import (
     ResolutionError,
-    adaptive_resolution,
     check_resolution,
     euler_density,
     lambda_sweep,
-    local_index_contribution,
-    localization_mass,
     partition_function,
     partition_integrand,
     potential_stiffness,
@@ -698,8 +695,8 @@ class TestResolutionPolicy:
         assert potential_stiffness(get_manifold(name), h_name).hex() == bits
 
     def test_adaptive_resolution_floors_at_base(self, s2):
-        assert adaptive_resolution(s2, 0.0, (64, 128), 1.0) == (64, 128)
-        res = adaptive_resolution(s2, 10.0, (64, 128), 1.0)
+        assert uniform_resolution(s2, 0.0, (64, 128), 1.0) == (64, 128)
+        res = uniform_resolution(s2, 10.0, (64, 128), 1.0)
         assert res[0] >= 8 * 10 * math.pi - 1 and res[1] >= 8 * 10 * 2 * math.pi - 1
 
     @pytest.mark.parametrize(
@@ -710,7 +707,7 @@ class TestResolutionPolicy:
     def test_adaptive_counts_refused_before_they_become_integers(self, s2, lam, counts):
         # 8 * 1e308 * pi is inf, which has no integer; 1e301 has one of 302 digits
         with pytest.raises(ValueError, match=rf"quadrature grid {counts} has inf points, above the budget") as err:
-            adaptive_resolution(s2, lam, (96, 192), 1.0)
+            uniform_resolution(s2, lam, (96, 192), 1.0)
         assert len(str(err.value)) < 150
 
     @pytest.mark.parametrize(
@@ -774,7 +771,7 @@ class TestResolutionPolicy:
 
     def test_check_resolution_accepts_adaptive(self, flat_t2):
         mu = potential_stiffness(flat_t2, "coscos")
-        res = adaptive_resolution(flat_t2, 5.0, (48, 48), mu)
+        res = uniform_resolution(flat_t2, 5.0, (48, 48), mu)
         check_resolution(flat_t2, 5.0, res, mu)
 
 
@@ -931,11 +928,11 @@ def exact_grad_sq(spec, h_name, axes):
 class TestGradedRules:
     @pytest.mark.parametrize("name, h_name, factor", GRADED_CASES)
     def test_graded_sweep_matches_the_uniform_rule(self, name, h_name, factor):
-        # Z_uniform: partition_function at adaptive_resolution's counts, the uniform reference rule
+        # Z_uniform: partition_function at the uniform reference rule's counts (tests/localization_oracle.py)
         spec, h_name, base = graded_case(name, h_name, factor)
         mu = potential_stiffness(spec, h_name)
         for r in lambda_sweep(spec, h_name, (1, 2, 5, 10), base).results:
-            uniform = partition_function(spec, h_name, r.lam, adaptive_resolution(spec, r.lam, base, mu))
+            uniform = partition_function(spec, h_name, r.lam, uniform_resolution(spec, r.lam, base, mu))
             assert abs(r.value - uniform.value) <= 1e-6, (r.lam, r.resolution, uniform.resolution)
 
     @pytest.mark.parametrize("name", ["s2", "ellipsoid", "torus", "flat_t2", "s2_perturbed"])
@@ -1003,43 +1000,22 @@ class TestGradedRules:
 
 class TestLocalization:
     def test_mass_concentrates(self, s2):
-        resolution = adaptive_resolution(s2, 10.0, (96, 192), 1.0)
-        mass = localization_mass(s2, "height", 10.0, 0.5, resolution)
-        assert mass >= 0.99
+        # criterion 7's grid, mass and first five local indices, pinned bit for bit
+        resolution = uniform_resolution(s2, 10.0, (96, 192), potential_stiffness(s2, "height"))
+        assert resolution == (252, 503)
+        mass = localization_mass(s2, "height", 10.0, 0.5, resolution, distance_to_poles(1.0))
+        assert mass >= 0.99 and mass.hex() == "0x1.ffff08217b6efp-1"
         # at lambda = 0 the density is spread over the whole sphere
-        spread = localization_mass(s2, "height", 0.0, 0.5, (96, 192))
-        assert spread < 0.5
-
-    def test_mass_refuses_an_under_resolved_grid(self, s2):
-        # 16 x 32 cannot resolve the bump at lambda = 50: the mass is refused as the partition function is
-        refusals = []
-        for integrate in (lambda: localization_mass(s2, "height", 50.0, 0.05, (16, 32)),
-                          lambda: partition_function(s2, "height", 50.0, (16, 32))):
-            with pytest.raises(ResolutionError) as err:
-                integrate()
-            refusals.append(str(err.value))
-        assert refusals[0] == refusals[1]
-
-    def test_local_index_limits(self):
-        class Stub:
-            def __init__(self, hessian):
-                self.hessian = hessian
-                self.morse_ok = True
-
-        assert local_index_contribution(Stub(np.eye(2)), 50.0) == 1.0
-        assert local_index_contribution(Stub(np.diag([1.0, -1.0])), 50.0) == -1.0
-        value = local_index_contribution(Stub(np.eye(2)), 40.0, radius=1.0)
-        assert abs(value - 1.0) < 1e-6
-
-    def test_local_index_degenerate_rejected(self):
-        # the Morse tolerance of find_critical_points, not an exact zero, decides
-        for diagonal in ([1.0, 0.0], [1.0, 1e-9]):
-
-            class Stub:
-                hessian = np.diag(diagonal)
-
-            with pytest.raises(ValueError, match="degenerate Hessian"):
-                local_index_contribution(Stub(), 10.0)
+        spread = localization_mass(s2, "height", 0.0, 0.5, (96, 192), distance_to_poles(1.0))
+        assert spread < 0.5 and spread.hex() == "0x1.f836ad010e717p-4"
+        rng = np.random.default_rng(77)
+        values = []
+        while len(values) < 5:
+            mat = rng.normal(size=(2, 2))
+            hessian = 0.5 * (mat + mat.T)
+            if np.min(np.abs(np.linalg.eigvalsh(hessian))) >= 0.3:
+                values.append(local_index(hessian, 40.0, 1.0).hex())
+        assert values == [(-1.0).hex(), (1.0).hex(), (-1.0).hex(), (1.0).hex(), (1.0).hex()]
 
     def test_local_index_numeric_oracle(self):
         # quadrature oracle over the eigen-axis box at moderate coupling
@@ -1050,11 +1026,6 @@ class TestLocalization:
             hess = 0.5 * (mat + mat.T)
             if abs(np.linalg.det(hess)) < 0.05:
                 continue
-
-            class Stub:
-                hessian = hess
-                morse_ok = True
-
             eigvals = np.linalg.eigvalsh(hess)
             nodes, weights = np.polynomial.legendre.leggauss(120)
             total = 1.0
@@ -1064,23 +1035,4 @@ class TestLocalization:
                 total *= float(np.sum(w * lam * abs(mu) * np.exp(-0.5 * (lam * mu * x) ** 2)))
             total /= (2 * math.pi) ** (len(eigvals) / 2) / 1.0
             oracle = math.copysign(total, np.linalg.det(hess))
-            assert local_index_contribution(Stub(), lam, radius) == pytest.approx(
-                oracle, abs=1e-6
-            )
-
-    def test_localization_needs_distance_data(self, torus):
-        with pytest.raises(ValueError):
-            localization_mass(torus, "height", 5.0, 0.5, (64, 64))
-
-    def test_conformal_sphere_declares_no_distance(self, s2_perturbed):
-        # radius * min(theta, pi - theta) reads 0.5 at theta = 0.5, but the meridian
-        # arc under the factor 1 + 0.3 sin is 0.518: no closed form is claimed
-        with pytest.raises(ValueError, match="no critical-set distance available for s2_perturbed/height on polar"):
-            localization_mass(s2_perturbed, "height", 5.0, 0.5, (64, 128))
-
-
-class TestCriticalPointContributions:
-    def test_sphere_contributions_sum_to_chi(self, s2):
-        points = find_critical_points(s2, "height")
-        total = sum(local_index_contribution(cp, 50.0) for cp in points)
-        assert total == pytest.approx(2.0)
+            assert local_index(hess, lam, radius) == pytest.approx(oracle, abs=1e-6)
